@@ -30,8 +30,8 @@ from repro.bugs.registry import sequential_bugs
 from repro.compiler.frontend import compile_module
 from repro.experiments import table5, table6, table7
 from repro.machine.backends import use_backend
-from repro.machine.cpu import Machine, MachineConfig
-from repro.runtime.process import _apply_globals
+from repro.machine.cpu import MachineConfig
+from repro.runtime.process import execute_plan
 
 
 def _run_with(backend, fn):
@@ -63,11 +63,7 @@ def _execute_seconds(backend, workloads, reps=3):
         started = time.perf_counter()
         for program, plan, num_cores in workloads:
             config = MachineConfig(num_cores=num_cores, backend=backend)
-            machine = Machine(program, config=config,
-                              scheduler=plan.make_scheduler())
-            machine.load(args=plan.args)
-            _apply_globals(machine, plan.globals_setup)
-            machine.run(max_steps=plan.max_steps)
+            execute_plan(program, plan, config)
         elapsed = time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best

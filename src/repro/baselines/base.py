@@ -5,15 +5,12 @@ from dataclasses import dataclass, field
 
 from repro.baselines.scoring import liblit_rank, rank_of_line
 from repro.compiler.frontend import compile_module
-from repro.core.api import (
-    confidence_summary,
-    deprecated_alias,
-    validate_options,
-)
-from repro.machine.cpu import Machine, MachineConfig
+from repro.core.api import confidence_summary, validate_options
+from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
 from repro.runtime import checkpoint as _checkpoint
+from repro.runtime.process import execute_plan
 
 
 @dataclass
@@ -137,23 +134,15 @@ class BaselineToolBase:
     # -- campaign ---------------------------------------------------------
 
     def _run_once(self, plan, run_seed):
-        with get_obs().span("interp.run") as span:
-            machine = Machine(self.program, config=self.machine_config,
-                              scheduler=plan.make_scheduler())
-            machine.load(args=plan.args)
-            for name, value in plan.globals_setup.items():
-                if isinstance(value, (list, tuple)):
-                    for index, word in enumerate(value):
-                        machine.set_global(name, word, index=index)
-                else:
-                    machine.set_global(name, value)
-            finish = self.attach(machine, run_seed)
-            status = machine.run(max_steps=plan.max_steps)
-            span.set(retired=status.retired, outcome=status.describe(),
-                     backend=machine.config.backend)
+        finishers = []
+        status = execute_plan(
+            self.program, plan, self.machine_config,
+            attach=lambda machine: finishers.append(
+                self.attach(machine, run_seed)),
+        ).status
         self.retired_total += status.retired
         failed = self.workload.is_failure(status)
-        return failed, finish(failed)
+        return failed, finishers[0](failed)
 
     def _absorb(self, result):
         """Apply one consumed run's counter/predicate deltas."""
@@ -169,8 +158,7 @@ class BaselineToolBase:
                       max_attempts=None):
         """Collect runs until the outcome quotas are met, then rank.
 
-        The modern entry point (:meth:`diagnose` is its deprecated
-        alias).  With an executor attached, attempts fan out across its
+        With an executor attached, attempts fan out across its
         worker pool (and replay from its run cache) but are consumed
         strictly in attempt order, so counts, observations, and the
         predicate registry are bit-identical to the sequential path.
@@ -198,13 +186,6 @@ class BaselineToolBase:
             backend=self.machine_config.backend,
         )
         return diagnosis
-
-    def diagnose(self, n_failures=1000, n_successes=1000,
-                 max_attempts=None):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        deprecated_alias("%s.diagnose()" % type(self).__name__,
-                         "run_diagnosis()")
-        return self.run_diagnosis(n_failures, n_successes, max_attempts)
 
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \

@@ -15,7 +15,6 @@ precision and recall.  Both success-profiling schemes are implemented:
 """
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.compiler.frontend import compile_module
@@ -23,13 +22,8 @@ from repro.lang.transform import ReactiveTarget, enhance_logging
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
-from repro.runtime import checkpoint as _checkpoint
-from repro.runtime.process import run_program
-from repro.core.api import (
-    confidence_summary,
-    deprecated_alias,
-    validate_options,
-)
+from repro.runtime.harness import stream_runs
+from repro.core.api import confidence_summary, validate_options
 from repro.core.profiles import (
     SUCCESS_SITE_KINDS,
     dominant_failure_site,
@@ -192,7 +186,7 @@ class DiagnosisToolBase:
         self.seed = options["seed"]
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         #: stop reason when the active CampaignBudget cut a stream short
-        self._budget_stop = None
+        self._stopped = {"reason": None}
         self._module = workload.build_module()
         self.failure_program = self._build_program(
             success_scheme="proactive" if scheme == "proactive" else "none",
@@ -217,113 +211,38 @@ class DiagnosisToolBase:
     # Campaigns
     # ------------------------------------------------------------------
 
-    def _run(self, program, plan):
-        if self.executor is not None:
-            return self.executor.run_one(
-                program, plan, self.machine_config
-            ).status
-        return run_program(
-            program,
-            args=plan.args,
-            scheduler=plan.make_scheduler(),
-            config=self.machine_config,
-            max_steps=plan.max_steps,
-            globals_setup=plan.globals_setup,
-        )
+    def _runs(self, program, plan_fn, stream):
+        """This tool's resumable *stream* of runs, from ``plan_fn(seed)``.
 
-    def _stream_statuses(self, program, plan_fn, stream):
-        """Yield ``plan_fn(seed), plan_fn(seed+1), ...`` statuses lazily.
-
-        The executor path speculates ahead on its pool but still yields
-        in order, so consumers' stopping logic is execution-agnostic.
-
-        When a checkpoint session is active (see
-        :mod:`repro.runtime.checkpoint`), the stream journals each
-        consumed status under a fingerprint of everything outcomes
-        depend on, and replays journaled records for free on resume —
-        the plan stream is deterministic, so record k *is* the outcome
-        of ``plan_fn(k)``.  The active campaign budget is charged per
-        fresh execution only; on exhaustion the stream ends early with
-        the reason left in ``self._budget_stop``.
+        See :func:`repro.runtime.harness.stream_runs`: journaled as
+        ``<tool>.<stream>`` and keyed by the seed, with a budget stop
+        left in ``self._stopped["reason"]``.
         """
-        session = _checkpoint.get_session()
-        budget = _checkpoint.get_budget()
-        supervisor = _checkpoint.get_supervisor()
-        journal = None
-        cursor = self.seed
-        if session is not None:
-            from repro.runtime.executor import fingerprint_program
-            journal = session.journal(
-                "%s.%s" % (self.tool_name, stream),
-                _checkpoint.stream_fingerprint(
-                    self.tool_name, stream, fingerprint_program(program),
-                    repr(self.machine_config),
-                    _checkpoint.workload_token(self.workload),
-                    self.seed,
-                ),
-            )
-        try:
-            if journal is not None:
-                for rec in journal.replay():
-                    cursor = rec["k"] + 1
-                    supervisor.beat("campaign")
-                    yield rec["status"]
-
-            def fresh():
-                if self.executor is None:
-                    for k in _counter(cursor):
-                        yield k, self._run(program, plan_fn(k))
-                else:
-                    plans = (plan_fn(k) for k in _counter(cursor))
-                    for k, (_plan, result) in enumerate(
-                            self.executor.iter_runs(
-                                program, plans, self.machine_config),
-                            start=cursor):
-                        yield k, result.status
-
-            source = fresh()
-            try:
-                while True:
-                    reason = budget.exhausted()
-                    if reason is not None:
-                        self._budget_stop = reason
-                        return
-                    item = next(source, None)
-                    if item is None:
-                        return
-                    k, status = item
-                    budget.charge()
-                    if journal is not None:
-                        journal.append(
-                            k, self.workload.is_failure(status), status)
-                    supervisor.beat("campaign")
-                    yield status
-            finally:
-                source.close()
-        finally:
-            if journal is not None:
-                journal.close()
+        return stream_runs(
+            program, self.workload, plan_fn, self.machine_config,
+            (self.tool_name, stream), key=(self.seed,), start=self.seed,
+            executor=self.executor, stopped=self._stopped)
 
     def _collect_failures(self, program, n_failures, max_attempts):
         statuses = []
         k = 0
         obs = get_obs()
-        runs = self._stream_statuses(
-            program, self.workload.failing_run_plan, "failing")
+        runs = self._runs(program, self.workload.failing_run_plan,
+                          "failing")
         try:
             while len(statuses) < n_failures and k < max_attempts:
-                status = next(runs, None)
-                if status is None:
+                run = next(runs, None)
+                if run is None:
                     break
-                if self.workload.is_failure(status):
-                    statuses.append(status)
+                if run.failed:
+                    statuses.append(run.status)
                     obs.counter("campaign.runs_failed").inc()
                 else:
                     obs.counter("campaign.runs_succeeded").inc()
                 k += 1
         finally:
             runs.close()
-        if len(statuses) < n_failures and self._budget_stop is None:
+        if len(statuses) < n_failures and self._stopped["reason"] is None:
             raise DiagnosisError(
                 "only %d/%d failure runs manifested in %d attempts"
                 % (len(statuses), n_failures, k)
@@ -336,27 +255,27 @@ class DiagnosisToolBase:
         statuses = []
         k = 0
         obs = get_obs()
-        runs = self._stream_statuses(
-            program, self.workload.passing_run_plan, "passing")
+        runs = self._runs(program, self.workload.passing_run_plan,
+                          "passing")
         try:
             while len(profiles) < n_successes and k < max_attempts:
-                status = next(runs, None)
-                if status is None:
+                run = next(runs, None)
+                if run is None:
                     break
                 k += 1
-                if self.workload.is_failure(status):
+                if run.failed:
                     obs.counter("campaign.runs_failed").inc()
                     continue
                 obs.counter("campaign.runs_succeeded").inc()
                 profile = extract_profile(
-                    program, status, self.ring,
+                    program, run.status, self.ring,
                     site_kinds=SUCCESS_SITE_KINDS,
                     site_ids=success_site_ids,
                     outcome="success", run_index=k,
                 )
                 if profile is not None:
                     profiles.append(profile)
-                    statuses.append(status)
+                    statuses.append(run.status)
         finally:
             runs.close()
         return profiles, statuses
@@ -369,8 +288,7 @@ class DiagnosisToolBase:
                       max_attempts=None):
         """Run the full campaign and return a :class:`Diagnosis`.
 
-        The modern entry point (:meth:`diagnose` is its deprecated
-        alias).  Runs under this tool's ``obs`` when one was given, the
+        Runs under this tool's ``obs`` when one was given, the
         currently installed one otherwise, tagging the phases
         ``diagnose.<tool>`` → ``collect.failures`` / ``collect.successes``
         / ``rank``.  The finished diagnosis is recorded in the current
@@ -398,16 +316,10 @@ class DiagnosisToolBase:
         )
         return diagnosis
 
-    def diagnose(self, n_failures=10, n_successes=10, max_attempts=None):
-        """Deprecated alias of :meth:`run_diagnosis`."""
-        deprecated_alias("%s.diagnose()" % type(self).__name__,
-                         "run_diagnosis()")
-        return self.run_diagnosis(n_failures, n_successes, max_attempts)
-
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \
             (n_failures + n_successes) * 20 + 50
-        self._budget_stop = None
+        self._stopped["reason"] = None
         with obs.span("collect.failures", want=n_failures):
             failing = self._collect_failures(
                 self.failure_program, n_failures, cap
@@ -420,7 +332,7 @@ class DiagnosisToolBase:
             if profile is not None:
                 failure_profiles.append(profile)
         if not failure_profiles:
-            if self._budget_stop is not None:
+            if self._stopped["reason"] is not None:
                 # Budget ran out before a single failure manifested:
                 # report the (empty) evidence instead of raising.
                 return self._partial_diagnosis(
@@ -460,8 +372,8 @@ class DiagnosisToolBase:
             passing_statuses=passing,
             failure_profiles=failure_profiles,
             success_profiles=success_profiles,
-            partial=self._budget_stop is not None,
-            stop_reason=self._budget_stop,
+            partial=self._stopped["reason"] is not None,
+            stop_reason=self._stopped["reason"],
             n_failures_requested=n_failures,
             n_successes_requested=n_successes,
         )
@@ -479,7 +391,7 @@ class DiagnosisToolBase:
             failing_statuses=failing,
             passing_statuses=[],
             partial=True,
-            stop_reason=self._budget_stop,
+            stop_reason=self._stopped["reason"],
             n_failures_requested=n_failures,
             n_successes_requested=n_successes,
         )
@@ -509,29 +421,28 @@ class DiagnosisToolBase:
                       max_attempts):
         cap = max_attempts if max_attempts is not None else \
             n_failures_per_site * 40 + 100
-        self._budget_stop = None
+        self._stopped["reason"] = None
         by_site = {}
         statuses_by_site = {}
         attempts = 0
-        runs = self._stream_statuses(
-            self.failure_program, self.workload.failing_run_plan,
-            "failing")
+        runs = self._runs(self.failure_program,
+                          self.workload.failing_run_plan, "failing")
         while attempts < cap:
-            status = next(runs, None)
-            if status is None:
+            run = next(runs, None)
+            if run is None:
                 break
             attempts += 1
-            if not self.workload.is_failure(status):
+            if not run.failed:
                 continue
             profile = extract_profile(
-                self.failure_program, status, self.ring,
+                self.failure_program, run.status, self.ring,
                 run_index=attempts,
             )
             if profile is None:
                 continue
             bucket = by_site.setdefault(profile.site_id, [])
             statuses_by_site.setdefault(profile.site_id, []) \
-                .append(status)
+                .append(run.status)
             if len(bucket) < n_failures_per_site:
                 bucket.append(profile)
             if by_site and all(len(b) >= n_failures_per_site
@@ -568,8 +479,8 @@ class DiagnosisToolBase:
                 ring=self.ring,
                 failing_statuses=statuses_by_site[site_id],
                 passing_statuses=passing,
-                partial=self._budget_stop is not None,
-                stop_reason=self._budget_stop,
+                partial=self._stopped["reason"] is not None,
+                stop_reason=self._stopped["reason"],
                 n_failures_requested=n_failures_per_site,
                 n_successes_requested=n_successes,
             )
@@ -626,13 +537,6 @@ class DiagnosisToolBase:
                 "no proactive success site pairs with %s" % (failure_site,)
             )
         return site_ids
-
-
-def _counter(start=0):
-    k = start
-    while True:
-        yield k
-        k += 1
 
 
 class LbraTool(DiagnosisToolBase):

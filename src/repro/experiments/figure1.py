@@ -14,8 +14,8 @@ whose root-cause (or root-cause-related) branch is inside the window.
 from repro.bugs.registry import sequential_bugs
 from repro.core.lbrlog import LbrLogTool
 from repro.hwpmu.bts import attach_bts
-from repro.machine.cpu import Machine
 from repro.experiments.report import ExperimentResult, traced
+from repro.runtime.process import execute_plan
 
 #: Whole-execution branch tracing overhead range from the paper ([31]).
 BTS_OVERHEAD = "20% - 100%"
@@ -46,10 +46,12 @@ def _bts_capture_and_overhead():
     bugs = sequential_bugs()
     for bug in bugs:
         tool = LbrLogTool(bug)     # same enhanced build; ring unused
-        machine = Machine(tool.program, config=tool.machine_config)
-        machine.load(args=bug.failing_args)
-        bts = attach_bts(machine)
-        status = machine.run(max_steps=bug.run_max_steps)
+        tracers = []
+        status = execute_plan(
+            tool.program, bug.failing_run_plan(0), tool.machine_config,
+            attach=lambda machine: tracers.append(attach_bts(machine)),
+        ).status
+        bts = tracers[0]
         overheads.append(bts.modeled_overhead(status.retired))
         lines = set(bug.root_cause_lines) | set(bug.related_lines)
         for entry in bts.entries():

@@ -9,7 +9,7 @@ true), then runs both directions and decodes the LBR.
 from repro.compiler.frontend import compile_source
 from repro.experiments.report import ExperimentResult, traced
 from repro.isa.instructions import Opcode
-from repro.machine.cpu import Machine
+from repro.runtime.process import run_program
 
 FIGURE2_SOURCE = """
 int a = 0;
@@ -32,9 +32,7 @@ _BRANCH_LINE = 7
 
 def _decode_run(argument):
     program = compile_source(FIGURE2_SOURCE, source_name="figure2.c")
-    machine = Machine(program)
-    machine.load(args=(argument,))
-    status = machine.run()
+    status = run_program(program, args=(argument,))
     outcomes = []
     for entry in status.profiles[0].entries:
         branch = program.debug_info.branch_at(entry.from_address)

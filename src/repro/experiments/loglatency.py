@@ -11,8 +11,8 @@ paper's Core i7 platform.
 from repro.bugs.registry import get_bug
 from repro.core.lbrlog import LbrLogTool
 from repro.experiments.report import ExperimentResult, traced
-from repro.isa.layout import WORD_SIZE
 from repro.isa.registers import FP
+from repro.runtime.process import execute_plan
 
 #: Modeled per-unit costs in microseconds.
 US_PER_MSR_READ = 0.5          # rdmsr through the driver
@@ -24,11 +24,10 @@ def _failure_machine_state(bug_name="sort"):
     """Run a failure and return (ring reads, stack frames, mapped KiB)."""
     bug = get_bug(bug_name)
     tool = LbrLogTool(bug)
-    from repro.machine.cpu import Machine
-
-    machine = Machine(tool.program, config=tool.machine_config)
-    machine.load(args=bug.failing_args)
-    machine.run(max_steps=bug.run_max_steps)
+    machines = []
+    execute_plan(tool.program, bug.failing_run_plan(0), tool.machine_config,
+                 attach=machines.append)
+    machine = machines[0]
     ring_reads = 2 * machine.config.lbr_capacity  # FROM_IP + TO_IP MSRs
     # Walk the frame-pointer chain of the faulting thread.
     thread = machine.threads[0]

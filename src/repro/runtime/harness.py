@@ -34,6 +34,7 @@ That used to be silent; ``on_shortfall`` now controls it: ``"warn"``
 Both carry the structured counts so callers can react programmatically.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
 from repro.runtime import checkpoint as _checkpoint
+from repro.runtime.executor import fingerprint_program
 from repro.runtime.process import run_program
 
 
@@ -188,22 +190,13 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     attempts = 0
     limit = max_attempts if max_attempts is not None else \
         (want_failures + want_successes) * 20 + 50
-    session = _checkpoint.get_session()
     stopped = {"reason": None}
 
     def consume(phase, plan_fn, quota_reached):
         nonlocal attempts
-        journal = None
-        if session is not None:
-            journal = session.journal(
-                "campaign." + phase,
-                _checkpoint.stream_fingerprint(
-                    "campaign", phase, _program_token(program),
-                    repr(config), _checkpoint.workload_token(workload),
-                ),
-            )
-        runs = _stream_runs(program, workload, plan_fn, config,
-                            executor, obs, journal, stopped)
+        runs = stream_runs(program, workload, plan_fn, config,
+                           ("campaign", phase), executor=executor,
+                           stopped=stopped)
         try:
             while not quota_reached() and attempts < limit:
                 record = next(runs, None)
@@ -219,10 +212,10 @@ def run_campaign(program, workload, *, want_failures, want_successes,
                 attempts += 1
         finally:
             runs.close()
-            if journal is not None:
-                journal.close()
 
-    with obs.span("campaign", workload=workload.name):
+    # The whole campaign runs with *obs* installed so both execution
+    # paths record into the campaign's buffers.
+    with use(obs), obs.span("campaign", workload=workload.name):
         with obs.span("campaign.failing"):
             consume("failing", workload.failing_run_plan,
                     lambda: len(failures) >= want_failures)
@@ -292,100 +285,87 @@ def _executor_detail(executor):
             % (len(resilience.task_errors), last["stage"], last["error"]))
 
 
-def _counter(start=0):
-    k = start
-    while True:
-        yield k
-        k += 1
+def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
+                key=(), start=0, executor=None):
+    """Yield RunRecords for ``plan_fn(start), plan_fn(start+1), ...``.
 
-
-def _program_token(program):
-    from repro.runtime.executor import fingerprint_program
-    return fingerprint_program(program)
-
-
-def _stream_runs(program, workload, plan_fn, config, executor, obs,
-                 journal=None, stopped=None):
-    """Yield RunRecords for ``plan_fn(0), plan_fn(1), ...``, lazily.
-
-    The sequential path executes one plan per pull; the executor path
+    The one resumable campaign stream: :func:`run_campaign` and the
+    LBRA/LCRA tools (:class:`~repro.core.lbra.DiagnosisToolBase`) both
+    consume it.  The sequential path executes one plan per pull through
+    :func:`~repro.runtime.process.run_program`; the executor path
     speculates ahead on the pool but still yields in plan order, so the
-    caller's stopping logic sees the same sequence either way.  The whole
-    stream runs with *obs* installed as the current observability bundle
-    so both paths record into the campaign's buffers.
+    caller's stopping logic sees the same sequence either way.
 
-    When *journal* (a :class:`~repro.runtime.checkpoint.CheckpointJournal`)
-    is supplied, previously recorded outcomes replay for free — the plan
-    stream is deterministic, so record k *is* the outcome of
-    ``plan_fn(k)`` — and each fresh outcome is appended before it is
-    yielded, making the stream resumable after a crash at any point.
-    Replayed records never charge the active campaign budget; fresh ones
-    do, and when the budget reports exhaustion the stream ends early
-    with the reason left in ``stopped["reason"]``.
+    When a checkpoint session is active (see
+    :mod:`repro.runtime.checkpoint`), the stream journals each consumed
+    outcome under ``<owner>.<phase>`` for *stream* = ``(owner, phase)``,
+    fingerprinted over (owner, phase, program fingerprint,
+    ``repr(config)``, workload token, ``*key``), and replays journaled
+    records for free on resume — the plan stream is deterministic, so
+    record k *is* the outcome of ``plan_fn(k)``.  Each fresh outcome is
+    appended before it is yielded, making the stream resumable after a
+    crash at any point.  Replayed records never charge the active
+    campaign budget; fresh ones do, and when the budget reports
+    exhaustion the stream ends early with the reason left in
+    ``stopped["reason"]``.
     """
     budget = _checkpoint.get_budget()
     supervisor = _checkpoint.get_supervisor()
-    cursor = 0
-    with use(obs):
+    session = _checkpoint.get_session()
+    journal = None
+    if session is not None:
+        journal = session.journal(
+            "%s.%s" % stream,
+            _checkpoint.stream_fingerprint(
+                *stream, fingerprint_program(program), repr(config),
+                _checkpoint.workload_token(workload), *key),
+        )
+
+    def record(status, plan):
+        return RunRecord(index=-1, status=status,
+                         failed=workload.is_failure(status), plan=plan)
+
+    def fresh(cursor):
+        if executor is None:
+            for k in itertools.count(cursor):
+                plan = plan_fn(k)
+                yield k, record(run_program(
+                    program, args=plan.args,
+                    scheduler=plan.make_scheduler(), config=config,
+                    max_steps=plan.max_steps,
+                    globals_setup=plan.globals_setup), plan)
+        else:
+            plans = (plan_fn(k) for k in itertools.count(cursor))
+            for k, (plan, result) in enumerate(
+                    executor.iter_runs(program, plans, config),
+                    start=cursor):
+                yield k, record(result.status, plan)
+
+    cursor = start
+    try:
         if journal is not None:
             for rec in journal.replay():
                 cursor = rec["k"] + 1
-                status = rec["status"]
                 supervisor.beat("campaign")
-                yield RunRecord(
-                    index=-1, status=status,
-                    failed=workload.is_failure(status),
-                    plan=plan_fn(rec["k"]),
-                )
-
-        def fresh():
-            if executor is None:
-                for k in _counter(cursor):
-                    record = _run_one(program, workload, plan_fn(k),
-                                      config)
-                    yield k, record
-            else:
-                plans = (plan_fn(k) for k in _counter(cursor))
-                for k, (plan, result) in enumerate(
-                        executor.iter_runs(program, plans, config),
-                        start=cursor):
-                    yield k, RunRecord(
-                        index=-1, status=result.status,
-                        failed=workload.is_failure(result.status),
-                        plan=plan,
-                    )
-
-        source = fresh()
+                yield record(rec["status"], plan_fn(rec["k"]))
+        source = fresh(cursor)
         try:
             while True:
                 reason = budget.exhausted()
                 if reason is not None:
-                    if stopped is not None:
-                        stopped["reason"] = reason
+                    stopped["reason"] = reason
                     return
                 item = next(source, None)
                 if item is None:
                     return
-                k, record = item
+                k, run = item
                 budget.charge()
                 if journal is not None:
-                    journal.append(k, record.failed, record.status)
+                    journal.append(k, run.failed, run.status)
                 supervisor.beat("campaign")
-                yield record
+                yield run
         finally:
             source.close()
-
-
-def _run_one(program, workload, plan, config):
-    status = run_program(
-        program,
-        args=plan.args,
-        scheduler=plan.make_scheduler(),
-        config=config,
-        max_steps=plan.max_steps,
-        globals_setup=plan.globals_setup,
-    )
-    return RunRecord(
-        index=-1, status=status,
-        failed=workload.is_failure(status), plan=plan,
-    )
+    finally:
+        if journal is not None:
+            journal.close()

@@ -1,9 +1,17 @@
-"""Run one program on a fresh machine."""
+"""Run one program on a fresh machine.
+
+This is the only place a run's :class:`~repro.machine.cpu.Machine` is
+built: every campaign, baseline, and experiment run goes through
+:func:`execute_plan` (or its :func:`run_program` adapter), so the
+construct → load → globals → run sequence and its ``interp.run`` span
+exist once.
+"""
 
 from dataclasses import dataclass, field
 
 from repro.machine.cpu import Machine, MachineConfig
 from repro.obs import get_obs
+from repro.runtime.workload import RunPlan
 
 
 @dataclass
@@ -26,16 +34,7 @@ class PlanOutcome:
         return sum(self.hwop_counts.values())
 
 
-def _apply_globals(machine, globals_setup):
-    for name, value in (globals_setup or {}).items():
-        if isinstance(value, (list, tuple)):
-            for index, word in enumerate(value):
-                machine.set_global(name, word, index=index)
-        else:
-            machine.set_global(name, value)
-
-
-def execute_plan(program, plan, config=None):
+def execute_plan(program, plan, config=None, attach=None):
     """Execute one :class:`~repro.runtime.workload.RunPlan` and return a
     :class:`PlanOutcome`.
 
@@ -45,12 +44,23 @@ def execute_plan(program, plan, config=None):
     (program, plan, config) triple always produces the same outcome.
     That independence is what makes run campaigns parallelizable and
     cacheable (see :mod:`repro.runtime.executor`).
+
+    ``attach`` optionally receives the machine after load and globals
+    setup, just before it runs — where baselines install their
+    observers and experiments keep the machine for inspection.
     """
     with get_obs().span("interp.run") as span:
         machine = Machine(program, config=config or MachineConfig(),
                           scheduler=plan.make_scheduler())
         machine.load(args=plan.args)
-        _apply_globals(machine, plan.globals_setup)
+        for name, value in (plan.globals_setup or {}).items():
+            if isinstance(value, (list, tuple)):
+                for index, word in enumerate(value):
+                    machine.set_global(name, word, index=index)
+            else:
+                machine.set_global(name, value)
+        if attach is not None:
+            attach(machine)
         status = machine.run(max_steps=plan.max_steps)
         span.set(retired=status.retired, outcome=status.describe(),
                  backend=machine.config.backend)
@@ -69,12 +79,6 @@ def run_program(program, args=(), scheduler=None, config=None,
     (or lists of values for arrays), poked after load — how benchmark
     inputs beyond the six argument registers are injected.
     """
-    with get_obs().span("interp.run") as span:
-        machine = Machine(program, config=config or MachineConfig(),
-                          scheduler=scheduler)
-        machine.load(args=args)
-        _apply_globals(machine, globals_setup)
-        status = machine.run(max_steps=max_steps)
-        span.set(retired=status.retired, outcome=status.describe(),
-                 backend=machine.config.backend)
-    return status
+    plan = RunPlan(args=args, scheduler_factory=lambda: scheduler,
+                   max_steps=max_steps, globals_setup=globals_setup)
+    return execute_plan(program, plan, config).status

@@ -39,6 +39,7 @@ import contextlib
 import hashlib
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -88,6 +89,9 @@ CRASH_EXIT_CODE = 70
 
 #: True in pool worker processes (set by the executor's initializer).
 _IS_WORKER = False
+
+#: How often a pool worker checks that its parent is still alive.
+PARENT_POLL_SECONDS = 0.5
 
 
 class FaultSpecError(ValueError):
@@ -409,9 +413,24 @@ def use_plan(plan):
 
 
 def mark_worker_process():
-    """Pool-worker initializer: enables worker-only fault sites."""
+    """Pool-worker initializer: enables worker-only fault sites.
+
+    Also ties the worker's life to its parent's.  An idle worker blocks
+    on the task queue, so when the parent is SIGKILLed (or hard-exits
+    at a ``!kill`` fault) nothing would ever wake it: a watcher thread
+    exits the worker once it has been reparented.
+    """
     global _IS_WORKER
     _IS_WORKER = True
+    parent = os.getppid()
+
+    def exit_when_orphaned():
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(0)
+
+    threading.Thread(target=exit_when_orphaned, name="parent-watch",
+                     daemon=True).start()
 
 
 def fault_point(site):

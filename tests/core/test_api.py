@@ -135,30 +135,6 @@ def test_tool_specific_options_pass_through():
     assert tool.params["lcr_selector"] == 1
 
 
-def test_deprecated_diagnose_alias_warns_and_still_works():
-    bug = get_bug("sort")
-    with pytest.warns(DeprecationWarning, match="run_diagnosis"):
-        diagnosis = LbraTool(bug).diagnose(2, 2)
-    assert diagnosis.ranked is not None
-    from repro.baselines.cbi import CbiTool
-    with pytest.warns(DeprecationWarning, match="run_diagnosis"):
-        CbiTool(bug).diagnose(n_failures=4, n_successes=4)
-
-
-def test_adapter_alias_warns_and_returns_identical_report():
-    bug = get_bug("sort")
-    modern = get_tool("lbra")(bug, seed=0).run_diagnosis(3, 3)
-    with pytest.warns(DeprecationWarning,
-                      match=r"LbraDiagnosisTool\.diagnose\(\)"):
-        legacy = get_tool("lbra")(bug, seed=0).diagnose(3, 3)
-    # Identical modulo wall-clock: compare the serialized form with the
-    # timing block zeroed.
-    modern_dict = modern.to_dict()
-    legacy_dict = legacy.to_dict()
-    modern_dict["timings"] = legacy_dict["timings"] = {}
-    assert modern_dict == legacy_dict
-
-
 def test_run_diagnosis_does_not_warn():
     import warnings
 

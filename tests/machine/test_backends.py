@@ -21,8 +21,8 @@ from repro.machine.backends import (
     get_default_backend,
     use_backend,
 )
-from repro.machine.cpu import Machine, MachineConfig
-from repro.runtime.process import _apply_globals
+from repro.machine.cpu import MachineConfig
+from repro.runtime.process import execute_plan
 
 
 _BUGS = sorted(all_bugs(), key=lambda bug: bug.name)
@@ -39,11 +39,10 @@ def _program(bug):
 def _fingerprint(program, plan, backend, num_cores):
     """Everything observable about one run, as a comparable dict."""
     config = MachineConfig(num_cores=num_cores, backend=backend)
-    machine = Machine(program, config=config,
-                      scheduler=plan.make_scheduler())
-    machine.load(args=plan.args)
-    _apply_globals(machine, plan.globals_setup)
-    status = machine.run(max_steps=plan.max_steps)
+    machines = []
+    status = execute_plan(program, plan, config,
+                          attach=machines.append).status
+    machine = machines[0]
     fault = status.fault
     fingerprint = {
         "exit_code": status.exit_code,
@@ -150,15 +149,13 @@ def test_observer_fallback_matches_reference():
     seen = {}
     for backend in ("reference", "threaded"):
         config = MachineConfig(num_cores=bug.num_cores, backend=backend)
-        machine = Machine(program, config=config,
-                          scheduler=plan.make_scheduler())
         events = []
-        machine.branch_observers.append(
-            lambda thread, instr, taken, target:
-            events.append((thread.tid, instr.address, taken, target)))
-        machine.load(args=plan.args)
-        _apply_globals(machine, plan.globals_setup)
-        status = machine.run(max_steps=plan.max_steps)
+        status = execute_plan(
+            program, plan, config,
+            attach=lambda machine: machine.branch_observers.append(
+                lambda thread, instr, taken, target:
+                events.append((thread.tid, instr.address, taken, target))),
+        ).status
         seen[backend] = (status.retired, tuple(events))
     assert seen["reference"] == seen["threaded"]
 

@@ -142,6 +142,44 @@ def test_kill_resume_across_jobs_and_backends(tmp_path, jobs, backend):
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
 
 
+def _processes_mentioning(text):
+    """PIDs of live processes whose command line contains *text*."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(os.path.join("/proc", entry, "cmdline"), "rb") as f:
+                cmdline = f.read()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_killed_command_leaves_no_pool_workers(tmp_path):
+    """Pool workers of a hard-killed command exit instead of idling."""
+    ckpt = str(tmp_path / "ck")
+    chaos = _repro(
+        ["diagnose", "sort", "--runs", "3", "--jobs", "2", "--no-ledger",
+         "--checkpoint", "--checkpoint-dir", ckpt,
+         "--inject-faults", "checkpoint-write-torn!kill:1:2"],
+        cwd=str(tmp_path))
+    assert chaos.returncode == CRASH_EXIT_CODE, chaos.stderr
+    deadline = time.monotonic() + 5.0
+    while _processes_mentioning(ckpt) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    leftover = _processes_mentioning(ckpt)
+    for pid in leftover:          # never leave them behind, even on failure
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert leftover == []
+
+
 # ----------------------------------------------------------------------
 # Experiment driver
 # ----------------------------------------------------------------------
