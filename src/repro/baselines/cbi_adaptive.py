@@ -21,7 +21,7 @@ so no iterative search is needed at all.
 from dataclasses import dataclass, field
 
 from repro.baselines.base import BaselineToolBase
-from repro.baselines.scoring import RunObservation, liblit_rank
+from repro.baselines.scoring import RunObservation, liblit_rank, rank_of_line
 from repro.isa.instructions import Opcode
 from repro.runtime.process import execute_plan
 
@@ -49,11 +49,7 @@ class AdaptiveOutcome:
         return self.predicates_evaluated / self.predicates_total
 
     def rank_of_line(self, lines):
-        wanted = set(lines)
-        for predicate in self.ranked:
-            if predicate.line in wanted:
-                return predicate.rank
-        return None
+        return rank_of_line(self.ranked, lines)
 
 
 class CbiAdaptiveTool(BaselineToolBase):

@@ -14,7 +14,7 @@ bug isolation", PLDI 2005), which CBI, CCI, and PBI all use:
 import math
 from dataclasses import dataclass
 
-from repro.obs.provenance import EventProvenance
+from repro.core.statistics import HitSpectrum, dense_ranks
 
 
 @dataclass(frozen=True)
@@ -63,61 +63,60 @@ def liblit_rank(observations, predicate_info):
     dense ranks; predicates with non-positive Increase are pruned, as in
     CBI.
 
-    Each surviving predicate carries an
-    :class:`~repro.obs.provenance.EventProvenance` naming the runs that
+    The true predicates fold into the same
+    :class:`~repro.core.statistics.HitSpectrum` LBRA/LCRA rank, so each
+    surviving predicate carries its
+    :class:`~repro.obs.provenance.EventProvenance`: the runs that
     supported it (failing runs observing it true) and opposed it
     (passing runs observing it true).  Run ids are the campaign attempt
     positions — observations arrive in campaign order, which is
     deterministic at any worker count — prefixed ``F``/``S`` by outcome.
+    Per-site observed counts feed no provenance and stay plain counts.
     """
-    total_failures = sum(1 for o in observations if o.failed)
-    supporting = {}               # predicate_id -> ["F<pos>", ...]
-    opposing = {}                 # predicate_id -> ["S<pos>", ...]
+    spectrum = HitSpectrum(key=str)       # a predicate id is its own key
     f_obs = {}
     s_obs = {}
     for position, observation in enumerate(observations):
-        true_bucket = supporting if observation.failed else opposing
-        run_id = ("F%d" if observation.failed else "S%d") % position
-        obs_bucket = f_obs if observation.failed else s_obs
-        for predicate_id in observation.true_predicates:
-            true_bucket.setdefault(predicate_id, []).append(run_id)
+        spectrum.add(position, observation.failed,
+                     observation.true_predicates)
+        site_counts = f_obs if observation.failed else s_obs
         for site_id in observation.observed_sites:
-            obs_bucket[site_id] = obs_bucket.get(site_id, 0) + 1
+            site_counts[site_id] = site_counts.get(site_id, 0) + 1
 
-    scored = []
-    for predicate_id, info in predicate_info.items():
-        site_id, function, line, detail = info
-        supported_by = supporting.get(predicate_id, ())
-        opposed_by = opposing.get(predicate_id, ())
-        f_p = len(supported_by)
-        s_p = len(opposed_by)
-        f_o = f_obs.get(site_id, 0)
-        s_o = s_obs.get(site_id, 0)
-        if f_p + s_p == 0 or f_o + s_o == 0:
+    rows = []
+    for predicate_id in spectrum.events:
+        info = predicate_info.get(predicate_id)
+        if info is None:
+            continue
+        f_p = len(spectrum.supporting.get(predicate_id, ()))
+        s_p = len(spectrum.opposing.get(predicate_id, ()))
+        f_o = f_obs.get(info[0], 0)
+        s_o = s_obs.get(info[0], 0)
+        if f_o + s_o == 0:
             continue
         failure = f_p / (f_p + s_p)
         context = f_o / (f_o + s_o)
         increase = failure - context
         if increase <= 0:
             continue
-        importance = _importance(increase, f_p, total_failures)
-        scored.append(ScoredPredicate(
+        importance = _importance(increase, f_p, spectrum.total_failures)
+        rows.append((importance, increase, predicate_id, info,
+                     f_p, s_p, f_o, s_o))
+    rows.sort(key=lambda row: (-row[0], -row[1], row[2]))
+    ranks = dense_ranks(row[:2] for row in rows)
+    return [
+        ScoredPredicate(
             predicate_id=predicate_id, site_id=site_id,
             function=function, line=line, detail=detail,
             failure_true=f_p, success_true=s_p,
             failure_observed=f_o, success_observed=s_o,
             increase=increase, importance=importance,
-            provenance=EventProvenance(
-                failure_hits=f_p,
-                success_hits=s_p,
-                total_failures=total_failures,
-                supporting_runs=tuple(supported_by),
-                opposing_runs=tuple(opposed_by),
-            ),
-        ))
-    scored.sort(key=lambda p: (-p.importance, -p.increase,
-                               p.predicate_id))
-    return _dense_rank(scored)
+            rank=rank, provenance=spectrum.evidence(predicate_id),
+        )
+        for rank, (importance, increase, predicate_id,
+                   (site_id, function, line, detail), f_p, s_p, f_o, s_o)
+        in zip(ranks, rows)
+    ]
 
 
 def _importance(increase, failure_true, total_failures):
@@ -129,33 +128,6 @@ def _importance(increase, failure_true, total_failures):
     if increase <= 0 or log_term <= 0:
         return 0.0
     return 2.0 / (1.0 / increase + 1.0 / log_term)
-
-
-def _dense_rank(scored):
-    ranked = []
-    rank = 0
-    previous = None
-    for predicate in scored:
-        key = (predicate.importance, predicate.increase)
-        if key != previous:
-            rank += 1
-            previous = key
-        ranked.append(ScoredPredicate(
-            predicate_id=predicate.predicate_id,
-            site_id=predicate.site_id,
-            function=predicate.function,
-            line=predicate.line,
-            detail=predicate.detail,
-            failure_true=predicate.failure_true,
-            success_true=predicate.success_true,
-            failure_observed=predicate.failure_observed,
-            success_observed=predicate.success_observed,
-            increase=predicate.increase,
-            importance=predicate.importance,
-            rank=rank,
-            provenance=predicate.provenance,
-        ))
-    return ranked
 
 
 def rank_of_line(ranked, lines, detail_suffix=None):

@@ -31,7 +31,12 @@ from repro.core.profiles import (
     site_by_id,
     sites_of,
 )
-from repro.core.statistics import rank_predictors
+from repro.core.statistics import (
+    branch_on_lines,
+    coherence_on_lines,
+    rank_of_event,
+    rank_predictors,
+)
 
 
 class DiagnosisError(Exception):
@@ -86,35 +91,16 @@ class Diagnosis:
 
     def rank_of(self, predicate):
         """Dense rank of the best event satisfying *predicate*, or None."""
-        for score in self.ranked:
-            if predicate(score.event):
-                return score.rank
-        return None
+        return rank_of_event(self.ranked, predicate)
 
     def rank_of_line(self, lines, outcome=None):
         """Dense rank of the best branch event on one of *lines*."""
-        wanted = set(lines)
-
-        def predicate(event):
-            if event.kind != "branch" or event.line not in wanted:
-                return False
-            if outcome is None:
-                return True
-            return event.event_id.endswith("=T" if outcome else "=F")
-
-        return self.rank_of(predicate)
+        return self.rank_of(branch_on_lines(lines, outcome))
 
     def rank_of_coherence(self, lines, state_tags=None):
-        """Dense rank of the best coherence event on one of *lines*."""
-        wanted = set(lines)
-        tags = set(state_tags) if state_tags is not None else None
-
-        def predicate(event):
-            if event.kind != "coherence" or event.line not in wanted:
-                return False
-            return tags is None or event.detail in tags
-
-        return self.rank_of(predicate)
+        """Dense rank of the best coherence event on one of *lines*;
+        empty or ``None`` *state_tags* match every coherence state."""
+        return self.rank_of(coherence_on_lines(lines, state_tags))
 
     def describe(self, n=5):
         lines = ["%s diagnosis (%s scheme) @ %s" % (

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from repro.bugs.registry import get_bug
 from repro.core.api import get_tool
 from repro.core.lbra import DiagnosisError
+from repro.core.statistics import branch_on_lines, coherence_on_lines
 from repro.experiments.report import ExperimentResult, traced
 from repro.fleet.aggregate import IncrementalRanker
 from repro.fleet.signature import (
@@ -88,24 +89,15 @@ class SignatureCluster:
 def _true_cause_predicate(workload):
     """Event predicate for the registered root cause of *workload*.
 
-    Mirrors :meth:`Diagnosis.rank_of_line` (sequential: root-cause
+    Built as :meth:`Diagnosis.rank_of_line` (sequential: root-cause
     branch, any outcome — Table 6 semantics) and
     :meth:`Diagnosis.rank_of_coherence` (concurrency: FPE coherence
-    classes on the root-cause lines — Table 7 semantics).
+    classes on the root-cause lines — Table 7 semantics) build theirs.
     """
-    lines = set(workload.root_cause_lines)
     if workload.category == "concurrency":
-        tags = set(workload.fpe_state_tags) \
-            if workload.fpe_state_tags else None
-
-        def predicate(event):
-            if event.kind != "coherence" or event.line not in lines:
-                return False
-            return tags is None or event.detail in tags
-    else:
-        def predicate(event):
-            return event.kind == "branch" and event.line in lines
-    return predicate
+        return coherence_on_lines(workload.root_cause_lines,
+                                  workload.fpe_state_tags)
+    return branch_on_lines(workload.root_cause_lines)
 
 
 def _replay_convergence(cluster, workload):

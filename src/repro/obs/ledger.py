@@ -466,8 +466,7 @@ def diagnosis_quality(raw, workload):
     if lines:
         if (getattr(workload, "category", "sequential") == "concurrency"
                 and hasattr(raw, "rank_of_coherence")):
-            tags = tuple(getattr(workload, "fpe_state_tags", ()) or ()) \
-                or None
+            tags = getattr(workload, "fpe_state_tags", None)
             rank = raw.rank_of_coherence(lines, tags)
             if related:
                 related_rank = raw.rank_of_coherence(related, tags)

@@ -195,6 +195,39 @@ def test_diagnosis_recorded_with_quality(tmp_path):
     assert entry["timings"]["wall_seconds"] > 0
 
 
+def test_root_cause_lookups_agree_when_fpe_tags_are_empty():
+    """A concurrency workload left at the default ``fpe_state_tags``
+    of ``()``: the Table 7 accessor, the ledger's quality record and
+    triage's convergence predicate all find its root cause at rank 1."""
+    from repro.bugs.base import BugBenchmark
+    from repro.core.events import Event
+    from repro.core.lbra import Diagnosis
+    from repro.core.profiles import RunProfile
+    from repro.core.statistics import rank_of_event, rank_predictors
+    from repro.fleet.triage import _true_cause_predicate
+    from repro.obs.ledger import diagnosis_quality
+
+    class UntaggedRace(BugBenchmark):
+        category = "concurrency"
+        root_cause_lines = (4,)
+
+    workload = UntaggedRace()
+    assert workload.fpe_state_tags == ()
+    race = Event(event_id="worker:4:load@I", kind="coherence",
+                 function="worker", line=4, detail="load@I")
+    failure = RunProfile(run_index=0, outcome="failure", ring="lcr",
+                         site_id=0, events=(race,), snapshot=None)
+    diagnosis = Diagnosis(
+        ranked=rank_predictors([failure], []), failure_site=None,
+        success_site=None, n_failure_profiles=1, n_success_profiles=0,
+        scheme="reactive", ring="lcr")
+    assert diagnosis.rank_of_coherence(workload.root_cause_lines,
+                                       workload.fpe_state_tags) == 1
+    assert diagnosis_quality(diagnosis, workload)["root_cause_rank"] == 1
+    assert rank_of_event(diagnosis.ranked,
+                         _true_cause_predicate(workload)) == 1
+
+
 def test_baseline_diagnosis_recorded(tmp_path):
     bug = get_bug("rm")
     ledger = Ledger(tmp_path)

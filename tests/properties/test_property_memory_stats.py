@@ -3,9 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.scoring import RunObservation, liblit_rank
 from repro.core.events import Event
 from repro.core.profiles import RunProfile
 from repro.core.statistics import rank_predictors
+from repro.fleet.aggregate import IncrementalRanker
 from repro.machine.memory import Memory, SegmentationViolation
 
 addresses = st.integers(min_value=0x100000, max_value=0x100FF8)
@@ -86,3 +88,70 @@ def test_event_in_every_failure_and_no_success_is_top(failure_sets,
     )
     best = [s for s in ranked if s.rank == 1]
     assert any(s.event.event_id == marker for s in best)
+
+
+@given(st.lists(st.tuples(st.booleans(), event_sets), max_size=12))
+def test_incremental_ranking_equals_batch_after_every_prefix(stream):
+    ranker = IncrementalRanker()
+    failures, successes = [], []
+    for index, (failed, ids) in enumerate(stream):
+        profile = RunProfile(
+            run_index=index, outcome="failure" if failed else "success",
+            ring="lbr", site_id=0,
+            events=tuple(Event(event_id=e, kind="branch") for e in ids),
+            snapshot=None,
+        )
+        ranker.add(profile)
+        (failures if failed else successes).append(profile)
+        assert ranker.ranking() == rank_predictors(failures, successes)
+    assert ranker.runs_seen == len(stream)
+
+
+#: predicate id -> (site_id, function, line, detail): two predicates
+#: (=T, =F) per site, as the CBI-family tools declare them
+PREDICATES = {
+    "b%d%s" % (site, suffix): ("b%d" % site, "f", 10 + site, suffix)
+    for site in range(3) for suffix in ("=T", "=F")
+}
+
+
+@st.composite
+def observations(draw):
+    runs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        true = draw(st.frozensets(st.sampled_from(sorted(PREDICATES))))
+        extra = draw(st.frozensets(st.sampled_from(["b0", "b1", "b2"])))
+        runs.append(RunObservation(
+            failed=draw(st.booleans()),
+            true_predicates=true,
+            observed_sites=extra | {PREDICATES[p][0] for p in true},
+        ))
+    return runs
+
+
+@given(observations())
+def test_liblit_rank_counts_and_dense_ranks(runs):
+    ranked = liblit_rank(runs, PREDICATES)
+    for row in ranked:
+        site = PREDICATES[row.predicate_id][0]
+        true_in = [(position, run.failed)
+                   for position, run in enumerate(runs)
+                   if row.predicate_id in run.true_predicates]
+        assert row.failure_true == sum(failed for _, failed in true_in)
+        assert row.success_true == sum(not failed for _, failed in true_in)
+        assert row.failure_observed == sum(
+            run.failed and site in run.observed_sites for run in runs)
+        assert row.success_observed == sum(
+            not run.failed and site in run.observed_sites for run in runs)
+        assert row.provenance.supporting_runs == tuple(
+            "F%d" % position for position, failed in true_in if failed)
+        assert row.provenance.opposing_runs == tuple(
+            "S%d" % position for position, failed in true_in if not failed)
+    if ranked:
+        assert ranked[0].rank == 1
+    for previous, row in zip(ranked, ranked[1:]):
+        assert row.rank - previous.rank in (0, 1)
+    for a in ranked:
+        for b in ranked:
+            assert (a.rank == b.rank) \
+                == ((a.importance, a.increase) == (b.importance, b.increase))

@@ -1,12 +1,16 @@
 #!/usr/bin/env python
 """Fail the build when the docs drift from the code.
 
-Markdown rots in three predictable ways; this checker catches each:
+Markdown rots in four predictable ways; this checker catches each:
 
 * a ``--flag`` that the ``repro`` CLI no longer accepts (or never did);
 * a dotted ``repro.*`` module/attribute path that no longer imports;
 * a backticked repo file path (``src/...``, ``docs/...``, ...) that no
-  longer exists.
+  longer exists;
+* a backticked ``Class.attr`` or ``Class.attr()``, where ``Class`` is a
+  class defined in a ``repro`` module, naming an attribute or dataclass
+  field the class no longer has.  Names that are not ``repro`` classes
+  (``DESIGN.md``) are skipped.
 
 Checked files: ``README.md``, ``DESIGN.md``, and ``docs/*.md`` — the
 documents that describe the *current* code.  ``ROADMAP.md`` (future
@@ -17,7 +21,10 @@ Usage: ``PYTHONPATH=src python tools/check_docs.py`` (exits non-zero
 listing every stale reference).
 """
 
+import dataclasses
+import importlib
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -50,6 +57,7 @@ PATH_ROOTS = ("src/", "docs/", "tests/", "benchmarks/", "tools/",
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(r"`([^`\s]+/[^`\s]*)`")
+MEMBER_RE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
 
 
 def doc_files():
@@ -76,10 +84,29 @@ def cli_flags():
     return flags
 
 
+def repro_classes():
+    """Class name -> the classes of that name defined in ``repro``."""
+    import repro
+
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, type) and value.__module__ == info.name:
+                classes.setdefault(value.__name__, []).append(value)
+    return classes
+
+
+def has_member(cls, name):
+    """Does *cls* have an attribute or dataclass field called *name*?"""
+    return hasattr(cls, name) or (
+        dataclasses.is_dataclass(cls)
+        and name in {field.name for field in dataclasses.fields(cls)})
+
+
 def check_module(dotted):
     """Is *dotted* an importable module, or an attribute on one?"""
-    import importlib
-
     parts = dotted.split(".")
     for split in range(len(parts), 0, -1):
         try:
@@ -96,6 +123,7 @@ def check_module(dotted):
 
 def main():
     known_flags = cli_flags() | FOREIGN_FLAGS
+    classes = repro_classes()
     errors = ["missing required page %s" % page
               for page in REQUIRED_DOCS if not (REPO / page).exists()]
     for path in doc_files():
@@ -117,13 +145,19 @@ def main():
                 if not (REPO / ref).exists():
                     errors.append("%s:%d: missing file %s"
                                   % (rel, lineno, ref))
+            for name, member in MEMBER_RE.findall(line):
+                owners = classes.get(name)
+                if owners and not any(has_member(cls, member)
+                                      for cls in owners):
+                    errors.append("%s:%d: stale reference %s.%s"
+                                  % (rel, lineno, name, member))
     if errors:
         print("doc check FAILED (%d stale reference%s):"
               % (len(errors), "" if len(errors) == 1 else "s"))
         for error in errors:
             print("  " + error)
         return 1
-    print("doc check OK: %d files, no stale flags/modules/paths"
+    print("doc check OK: %d files, no stale flags/modules/paths/members"
           % len(doc_files()))
     return 0
 
