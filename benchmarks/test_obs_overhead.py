@@ -7,19 +7,18 @@ experiment: table5 timed with observability disabled (the default) must
 stay within ``REPRO_OBS_OVERHEAD_BOUND`` (default 3%) of the same
 experiment timed with a collecting obs installed — i.e. the
 instrumentation threaded through machine → campaign → tool is
-measurement noise, in either direction.
+measurement noise, in either direction.  The structural half of that
+contract, an allocation-free disabled path, is a tier-1 test
+(``tests/obs/test_timeseries.py``).
 """
 
-import gc
 import os
-import sys
 import time
 
 from conftest import run_once
 
 from repro.experiments import table5
 from repro.obs import NULL_OBS, Observability, get_obs, use
-from repro.obs.timeseries import NULL_TIMESERIES
 
 
 def _timed(fn):
@@ -57,54 +56,6 @@ def test_disabled_obs_overhead_is_noise(benchmark):
     # And the disabled path really collected nothing.
     assert get_obs() is NULL_OBS
     assert NULL_OBS.tracer.to_records() == []
-
-
-def _touch_disabled_instruments():
-    """One pass over every disabled-path instrument a hot loop sees."""
-    obs = get_obs()
-    obs.counter("x").inc()
-    obs.gauge("x").set(1)
-    obs.histogram("x").observe(1.0)
-    timeseries = obs.timeseries
-    timeseries.tick()
-    timeseries.windowed("x").inc()
-    timeseries.gauge_series("x").set(1)
-    timeseries.sketch("x").observe(1.0)
-    with timeseries.timer("x"):
-        pass
-    with obs.timer("x"):
-        pass
-
-
-def test_disabled_path_is_allocation_free():
-    """Disabled instruments are shared singletons, so a hot loop over
-    them allocates nothing — no per-call instrument objects, no buffer
-    growth.  This is what makes the ~0% bound above structural rather
-    than lucky."""
-    assert get_obs() is NULL_OBS
-    # Every name resolves to the same shared no-op instrument.
-    assert NULL_OBS.counter("a") is NULL_OBS.histogram("b")
-    assert NULL_TIMESERIES.windowed("a") is NULL_TIMESERIES.sketch("b")
-    assert NULL_TIMESERIES.timer("a") is NULL_TIMESERIES.timer("b")
-    assert NULL_OBS.timer("a") is NULL_OBS.timer("b")
-    assert NULL_OBS.timeseries is NULL_TIMESERIES
-
-    for _ in range(100):               # warm up any lazy caches
-        _touch_disabled_instruments()
-    gc.collect()
-    before = sys.getallocatedblocks()
-    for _ in range(5000):
-        _touch_disabled_instruments()
-    delta = sys.getallocatedblocks() - before
-    # Interpreter bookkeeping can wobble a block or two; per-call
-    # allocations would show up as thousands.
-    assert abs(delta) <= 16, (
-        "disabled-path loop leaked %d allocated blocks" % delta)
-    # And nothing was recorded anywhere.
-    assert NULL_TIMESERIES.now == 0
-    assert NULL_TIMESERIES.to_dict()["windowed"] == {}
-    assert NULL_OBS.metrics.to_dict() == {
-        "counters": {}, "gauges": {}, "histograms": {}}
 
 
 def test_enabled_obs_actually_collects(benchmark):

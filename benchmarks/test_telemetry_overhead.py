@@ -1,8 +1,8 @@
 """Telemetry overhead on fleet triage.
 
-The live-telemetry layer (:mod:`repro.obs.timeseries`) rides the same
+The metrics registry (:mod:`repro.obs.timeseries`) rides the same
 switch as the rest of observability: disabled (the default) it must
-cost nothing, and *enabled* it must stay cheap — windowed counters,
+cost nothing, and *enabled* it must stay cheap — counter windows,
 gauge points, and sketch observations are O(1) dict work on a stream
 that is dominated by campaign replay.  This benchmark pins the enabled
 side: a 200-report triage with a collecting obs (clock ticks, stage
@@ -72,11 +72,11 @@ def test_enabled_telemetry_actually_streams(benchmark):
         return obs
 
     obs = run_once(benchmark, enabled_run)
-    timeseries = obs.timeseries
+    metrics = obs.metrics
     # One tick per report ingested + one per replayed campaign run.
-    assert timeseries.now > REPORTS
-    assert timeseries.windowed("fleet.reports").total == REPORTS
-    assert timeseries.sketch("stage.campaign.seconds").count > 0
-    ranks = [name for name in timeseries.to_dict()["gauges"]
+    assert metrics.now > REPORTS
+    assert metrics.counter("fleet.reports").total == REPORTS
+    assert metrics.sketch("stage.campaign.seconds").count > 0
+    ranks = [name for name in metrics.to_dict()["gauges"]
              if name.startswith("fleet.rank_of_true_cause.")]
     assert len(ranks) == 2            # one convergence series per bug

@@ -61,12 +61,14 @@ parallelism and caching change wall-clock time only.
 
 ``run``, ``log``, ``diagnose``, ``triage``, and ``experiment`` accept
 ``--trace FILE.jsonl`` and ``--metrics-out FILE.json``: observability
-is then enabled for the invocation and the span trace / metric totals
-are written on exit (see :mod:`repro.obs`; render traces with
+is then enabled for the invocation and the span trace / metrics
+snapshot are written on exit (see :mod:`repro.obs`; render traces with
 ``repro obs report``).  ``triage`` additionally accepts
-``--snapshot-out FILE.json``, publishing a live telemetry snapshot
-(:mod:`repro.obs.timeseries`) after every diagnosed cluster — the feed
-behind ``repro obs watch`` and ``repro obs export``.
+``--snapshot-out FILE.json``, publishing the same snapshot document
+(:mod:`repro.obs.timeseries`) live, after every diagnosed cluster.
+Either file feeds ``repro obs watch``, ``repro obs export`` and
+``repro obs trends --slo``; a final snapshot that cannot be written is
+reported in one line, with exit status 1.
 
 ``diagnose`` and ``experiment`` also append to the persistent run
 ledger (:mod:`repro.obs.ledger`) under ``--ledger-dir`` (default
@@ -453,6 +455,7 @@ def _cmd_diagnose(args, out):
 def _cmd_triage(args, out):
     """``repro triage``: simulate the fleet, cluster, diagnose."""
     from repro.fleet import FleetStream, triage_reports
+    from repro.obs.timeseries import SnapshotNotWritten
 
     population = args.bugs
     if args.synth is not None:
@@ -477,11 +480,15 @@ def _cmd_triage(args, out):
             finally:
                 if executor is not None:
                     executor.shutdown()
-    if stream.shortfall is not None:
-        out.write("warning: %s\n" % stream.shortfall.describe())
-    out.write(result.table().format() + "\n")
-    _write_stats(executor, out)
+            # Print before the obs session exports --metrics-out, so a
+            # failed export still leaves the table on stdout.
+            if stream.shortfall is not None:
+                out.write("warning: %s\n" % stream.shortfall.describe())
+            out.write(result.table().format() + "\n")
+            _write_stats(executor, out)
     if args.snapshot_out:
+        if not result.snapshot_published:
+            raise SnapshotNotWritten(args.snapshot_out)
         out.write("telemetry snapshot published to %s (render with "
                   "`repro obs watch` / `repro obs export`)\n"
                   % args.snapshot_out)
@@ -897,7 +904,8 @@ def _obs_flags():
     )
     parent.add_argument(
         "--metrics-out", metavar="FILE.json", default=None,
-        help="write metric totals as JSON (enables observability)",
+        help="write the metrics snapshot `repro obs export` reads "
+             "(enables observability)",
     )
     return parent
 
@@ -1246,8 +1254,9 @@ def build_parser():
     )
     trends_parser.add_argument(
         "--snapshot", metavar="FILE.json", default=None,
-        help="with --slo: evaluate against this published snapshot "
-             "instead of rebuilding one from the ledger",
+        help="with --slo: evaluate against this snapshot (from "
+             "--snapshot-out or --metrics-out) instead of rebuilding "
+             "one from the ledger",
     )
 
     watch_parser = obs_commands.add_parser(
@@ -1271,8 +1280,9 @@ def build_parser():
     )
     export_parser.add_argument(
         "--snapshot", metavar="FILE.json", default=None,
-        help="snapshot file to export (default: rebuild one from the "
-             "ledger's triage entries)",
+        help="snapshot file to export, from --snapshot-out or "
+             "--metrics-out (default: rebuild one from the ledger's "
+             "triage entries)",
     )
     export_parser.add_argument("--ledger-dir", default=None,
                                metavar="DIR")
@@ -1335,6 +1345,7 @@ def main(argv=None, out=None):
         CampaignInterrupted,
         pop_interrupted_session,
     )
+    from repro.obs.timeseries import SnapshotNotWritten
     from repro.runtime.resilience import FaultSpecError
 
     try:
@@ -1342,6 +1353,9 @@ def main(argv=None, out=None):
     except FaultSpecError as exc:
         out.write("bad --inject-faults spec: %s\n" % exc)
         return 2
+    except SnapshotNotWritten as exc:
+        out.write("%s\n" % exc)
+        return 1
     except BrokenPipeError:          # piped into head etc.
         return 0
     except (KeyboardInterrupt, CampaignInterrupted) as exc:

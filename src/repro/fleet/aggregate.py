@@ -39,7 +39,7 @@ class IncrementalRanker:
 
     def add(self, profile):
         """Fold in one profile, routed by its recorded outcome."""
-        get_obs().timeseries.windowed("fleet.rank_updates").inc()
+        get_obs().counter("fleet.rank_updates").inc()
         if profile.outcome == "failure":
             self.add_failure(profile)
         else:
@@ -57,8 +57,7 @@ class IncrementalRanker:
         Same rows, order, and provenance as
         ``rank_predictors(failures_so_far, successes_so_far)``.
         """
-        timer = get_obs().timeseries.timer("stage.rank_update.seconds")
-        with timer:
+        with get_obs().timer("stage.rank_update.seconds"):
             return score_spectrum(self.spectrum)
 
     def rank_of(self, predicate):

@@ -143,7 +143,7 @@ class FleetStream:
         one tick (report ingest is a deterministic progress point — the
         stream is a pure function of ``(population, seed)``, so the
         clock is jobs-invariant) and lands in the ``fleet.reports``
-        windowed series.  Every emission attempt — manifesting or not —
+        counter.  Every emission attempt — manifesting or not —
         feeds the ``stage.attempt.seconds`` timing sketch; the
         ``stage.ingest.seconds`` sketch gets the true per-report
         generation latency (all attempt time accumulated since the
@@ -158,7 +158,7 @@ class FleetStream:
         fewer than *n* reports.
         """
         obs = get_obs()
-        timeseries = obs.timeseries
+        metrics = obs.metrics
         produced = 0
         attempts = 0
         pending_seconds = 0.0
@@ -171,23 +171,22 @@ class FleetStream:
             k = self._cursors.get(name, 0)
             self._cursors[name] = k + 1
             attempts += 1
-            obs.counter("fleet.stream.attempts").inc()
+            metrics.counter("fleet.stream.attempts").inc()
             started = time.perf_counter()
             status = tool.run_plan(workload.failing_run_plan(k))
             elapsed = time.perf_counter() - started
-            timeseries.sketch("stage.attempt.seconds",
-                              timing=True).observe(elapsed)
+            metrics.sketch("stage.attempt.seconds",
+                           timing=True).observe(elapsed)
             pending_seconds += elapsed
             if not workload.is_failure(status):
                 # The failing input happened not to manifest: a fleet
                 # member emits nothing for a successful run.
                 continue
             produced += 1
-            obs.counter("fleet.stream.reports").inc()
-            timeseries.tick()
-            timeseries.windowed("fleet.reports").inc()
-            timeseries.sketch("stage.ingest.seconds",
-                              timing=True).observe(pending_seconds)
+            metrics.tick()
+            metrics.counter("fleet.reports").inc()
+            metrics.sketch("stage.ingest.seconds",
+                           timing=True).observe(pending_seconds)
             pending_seconds = 0.0
             yield FailureReport(
                 report_id=_report_id(name, k),
@@ -201,7 +200,7 @@ class FleetStream:
             self.shortfall = StreamShortfall(
                 want=n, got=produced, attempts=attempts, limit=limit,
             )
-            obs.counter("fleet.stream.shortfall").inc()
+            metrics.counter("fleet.stream.shortfall").inc()
             warnings.warn(self.shortfall.describe(),
                           FleetShortfallWarning, stacklevel=2)
 

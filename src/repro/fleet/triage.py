@@ -108,22 +108,22 @@ def _replay_convergence(cluster, workload):
     batch ranking by construction (asserted in tests/fleet).
 
     Telemetry: each replayed run is a deterministic progress point —
-    one logical-clock tick, one ``fleet.runs`` windowed count, and one
+    one logical-clock tick, one ``fleet.runs`` count, and one
     ``fleet.rank_of_true_cause.<digest>`` gauge sample — so the
     per-signature convergence trajectory is a jobs-invariant series.
     """
-    timeseries = get_obs().timeseries
+    metrics = get_obs().metrics
     raw = cluster.diagnosis.raw
     predicate = _true_cause_predicate(workload)
     ranker = IncrementalRanker()
     curve = []
-    rank_series = timeseries.gauge_series(
+    rank_series = metrics.gauge(
         "fleet.rank_of_true_cause.%s" % cluster.digest)
-    runs_series = timeseries.windowed("fleet.runs")
+    runs_series = metrics.counter("fleet.runs")
     for profile in list(raw.failure_profiles) + list(raw.success_profiles):
         ranker.add(profile)
         rank = ranker.rank_of(predicate)
-        timeseries.tick()
+        metrics.tick()
         runs_series.inc()
         rank_series.set(rank)
         curve.append((ranker.runs_seen, rank))
@@ -138,7 +138,7 @@ def _replay_convergence(cluster, workload):
         else:
             break
     cluster.runs_to_rank1 = runs_to_rank1
-    timeseries.gauge_series(
+    metrics.gauge(
         "fleet.runs_to_rank1.%s" % cluster.digest).set(runs_to_rank1)
 
 
@@ -172,6 +172,7 @@ class TriageResult:
     clusters: list                    # SignatureClusters, display order
     seed: int = None                  # stream seed, for the ledger
     params: dict = field(default_factory=dict)
+    snapshot_published: bool = False  # the final snapshot landed
 
     @property
     def n_clusters(self):
@@ -235,14 +236,14 @@ def _diagnose_cluster(cluster, runs, executor, obs):
         workload, executor=executor, scheme="reactive", seed=0,
     )
     try:
-        with obs.timeseries.timer("stage.campaign.seconds"):
+        with obs.timer("stage.campaign.seconds"):
             cluster.diagnosis = adapter.run_diagnosis(runs, runs)
     except DiagnosisError as error:
         cluster.error = str(error)
         obs.counter("fleet.triage.campaign_errors").inc()
         return
     obs.counter("fleet.triage.campaigns").inc()
-    with obs.timeseries.timer("stage.replay.seconds"):
+    with obs.timer("stage.replay.seconds"):
         _replay_convergence(cluster, workload)
 
 
@@ -308,19 +309,21 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
     When *snapshot_path* is given, a telemetry snapshot is published
     atomically there after each diagnosed cluster (and once up front),
     then marked ``complete`` at the end — the live feed ``repro obs
-    watch`` tails and ``repro obs export`` renders.
+    watch`` tails and ``repro obs export`` renders.  Publication is
+    best-effort; ``TriageResult.snapshot_published`` says whether the
+    final, complete snapshot landed.
     """
     obs = get_obs()
-    timeseries = obs.timeseries
+    metrics = obs.metrics
     reports = list(reports)
     started = time.perf_counter()
     with obs.span("triage.cluster", reports=len(reports)), \
-            timeseries.timer("stage.cluster.seconds"):
+            metrics.timer("stage.cluster.seconds"):
         clusters = cluster_reports(reports, depth=depth,
                                    granularity=granularity)
-    obs.counter("fleet.triage.reports").inc(len(reports))
-    obs.counter("fleet.triage.clusters").inc(len(clusters))
-    timeseries.gauge_series("fleet.clusters").set(len(clusters))
+    metrics.counter("fleet.triage.reports").inc(len(reports))
+    metrics.counter("fleet.triage.clusters").inc(len(clusters))
+    metrics.gauge("fleet.clusters").set(len(clusters))
     result = TriageResult(
         n_reports=len(reports),
         clusters=clusters,
@@ -331,9 +334,9 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
 
     def publish(done, complete=False):
         if not snapshot_path:
-            return
-        publish_snapshot(snapshot_path, build_snapshot(
-            timeseries,
+            return False
+        return publish_snapshot(snapshot_path, build_snapshot(
+            metrics,
             fleet={"reports": result.n_reports,
                    "clusters": result.n_clusters,
                    "diagnosed": done},
@@ -348,7 +351,7 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
         with obs.span("triage.campaign", signature=cluster.digest,
                       app=cluster.app):
             _diagnose_cluster(cluster, runs, executor, obs)
-        with timeseries.timer("stage.record.seconds"):
+        with metrics.timer("stage.record.seconds"):
             _record_cluster(cluster, result)
         publish(done)
     labeled = result.labeled()
@@ -368,7 +371,7 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
         timings={"triage_seconds": time.perf_counter() - started},
         obs=_obs_record(obs),
     )
-    publish(len(clusters), complete=True)
+    result.snapshot_published = publish(len(clusters), complete=True)
     return result
 
 

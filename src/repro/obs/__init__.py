@@ -1,18 +1,18 @@
 """repro.obs — zero-dependency observability for the whole pipeline.
 
 One :class:`Observability` object bundles a :class:`~repro.obs.tracer.Tracer`
-(nested wall-time spans) and a :class:`~repro.obs.metrics.Metrics`
-registry (counters / gauges / histograms), threaded through every layer:
-the machine harvests per-run hardware counts, campaigns count outcomes,
-the executor records dispatch/cache/speculation activity, and each
-experiment driver tags its phase.  Usage::
+(nested wall-time spans) and one :class:`~repro.obs.timeseries.Metrics`
+registry (counters, gauges and quantile sketches on a deterministic
+logical clock), threaded through every layer: the machine harvests
+per-run hardware counts, campaigns count outcomes, the fleet pipeline
+ticks the clock and records its series, and each experiment driver tags
+its phase.  Usage::
 
     from repro import obs
 
     with obs.enabled() as o:              # install a collecting obs
         table6.run()
-        o.tracer.export_jsonl("trace.jsonl")
-        o.metrics.export_json("metrics.json")
+    o.export(trace_path="trace.jsonl", metrics_path="metrics.json")
 
     with obs.span("my.phase", detail=1):  # spans no-op when disabled
         ...
@@ -29,13 +29,16 @@ Design rules:
 * **Worker buffers merge.**  Pool workers run under their own
   collecting obs; their span/metric buffers return with each run result
   and the parent merges exactly the buffers of the runs a campaign
-  consumed (see :mod:`repro.runtime.executor`), so traces and metric
-  totals are consistent at any ``--jobs`` value.
-* **One payload format.**  :meth:`Observability.to_payload` /
-  :meth:`Observability.merge_payload` is the single serialization used
-  for worker round-trips; JSONL traces and JSON metric dumps are the
-  at-rest formats (``repro obs report`` renders the former, ``repro
-  obs flame`` collapses it into a folded-stack flame view).
+  consumed, at the tick it consumed them (see
+  :mod:`repro.runtime.executor`), so traces and metric series are
+  identical at any ``--jobs`` value and equal cache state.
+* **One payload format, one at-rest format.**
+  :meth:`Observability.to_payload` / :meth:`Observability.merge_payload`
+  is the single serialization used for worker round-trips; JSONL traces
+  and the metrics snapshot (:func:`repro.obs.timeseries.publish_snapshot`)
+  are the at-rest formats (``repro obs report`` renders the former,
+  ``repro obs export``/``watch`` the latter, ``repro obs flame``
+  collapses a trace into a folded-stack flame view).
 
 Three sibling submodules extend the in-process buffers to at-rest
 history and evidence: :mod:`repro.obs.ledger` (the persistent,
@@ -46,37 +49,29 @@ collapsing of traces and sampled profiles).
 """
 
 import contextlib
-import time
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
+from repro.obs.timeseries import (
     Metrics,
     NULL_METRICS,
     NullMetrics,
-)
-from repro.obs.timeseries import (
-    NULL_TIMESERIES,
-    NullTimeseries,
-    Timeseries,
+    SnapshotNotWritten,
+    build_snapshot,
+    publish_snapshot,
 )
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, read_jsonl
 
 
 class Observability:
-    """A tracer + metrics + timeseries bundle (see the module docstring)."""
+    """A tracer + metrics bundle (see the module docstring)."""
 
     def __init__(self, enabled=True):
         self.enabled = enabled
         if enabled:
             self.tracer = Tracer()
             self.metrics = Metrics()
-            self.timeseries = Timeseries()
         else:
             self.tracer = NULL_TRACER
             self.metrics = NULL_METRICS
-            self.timeseries = NULL_TIMESERIES
 
     # -- convenience delegates ------------------------------------------
 
@@ -89,12 +84,9 @@ class Observability:
     def gauge(self, name):
         return self.metrics.gauge(name)
 
-    def histogram(self, name):
-        return self.metrics.histogram(name)
-
     def timer(self, name):
-        """A stage timer into the timeseries (no-op when disabled)."""
-        return self.timeseries.timer(name)
+        """A stage timer into a timing sketch (no-op when disabled)."""
+        return self.metrics.timer(name)
 
     # -- per-run harvest ------------------------------------------------
 
@@ -131,39 +123,48 @@ class Observability:
         counter("cache.evictions").inc(evictions)
         counter("hwop.dispatched").inc(sum(machine.hwop_counts.values()))
         counter("hwop.broadcast").inc(machine.hwop_broadcast_count)
-        metrics.histogram("machine.run_seconds").observe(seconds)
-        metrics.histogram("machine.run_retired").observe(machine.retired)
+        metrics.sketch("machine.run_seconds", timing=True).observe(seconds)
+        metrics.sketch("machine.run_retired").observe(machine.retired)
 
     # -- worker buffer exchange -----------------------------------------
 
     def to_payload(self):
-        """Serialize all three buffers for shipping across processes."""
+        """Serialize both buffers for shipping across processes."""
         return {"metrics": self.metrics.to_dict(),
-                "spans": self.tracer.to_records(),
-                "timeseries": self.timeseries.to_dict()}
+                "spans": self.tracer.to_records()}
 
     def merge_payload(self, payload, span_root=None):
         """Merge a worker's :meth:`to_payload` buffers into this obs.
 
         Spans are re-rooted under *span_root* (default: the currently
-        open span); metric counters/histograms and timeseries
-        instruments accumulate (sketch buckets add, gauge points
-        overwrite per tick — order-independent by construction).
+        open span); the metric buffer lands at this obs's current tick
+        (counters and sketches accumulate, gauge points overwrite per
+        tick — order-independent by construction).
         """
         if not payload:
             return
-        self.metrics.merge(payload.get("metrics", {}))
+        self.metrics.merge(payload.get("metrics"), self.metrics.now)
         self.tracer.absorb(payload.get("spans", ()), under=span_root)
-        self.timeseries.merge(payload.get("timeseries"))
 
     # -- export ---------------------------------------------------------
 
     def export(self, trace_path=None, metrics_path=None):
-        """Write the JSONL trace and/or JSON metrics files."""
+        """Write the JSONL trace and/or the metrics snapshot.
+
+        The snapshot is the document ``repro triage --snapshot-out``
+        publishes, marked complete.  Raises :class:`RuntimeError` on a
+        disabled obs and :class:`SnapshotNotWritten` when the snapshot
+        cannot be written.
+        """
         if trace_path:
             self.tracer.export_jsonl(trace_path)
         if metrics_path:
-            self.metrics.export_json(metrics_path)
+            if not self.enabled:
+                raise RuntimeError("cannot export disabled metrics; "
+                                   "enable observability first")
+            if not publish_snapshot(metrics_path, build_snapshot(
+                    self.metrics, complete=True)):
+                raise SnapshotNotWritten(metrics_path)
 
 
 #: The shared disabled bundle: every layer's default obs.
@@ -206,18 +207,12 @@ def span(name, **attrs):
 
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "Metrics",
     "NULL_METRICS",
     "NULL_OBS",
-    "NULL_TIMESERIES",
     "NULL_TRACER",
     "NullMetrics",
-    "NullTimeseries",
     "NullTracer",
-    "Timeseries",
     "Observability",
     "Span",
     "Tracer",

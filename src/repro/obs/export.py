@@ -1,16 +1,16 @@
 """OpenMetrics text exposition of telemetry snapshots.
 
 ``repro obs export`` renders a snapshot file (published by
-``repro triage --snapshot-out``) — or a snapshot reconstructed from the
-run ledger's triage entries — in the OpenMetrics text format
-(Prometheus exposition): ``# TYPE``/``# HELP`` metadata lines, one
-sample per line, terminated by ``# EOF``.
+``repro triage --snapshot-out`` or written by ``--metrics-out``) — or a
+snapshot reconstructed from the run ledger's triage entries — in the
+OpenMetrics text format (Prometheus exposition): ``# TYPE``/``# HELP``
+metadata lines, one sample per line, terminated by ``# EOF``.
 
-The default export surface is **deterministic only**: windowed
-counters, gauge series, and non-timing sketches, all keyed by the
-logical clock.  Timing sketches (stage latency) and the executor/wall
-snapshot sections hold wall-clock venue data, so they are excluded
-unless ``include_timings=True`` — this exclusion is what makes
+The default export surface is **deterministic only**: counters, gauge
+series, and non-timing sketches, all keyed by the logical clock.
+Timing sketches (stage and run latency) and the executor/wall snapshot
+sections hold wall-clock venue data, so they are excluded unless
+``include_timings=True`` — this exclusion is what makes
 ``repro triage --jobs 1`` and ``--jobs 4`` export byte-identical
 bodies, the property ``tests/obs/test_merge_invariance.py`` pins.
 
@@ -26,8 +26,8 @@ import re
 
 from repro.obs.timeseries import (
     DEFAULT_ALPHA,
+    Metrics,
     QuantileSketch,
-    Timeseries,
     build_snapshot,
 )
 
@@ -141,10 +141,7 @@ def render_openmetrics(snapshot, include_timings=False):
                      % (base_name, summary.get("alpha",
                                                DEFAULT_ALPHA)))
         base = (("key", label),) if label else ()
-        sketch = QuantileSketch(
-            series_name, alpha=summary.get("alpha", DEFAULT_ALPHA),
-            timing=summary.get("timing", False))
-        sketch.merge(summary)
+        sketch = QuantileSketch.from_summary(summary)
         for q in EXPORT_QUANTILES:
             fam.add("", base + (("quantile", _format_value(q)),),
                     sketch.quantile(q))
@@ -162,23 +159,23 @@ def snapshot_from_ledger(ledger, kind="triage"):
     """Rebuild a telemetry snapshot from the ledger's obs payloads.
 
     Each triage invocation's fleet-summary entry (``kind="triage"``,
-    ``workload="fleet"``) records that invocation's cumulative
-    timeseries buffer under the timing-exempt ``obs`` bucket; merging
-    the summaries in seq order reconstructs the fleet's aggregate
+    ``workload="fleet"``) records that invocation's cumulative metrics
+    buffer under the timing-exempt ``obs`` bucket; merging the buffers
+    in seq order, each at tick 0, reconstructs the fleet's aggregate
     series — the offline twin of the live snapshot file.  Returns
     ``None`` when no entry carries telemetry (pre-telemetry ledgers).
     """
-    timeseries = Timeseries()
+    metrics = Metrics()
     merged = 0
     for entry in ledger.entries(kind=kind, workload="fleet"):
         payload = (entry.get("obs") or {}).get("timeseries")
         if not payload:
             continue
-        timeseries.merge(payload)
+        metrics.merge(payload, 0)
         merged += 1
     if not merged:
         return None
-    return build_snapshot(timeseries, complete=True,
+    return build_snapshot(metrics, complete=True,
                           fleet={"source": "ledger",
                                  "entries": merged})
 

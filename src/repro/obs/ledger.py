@@ -514,27 +514,14 @@ def _executor_record_from_stats(stats):
 
 
 def _obs_record(obs):
-    """Counter totals of an enabled obs bundle (None when disabled).
+    """The metrics buffer of an enabled obs bundle (None when disabled).
 
-    Executor-dispatch counters are left to the ``executor`` bucket —
-    everything recorded here is jobs-invariant by the obs merge
-    contract, keeping the bucket comparable across execution modes.
+    It rides in the timing-exempt ``obs`` bucket under the ``timeseries``
+    key, so `repro obs export` can rebuild a snapshot from the ledger.
     """
     if obs is None or not getattr(obs, "enabled", False):
         return None
-    counters = {
-        name: value
-        for name, value in obs.metrics.to_dict()["counters"].items()
-        if not name.startswith("executor.")
-    }
-    record = {"counters": counters}
-    timeseries = getattr(obs, "timeseries", None)
-    if timeseries is not None and getattr(timeseries, "enabled", False) \
-            and timeseries.now:
-        # The telemetry buffer rides in the same timing-exempt bucket,
-        # so `repro obs export` can rebuild a snapshot from the ledger.
-        record["timeseries"] = timeseries.to_dict()
-    return record
+    return {"timeseries": obs.metrics.to_dict()}
 
 
 # ----------------------------------------------------------------------

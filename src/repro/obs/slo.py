@@ -42,6 +42,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from repro.obs.timeseries import QuantileSketch
+
 #: Fields an SLO objective may carry.
 _ALLOWED_KEYS = frozenset((
     "name", "metric", "quantile", "max", "min", "min_per_window",
@@ -67,7 +69,7 @@ class SLO:
     budget: float = 0.0
 
     @property
-    def windowed(self):
+    def per_window(self):
         return (self.min_per_window is not None
                 or self.max_per_window is not None)
 
@@ -77,7 +79,7 @@ class SLO:
                 else ">= %g" % self.min
             return "p%g(%s) %s" % (100.0 * self.quantile, self.metric,
                                    bound)
-        if self.windowed:
+        if self.per_window:
             parts = []
             if self.min_per_window is not None:
                 parts.append(">= %g/window" % self.min_per_window)
@@ -136,7 +138,7 @@ def _parse_objective(index, raw):
     if quantile is not None and slo.max is None and slo.min is None:
         raise SLOError("objective %d (%s): quantile needs max or min"
                        % (index, slo.name))
-    if (slo.max is None and slo.min is None and not slo.windowed):
+    if (slo.max is None and slo.min is None and not slo.per_window):
         raise SLOError("objective %d (%s): no bound given (max/min/"
                        "min_per_window/max_per_window)"
                        % (index, slo.name))
@@ -201,17 +203,6 @@ def _gauge_values(series, metric):
             if name.startswith(prefix)}
 
 
-def _quantile_of_summary(summary, q):
-    """Re-evaluate a quantile from a serialized sketch summary."""
-    from repro.obs.timeseries import DEFAULT_ALPHA, QuantileSketch
-
-    sketch = QuantileSketch("eval",
-                            alpha=summary.get("alpha", DEFAULT_ALPHA),
-                            timing=summary.get("timing", False))
-    sketch.merge(summary)
-    return sketch.quantile(q)
-
-
 def evaluate_slo(slo, snapshot):
     """Evaluate one objective against a snapshot; returns SLOResult."""
     series = snapshot.get("series", {})
@@ -224,7 +215,8 @@ def evaluate_slo(slo, snapshot):
         checked = violations = 0
         worst = None
         for name, summary in sorted(matches.items()):
-            value = _quantile_of_summary(summary, slo.quantile)
+            value = QuantileSketch.from_summary(summary) \
+                .quantile(slo.quantile)
             if value is None:
                 continue
             checked += 1
@@ -238,7 +230,7 @@ def evaluate_slo(slo, snapshot):
                          checked=checked, violations=violations,
                          burn_rate=burn,
                          detail="%d sketch(es)" % checked)
-    if slo.windowed:
+    if slo.per_window:
         summary = series.get("windowed", {}).get(slo.metric)
         if summary is None:
             return SLOResult(slo=slo, ok=False, value=None,

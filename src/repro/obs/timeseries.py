@@ -1,43 +1,49 @@
-"""Streaming time-series telemetry keyed by a deterministic logical clock.
+"""The metrics registry: counts, gauges and sketches on a logical clock.
 
-The in-process :class:`~repro.obs.metrics.Metrics` registry answers
-"how much happened?"; this layer answers "how much happened *when*?" —
-while staying inside the repo's determinism contract.  Wall clocks are
-useless as series keys here: ``--jobs 4`` interleaves work differently
-from ``--jobs 1``, so any wall-time bucketing would make telemetry
-diverge across worker counts.  Instead every series is keyed by a
-**logical clock**: a counter the pipeline advances at deterministic
-progress points (one tick per ingested fleet report, one tick per
-consumed campaign run).  Because consumption order is plan order — the
+:class:`Metrics` is the one registry :class:`~repro.obs.Observability`
+carries (``obs.metrics``).  It answers both "how much happened?" (every
+counter keeps a total) and "how much happened *when*?" — while staying
+inside the repo's determinism contract.  Wall clocks are useless as
+series keys here: ``--jobs 4`` interleaves work differently from
+``--jobs 1``, so any wall-time bucketing would make telemetry diverge
+across worker counts.  Instead every series is keyed by a **logical
+clock**: a counter the pipeline advances at deterministic progress
+points (one tick per ingested fleet report, one tick per consumed
+campaign run).  Because consumption order is plan order — the
 executor's jobs-invariance contract — the logical clock, and therefore
 every deterministic series, is bit-identical at any ``--jobs`` value.
 
 Three instrument families:
 
-* :class:`WindowedCounter` — event counts bucketed by logical-clock
-  window (``tick // window``): the time-series analogue of a counter,
+* :class:`WindowedCounter` (``metrics.counter``) — a total plus event
+  counts bucketed by logical-clock window (``tick // window``),
   yielding throughput-per-window curves;
-* :class:`GaugeSeries` — ``(tick, value)`` samples, last write per tick
-  wins: rank-of-true-cause trajectories, queue depths;
-* :class:`QuantileSketch` — a log-bucketed, *mergeable* quantile sketch
-  (DDSketch-style): observations land in geometric buckets, merges add
-  bucket counts, so N workers' sketches merge to exactly the serial
-  sketch regardless of merge order.  Sketches tagged ``timing=True``
-  hold wall-clock observations (stage latency); they merge and render
-  but are excluded from the deterministic export surface
-  (:mod:`repro.obs.export`), which is what keeps exported OpenMetrics
-  bodies byte-identical across worker counts.
+* :class:`GaugeSeries` (``metrics.gauge``) — ``(tick, value)`` samples,
+  last write per tick wins: rank-of-true-cause trajectories, cluster
+  counts;
+* :class:`QuantileSketch` (``metrics.sketch``) — a log-bucketed,
+  *mergeable* quantile sketch (DDSketch-style): observations land in
+  geometric buckets, merges add bucket counts, so N workers' sketches
+  merge to exactly the serial sketch regardless of merge order.
+  Sketches tagged ``timing=True`` (every ``metrics.timer``) hold
+  wall-clock observations; they merge and render but are excluded from
+  the deterministic export surface (:mod:`repro.obs.export`), which is
+  what keeps exported OpenMetrics bodies byte-identical across worker
+  counts.
 
-A :class:`Timeseries` registry bundles the clock and the instruments
-and rides on :class:`~repro.obs.Observability` (``obs.timeseries``);
-the disabled path hands out cached no-op singletons
-(:data:`NULL_TIMESERIES`) whose methods allocate nothing — pinned by
-``benchmarks/test_obs_overhead.py``.
+Pool workers never tick: a worker's buffer is merged at the tick where
+the consumer takes its run (:meth:`Metrics.merge`), so a count recorded
+on a worker lands in the same window as the same count recorded
+in-process.  When observability is off the shared :data:`NULL_METRICS`
+hands out cached no-op singletons whose methods allocate nothing —
+pinned by ``tests/obs/test_timeseries.py``.
 
 Snapshots: :func:`publish_snapshot` atomically writes a JSON snapshot
 file (temp file + ``os.replace``, the run cache's publication
-discipline) that ``repro obs watch`` tails and ``repro obs export``
-renders as OpenMetrics text exposition.
+discipline).  It is the one at-rest format: ``--metrics-out`` and
+``repro triage --snapshot-out`` both write it, ``repro obs watch`` tails
+it, ``repro obs export`` renders it as OpenMetrics text exposition, and
+``repro obs trends --slo`` gates on it.
 """
 
 import json
@@ -49,7 +55,7 @@ import time
 #: Bump when the snapshot / series layout changes incompatibly.
 SNAPSHOT_FORMAT_VERSION = 1
 
-#: Default logical-clock window for windowed counters.
+#: Default logical-clock window for counters.
 DEFAULT_WINDOW = 16
 
 #: Default relative accuracy of quantile sketches: bucket boundaries
@@ -73,7 +79,7 @@ class LogicalClock:
 
 
 class WindowedCounter:
-    """Event counts bucketed by logical-clock window."""
+    """A monotonic total plus its counts per logical-clock window."""
 
     __slots__ = ("name", "window", "buckets", "total", "_clock")
 
@@ -94,10 +100,13 @@ class WindowedCounter:
                 "buckets": {str(k): v
                             for k, v in sorted(self.buckets.items())}}
 
-    def merge(self, summary):
+    def merge(self, summary, at):
+        """Add *summary*'s counts, its bucket ``b`` landing at window
+        ``at // window + b``."""
         self.total += summary.get("total", 0)
+        offset = at // self.window
         for key, value in summary.get("buckets", {}).items():
-            bucket = int(key)
+            bucket = offset + int(key)
             self.buckets[bucket] = self.buckets.get(bucket, 0) + value
 
 
@@ -124,11 +133,12 @@ class GaugeSeries:
         return {"points": [[tick, self.points[tick]]
                            for tick in sorted(self.points)]}
 
-    def merge(self, summary):
+    def merge(self, summary, at):
         # Last write wins per tick; incoming points overwrite only the
-        # ticks they carry, so merges commute across disjoint ticks.
+        # ticks they carry (tick t lands at at + t), so merges commute
+        # across disjoint ticks.
         for tick, value in summary.get("points", ()):
-            self.points[int(tick)] = value
+            self.points[at + int(tick)] = value
 
 
 class QuantileSketch:
@@ -154,6 +164,14 @@ class QuantileSketch:
         self.zero = 0                 # observations <= 0
         self.buckets = {}
         self._log_gamma = math.log((1.0 + alpha) / (1.0 - alpha))
+
+    @classmethod
+    def from_summary(cls, summary):
+        """Rebuild a sketch from its serialized :meth:`summary`."""
+        sketch = cls("", alpha=summary.get("alpha", DEFAULT_ALPHA),
+                     timing=summary.get("timing", False))
+        sketch.merge(summary)
+        return sketch
 
     def observe(self, value):
         self.count += 1
@@ -223,17 +241,19 @@ class _Timer:
         return False
 
 
-class Timeseries:
-    """Registry of logical-clock-keyed instruments."""
+class Metrics:
+    """Registry of named instruments on one logical clock.
+
+    Instruments are created on first use and live for the registry's
+    lifetime, so hot code can hold a direct reference.
+    """
 
     def __init__(self, clock=None, window=DEFAULT_WINDOW):
         self.clock = clock if clock is not None else LogicalClock()
         self.window = window
-        self._windowed = {}
+        self._counters = {}
         self._gauges = {}
         self._sketches = {}
-
-    enabled = True
 
     # -- the clock ------------------------------------------------------
 
@@ -247,14 +267,14 @@ class Timeseries:
 
     # -- instruments ----------------------------------------------------
 
-    def windowed(self, name, window=None):
-        instrument = self._windowed.get(name)
+    def counter(self, name, window=None):
+        instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._windowed[name] = WindowedCounter(
+            instrument = self._counters[name] = WindowedCounter(
                 name, self.clock, window=window or self.window)
         return instrument
 
-    def gauge_series(self, name):
+    def gauge(self, name):
         instrument = self._gauges.get(name)
         if instrument is None:
             instrument = self._gauges[name] = GaugeSeries(name, self.clock)
@@ -284,29 +304,31 @@ class Timeseries:
             "clock": self.clock.now,
             "window": self.window,
             "windowed": {n: c.summary()
-                         for n, c in sorted(self._windowed.items())},
+                         for n, c in sorted(self._counters.items())},
             "gauges": {n: g.summary()
                        for n, g in sorted(self._gauges.items())},
             "sketches": {n: s.summary()
                          for n, s in sorted(self._sketches.items())},
         }
 
-    def merge(self, payload):
-        """Fold a :meth:`to_dict` snapshot into this registry.
+    def merge(self, payload, at):
+        """Fold a :meth:`to_dict` buffer into this registry at tick *at*.
 
-        The clock takes the *maximum* of the two sides (a worker's
-        buffer never advances the consumer's notion of progress past
-        its own); windowed counters and sketches accumulate; gauge
-        points overwrite per tick.
+        The buffer's tick ``t`` lands at ``at + t`` and its counter
+        bucket ``b`` at window ``at // window + b``; the clock takes the
+        maximum of the two sides.  A pool worker never ticks, so its
+        buffer, merged at the consumer's current tick, equals the same
+        run recorded in-process.  Counters and sketches accumulate;
+        gauge points overwrite per tick.
         """
         if not payload:
             return
-        self.clock.now = max(self.clock.now, payload.get("clock", 0))
+        self.clock.now = max(self.clock.now, at + payload.get("clock", 0))
         for name, summary in payload.get("windowed", {}).items():
-            self.windowed(name,
-                          window=summary.get("window")).merge(summary)
+            self.counter(name, window=summary.get("window")) \
+                .merge(summary, at)
         for name, summary in payload.get("gauges", {}).items():
-            self.gauge_series(name).merge(summary)
+            self.gauge(name).merge(summary, at)
         for name, summary in payload.get("sketches", {}).items():
             self.sketch(name, timing=summary.get("timing", False),
                         alpha=summary.get("alpha", DEFAULT_ALPHA)) \
@@ -325,18 +347,14 @@ class _NullTimer:
         return False
 
 
-class _NullSeriesInstrument:
-    """Shared no-op windowed counter / gauge series / sketch."""
+class _NullInstrument:
+    """Shared no-op counter / gauge / sketch."""
 
     __slots__ = ()
 
-    name = ""
-    window = DEFAULT_WINDOW
     total = 0
-    count = 0
-    zero = 0
-    timing = False
     last = None
+    count = 0
     mean = 0.0
 
     def inc(self, n=1):
@@ -354,40 +372,35 @@ class _NullSeriesInstrument:
     def summary(self):
         return {}
 
-    def merge(self, summary):
-        pass
-
 
 _NULL_TIMER = _NullTimer()
-_NULL_SERIES_INSTRUMENT = _NullSeriesInstrument()
+_NULL_INSTRUMENT = _NullInstrument()
 
 
-class NullTimeseries:
+class NullMetrics:
     """No-op registry: every accessor returns a cached singleton.
 
-    The disabled telemetry path must be allocation-free — hot pipeline
-    stages call ``ts.tick()`` / ``ts.timer(...)`` unconditionally, so
-    handing out fresh objects here would turn "telemetry off" into a
-    steady allocation stream.  ``benchmarks/test_obs_overhead.py``
-    asserts both the singleton identity and the zero-allocation loop.
+    The disabled path must be allocation-free — hot pipeline stages call
+    ``metrics.tick()`` / ``metrics.timer(...)`` unconditionally, so
+    handing out fresh objects here would turn "observability off" into
+    a steady allocation stream.
     """
 
     __slots__ = ()
 
-    enabled = False
     now = 0
 
     def tick(self, n=1):
         return 0
 
-    def windowed(self, _name, window=None):
-        return _NULL_SERIES_INSTRUMENT
+    def counter(self, _name, window=None):
+        return _NULL_INSTRUMENT
 
-    def gauge_series(self, _name):
-        return _NULL_SERIES_INSTRUMENT
+    def gauge(self, _name):
+        return _NULL_INSTRUMENT
 
     def sketch(self, _name, timing=False, alpha=DEFAULT_ALPHA):
-        return _NULL_SERIES_INSTRUMENT
+        return _NULL_INSTRUMENT
 
     def timer(self, _name):
         return _NULL_TIMER
@@ -396,22 +409,22 @@ class NullTimeseries:
         return {"clock": 0, "window": DEFAULT_WINDOW, "windowed": {},
                 "gauges": {}, "sketches": {}}
 
-    def merge(self, payload):
+    def merge(self, payload, at):
         pass
 
 
-NULL_TIMESERIES = NullTimeseries()
+NULL_METRICS = NullMetrics()
 
 
 # ----------------------------------------------------------------------
 # Snapshot files
 # ----------------------------------------------------------------------
 
-def build_snapshot(timeseries, fleet=None, executor=None, wall=None,
+def build_snapshot(metrics, fleet=None, executor=None, wall=None,
                    complete=False):
     """Assemble the snapshot dict ``repro obs watch``/``export`` read.
 
-    ``series`` holds the deterministic time-series (plus timing
+    ``series`` holds the registry (deterministic series plus timing
     sketches, tagged); ``fleet``/``executor``/``wall`` are free-form
     sections for the dashboard — the executor and wall sections are
     venue/timing data and never enter the deterministic export.
@@ -419,8 +432,8 @@ def build_snapshot(timeseries, fleet=None, executor=None, wall=None,
     return {
         "version": SNAPSHOT_FORMAT_VERSION,
         "complete": bool(complete),
-        "clock": timeseries.now,
-        "series": timeseries.to_dict(),
+        "clock": metrics.now,
+        "series": metrics.to_dict(),
         "fleet": fleet or {},
         "executor": executor or {},
         "wall": wall or {},
@@ -433,17 +446,19 @@ def publish_snapshot(path, snapshot):
 
     Readers (``repro obs watch``) therefore always see a complete JSON
     document, never a torn write — the same publication discipline the
-    run cache and ledger index use.  Best-effort: a full disk must not
+    run cache and ledger index use.  The document is encoded in one
+    shot and written in one call.  Best-effort: returns False instead
+    of raising when the file cannot be written, so a full disk does not
     take the pipeline down.
     """
+    text = json.dumps(snapshot, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            json.dump(snapshot, handle, sort_keys=True)
-            handle.write("\n")
+            handle.write(text)
         os.replace(temp_path, path)
         temp_path = None
         return True
@@ -455,6 +470,13 @@ def publish_snapshot(path, snapshot):
                 os.unlink(temp_path)
             except OSError:
                 pass
+
+
+class SnapshotNotWritten(OSError):
+    """The snapshot a command was asked to write did not land."""
+
+    def __init__(self, path):
+        super().__init__("could not write the snapshot to %s" % path)
 
 
 class NotASnapshot(ValueError):
@@ -473,8 +495,8 @@ def read_snapshot(path):
             or "clock" not in snapshot:
         raise NotASnapshot(
             "not a telemetry snapshot: %s lacks the series/clock keys "
-            "(expected a file published by `repro triage "
-            "--snapshot-out`)" % path)
+            "(expected a file written by `--metrics-out` or `repro "
+            "triage --snapshot-out`)" % path)
     return snapshot
 
 
@@ -483,12 +505,13 @@ __all__ = [
     "DEFAULT_WINDOW",
     "GaugeSeries",
     "LogicalClock",
+    "Metrics",
     "NotASnapshot",
-    "NULL_TIMESERIES",
-    "NullTimeseries",
+    "NULL_METRICS",
+    "NullMetrics",
     "QuantileSketch",
     "SNAPSHOT_FORMAT_VERSION",
-    "Timeseries",
+    "SnapshotNotWritten",
     "WindowedCounter",
     "build_snapshot",
     "publish_snapshot",

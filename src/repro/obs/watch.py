@@ -1,13 +1,13 @@
 """``repro obs watch`` — a self-refreshing terminal telemetry dashboard.
 
 Tails the snapshot file a running triage loop publishes atomically
-(``repro triage --snapshot-out live.json``) and redraws a compact
-dashboard on every change: fleet throughput (reports and runs per
-logical-clock window), per-signature convergence sparklines
-(rank-of-true-cause trajectories), stage-latency quantiles, and the
-executor ladder state.  Because publication is atomic (temp file +
-rename) the watcher never sees a torn document; it simply re-reads
-when the mtime moves.
+(``repro triage --snapshot-out live.json``; ``--metrics-out`` writes the
+same document once, at exit) and redraws a compact dashboard on every
+change: every counter by its full name with its per-window sparkline,
+per-signature convergence sparklines (rank-of-true-cause trajectories),
+stage-latency quantiles, and the executor section.  Because
+publication is atomic (temp file + rename) the watcher never sees a
+torn document; it simply re-reads when the mtime moves.
 
 Zero dependencies: plain ANSI clear codes and Unicode block sparklines,
 degrading to ASCII when the output stream is not a TTY.  ``--once``
@@ -17,7 +17,7 @@ renders a single frame and exits — the mode tests and CI use.
 import os
 import time
 
-from repro.obs.timeseries import NotASnapshot, read_snapshot
+from repro.obs.timeseries import NotASnapshot, QuantileSketch, read_snapshot
 
 #: Unicode spark levels, low to high.
 SPARK_LEVELS = "▁▂▃▄▅▆▇█"
@@ -86,11 +86,13 @@ def render_dashboard(snapshot, now=None, width=72):
         parts = ["%s=%s" % (key, fleet[key]) for key in sorted(fleet)]
         lines.append("fleet     " + "  ".join(parts))
 
-    for name, summary in sorted(series.get("windowed", {}).items()):
+    counters = sorted(series.get("windowed", {}).items())
+    name_width = max((len(name) for name, _summary in counters), default=0)
+    for name, summary in counters:
         buckets = summary.get("buckets", {})
         ordered = [buckets[key] for key in sorted(buckets, key=int)]
-        lines.append("%-9s %6d total  %s/window %s"
-                     % (name.split(".")[-1], summary.get("total", 0),
+        lines.append("%-*s %6d total  %s/window %s"
+                     % (name_width, name, summary.get("total", 0),
                         summary.get("window"),
                         sparkline(ordered[-32:])))
 
@@ -116,15 +118,10 @@ def render_dashboard(snapshot, now=None, width=72):
         series.get("sketches", {}).items() if summary.get("timing")
     }
     if timing:
-        from repro.obs.timeseries import DEFAULT_ALPHA, QuantileSketch
-
         lines.append("")
         lines.append("stage latency (seconds)")
         for name, summary in sorted(timing.items()):
-            sketch = QuantileSketch(
-                name, alpha=summary.get("alpha", DEFAULT_ALPHA),
-                timing=True)
-            sketch.merge(summary)
+            sketch = QuantileSketch.from_summary(summary)
             lines.append(
                 "  %-28s p50 %8.4f  p95 %8.4f  n=%d"
                 % (name, sketch.quantile(0.5) or 0.0,

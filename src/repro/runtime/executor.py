@@ -709,17 +709,12 @@ class CampaignExecutor:
             except Exception:
                 pass
             self.stats.resilience.pool_restarts += 1
-            get_obs().counter("executor.pool_restarts").inc()
-            get_obs().gauge("executor.ladder_restarts").set(
-                self.stats.resilience.pool_restarts)
             checkpoint.get_supervisor().note("pool-restart")
         if (self.stats.resilience.pool_restarts
                 > self.resilience.max_pool_restarts
                 and not self._degraded):
             self._degraded = True
             self.stats.resilience.degraded_serial = True
-            get_obs().counter("executor.degraded_serial").inc()
-            get_obs().gauge("executor.ladder_degraded").set(1)
             checkpoint.get_supervisor().note("degraded-serial")
             print(
                 "repro: worker pool failed %d times; degrading to "
@@ -752,12 +747,10 @@ class CampaignExecutor:
                 return batch.result
             except FuturesTimeoutError as exc:
                 rstats.timeouts += 1
-                get_obs().counter("executor.task_timeouts").inc()
                 self._note_batch_error("timeout", exc)
                 self._recycle_pool(kill=True, only_if=batch.pool)
             except BrokenProcessPool as exc:
                 rstats.broken_pools += 1
-                get_obs().counter("executor.broken_pools").inc()
                 self._note_batch_error("worker-crash", exc)
                 self._recycle_pool(kill=False, only_if=batch.pool)
             except Exception as exc:
@@ -776,12 +769,10 @@ class CampaignExecutor:
                             batch.fn, *batch.header, batch.items)
                         batch.pool = pool
                         rstats.retries += 1
-                        get_obs().counter("executor.task_retries").inc()
                     except Exception:
                         batch.future = None
         # Out of retries (or no usable pool): run the batch here.
         rstats.inline_fallbacks += 1
-        get_obs().counter("executor.batch_inline_fallbacks").inc()
         checkpoint.get_supervisor().note("inline-fallback")
         batch.result = batch.fn(*batch.header, batch.items)
         return batch.result
@@ -854,7 +845,6 @@ class CampaignExecutor:
         note["traceback"] = traceback_module.format_exc()
         self.stats.resilience.note_task_error(
             stage, note["error"], note["traceback"])
-        get_obs().counter("executor.unpicklable_tasks").inc()
 
     def _run_task(self, program, plan, config):
         key = None
@@ -992,10 +982,6 @@ class CampaignExecutor:
         speculative work happens at all.
         """
         obs = get_obs()
-        # Venue gauges (jobs-dependent by nature, so they live in the
-        # plain metrics registry — never the deterministic timeseries).
-        queue_gauge = obs.gauge("executor.queue_depth")
-        window_gauge = obs.gauge("executor.dispatch_window")
         pending = deque()
         tasks = iter(tasks)
         exhausted = False
@@ -1025,8 +1011,6 @@ class CampaignExecutor:
                     open_batch = None
                 if not pending:
                     return
-                queue_gauge.set(len(pending))
-                window_gauge.set(window)
                 yield self._resolve(pending.popleft(), inflight, obs)
                 consumed += 1
                 if (pool is not None and batch_size < self.batch
@@ -1042,8 +1026,6 @@ class CampaignExecutor:
                         entry[2].future.cancel()
             if discarded:
                 self.stats.speculation_discarded += discarded
-                obs.counter("executor.speculation_discarded") \
-                    .inc(discarded)
 
     def _dispatch(self, task, pool, open_batch, batch_size, inflight):
         """Route one task to cache / a pool batch / inline execution.
@@ -1113,7 +1095,6 @@ class CampaignExecutor:
             duration = payload["duration"]
             self.stats.saved_seconds += duration
             self._sync_cache_stats()
-            obs.counter("executor.cache_hits").inc()
             # The cache stores no span buffer; synthesize the run span so
             # the trace keeps one per consumed run either way.
             obs.tracer.record_complete(
@@ -1125,7 +1106,6 @@ class CampaignExecutor:
             duration, value, obs_payload = results[index]
             self.stats.pool_runs += 1
             self.stats.worker_pids.add(pid)
-            obs.counter("executor.dispatch_pool").inc()
             obs.merge_payload(obs_payload)
         else:
             started = time.perf_counter()
@@ -1135,7 +1115,6 @@ class CampaignExecutor:
             duration = time.perf_counter() - started
             pid = None
             self.stats.inline_runs += 1
-            obs.counter("executor.dispatch_inline").inc()
         self.stats.busy_seconds += duration
         if task.key is not None:
             self.cache.put(task.key, {"value": value,

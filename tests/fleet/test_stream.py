@@ -85,7 +85,7 @@ def test_starved_stream_reports_its_shortfall(monkeypatch):
     assert stream.shortfall.got == 0
     assert stream.shortfall.attempts == stream.shortfall.limit
     assert "0/2" in stream.shortfall.describe()
-    assert obs.counter("fleet.stream.shortfall").value == 1
+    assert obs.counter("fleet.stream.shortfall").total == 1
 
 
 def test_healthy_stream_leaves_no_shortfall():
@@ -111,11 +111,10 @@ def test_stage_timers_split_attempts_from_ingest():
     with use(Observability()) as obs:
         reports = FleetStream(population=["pbzip2"], seed=0).generate(3)
     assert len(reports) == 3
-    attempt = obs.timeseries.sketch("stage.attempt.seconds",
-                                    timing=True)
-    ingest = obs.timeseries.sketch("stage.ingest.seconds", timing=True)
+    attempt = obs.metrics.sketch("stage.attempt.seconds", timing=True)
+    ingest = obs.metrics.sketch("stage.ingest.seconds", timing=True)
     assert ingest.count == 3
-    assert attempt.count == obs.counter("fleet.stream.attempts").value
+    assert attempt.count == obs.counter("fleet.stream.attempts").total
     assert attempt.count >= ingest.count
     # All attempt time is accounted for in the ingest accumulation.
     assert ingest.total == pytest.approx(attempt.total)

@@ -1,13 +1,12 @@
 """Cross-worker metrics merge invariance.
 
-Worker buffers (metrics + the streaming timeseries) merged back into
-the consumer must be byte-identical to a serial run: same counters,
-same histogram populations, same exported OpenMetrics body.  These
-tests pin that contract on a 200-report triage stream and on the
-experiment drivers (table5, table7)."""
+Worker metric buffers merged back into the consumer must be
+byte-identical to a serial run: same counters, same sketch populations,
+same exported OpenMetrics body.  These tests pin that contract on a
+200-report triage stream and on the experiment drivers (table5,
+table7)."""
 
 import io
-import json
 
 import pytest
 
@@ -98,21 +97,14 @@ def test_200_report_deterministic_series_identical(triage_pair):
 
 
 def _deterministic_metrics(path):
-    """The jobs-invariant projection of a --metrics-out dump: drop
-    executor venue instruments and wall-clock histogram moments (their
-    populations must still agree)."""
-    payload = json.loads(path.read_text())
-    projection = {"counters": {}, "gauges": {}, "histograms": {}}
-    for kind in ("counters", "gauges"):
-        for name, value in payload[kind].items():
-            if not name.startswith("executor."):
-                projection[kind][name] = value
-    for name, summary in payload["histograms"].items():
-        if name.endswith("seconds"):
-            projection["histograms"][name] = {"count": summary["count"]}
-        else:
-            projection["histograms"][name] = summary
-    return projection
+    """The jobs-invariant projection of a --metrics-out snapshot: its
+    exported body, plus the population of each wall-clock timing sketch
+    (the timings differ; how many runs they observed must not)."""
+    sketches = read_snapshot(str(path))["series"]["sketches"]
+    populations = {name: summary["count"]
+                   for name, summary in sketches.items()
+                   if summary["timing"]}
+    return _export(snapshot=path), populations
 
 
 @pytest.mark.parametrize("table", ["table5", "table7"])
@@ -121,7 +113,7 @@ def test_experiment_metrics_merge_matches_serial(table, tmp_path):
 
     table5 is all-static (its merge is the empty-payload edge case);
     table7 drives real campaigns through pool workers, so its machine.*
-    counters and histograms round-trip through worker payloads."""
+    counters and sketches round-trip through worker payloads."""
     dumps = {}
     for jobs in ("1", "2"):
         path = tmp_path / ("%s-j%s.json" % (table, jobs))
@@ -134,4 +126,7 @@ def test_experiment_metrics_merge_matches_serial(table, tmp_path):
         dumps[jobs] = _deterministic_metrics(path)
     assert dumps["1"] == dumps["2"]
     if table == "table7":                 # real work crossed the pool
-        assert dumps["1"]["histograms"]["machine.run_retired"]["count"] > 0
+        body, populations = dumps["1"]
+        assert "repro_machine_run_retired_count 0" not in body
+        assert "repro_machine_run_retired_count" in body
+        assert populations["machine.run_seconds"] > 0

@@ -17,6 +17,7 @@ from repro.machine.cpu import Machine, MachineConfig
 from repro.obs import NULL_OBS, Observability, get_obs, use
 from repro.obs.report import render_report, tree_shape
 from repro.obs.sampling import SampledProfiler
+from repro.obs.timeseries import read_snapshot
 from repro.runtime.executor import CampaignExecutor
 
 
@@ -51,12 +52,13 @@ def test_machine_harvest_records_hardware_counts():
         for name, value in plan.globals_setup.items():
             machine.set_global(name, value)
         machine.run(max_steps=plan.max_steps)
-    counters = obs.metrics.to_dict()["counters"]
-    assert counters["machine.runs"] == 1
-    assert counters["machine.instructions_retired"] > 0
-    assert counters["cache.bus_transactions"] > 0
-    histograms = obs.metrics.to_dict()["histograms"]
-    assert histograms["machine.run_retired"]["count"] == 1
+    assert obs.counter("machine.runs").total == 1
+    assert obs.counter("machine.instructions_retired").total > 0
+    assert obs.counter("cache.bus_transactions").total > 0
+    sketches = obs.metrics.to_dict()["sketches"]
+    assert sketches["machine.run_retired"]["count"] == 1
+    assert sketches["machine.run_retired"]["timing"] is False
+    assert sketches["machine.run_seconds"]["timing"] is True
 
 
 def test_profile_hook_drives_sampled_profiler():
@@ -86,11 +88,13 @@ def _diagnosis_obs(executor):
     return obs
 
 
-def _venue_free(counters):
-    """Counters minus the execution-venue ones (dispatch routing and
-    speculation are where-the-run-ran facts; they legitimately differ)."""
-    return {name: value for name, value in counters.items()
-            if not name.startswith("executor.")}
+def _deterministic(metrics):
+    """The registry minus its wall-clock (timing) sketches."""
+    payload = metrics.to_dict()
+    payload["sketches"] = {name: summary for name, summary
+                           in payload["sketches"].items()
+                           if not summary["timing"]}
+    return payload
 
 
 def test_trace_and_metrics_are_jobs_invariant():
@@ -105,13 +109,12 @@ def test_trace_and_metrics_are_jobs_invariant():
     shape_pool = tree_shape(pooled.tracer.to_records())
     assert shape_seq == shape_pool
 
-    counters_seq = sequential.metrics.to_dict()["counters"]
-    counters_pool = pooled.metrics.to_dict()["counters"]
-    assert _venue_free(counters_seq) == _venue_free(counters_pool)
+    assert _deterministic(sequential.metrics) \
+        == _deterministic(pooled.metrics)
     # The same runs executed, just on pool workers.
-    assert counters_pool["executor.dispatch_pool"] == \
-        counters_pool["machine.runs"]
-    assert counters_pool["machine.runs"] == counters_seq["machine.runs"]
+    runs = pooled.counter("machine.runs").total
+    assert executor.stats.pool_runs == runs
+    assert runs == sequential.counter("machine.runs").total
 
 
 def test_merge_payload_round_trips_both_buffers():
@@ -123,7 +126,7 @@ def test_merge_payload_round_trips_both_buffers():
     parent = Observability()
     with parent.span("campaign"):
         parent.merge_payload(payload)
-    assert parent.metrics.to_dict()["counters"]["machine.runs"] == 1
+    assert parent.counter("machine.runs").total == 1
     paths = sorted(r["path"] for r in parent.tracer.to_records())
     assert paths == ["campaign", "campaign/interp.run"]
 
@@ -142,7 +145,9 @@ def test_report_renders_and_shapes_compare(tmp_path):
     obs.export(trace_path=str(trace), metrics_path=str(metrics))
     from repro.obs.report import render_report_file
     assert "diagnose.lbra" in render_report_file(str(trace))
-    assert json.loads(metrics.read_text())["counters"]
+    snapshot = read_snapshot(str(metrics))
+    assert snapshot["complete"] is True
+    assert snapshot["series"]["windowed"]["machine.runs"]["total"] > 0
 
 
 def test_render_report_empty_trace():
@@ -155,4 +160,4 @@ def test_disabled_path_records_nothing_during_diagnosis():
     LbraTool(bug).run_diagnosis(n_failures=2, n_successes=2)
     assert get_obs() is NULL_OBS
     assert NULL_OBS.tracer.to_records() == []
-    assert NULL_OBS.metrics.to_dict()["counters"] == {}
+    assert NULL_OBS.metrics.to_dict()["windowed"] == {}

@@ -13,19 +13,19 @@ from repro.obs.slo import (
     parse_slos,
     render_slo_report,
 )
-from repro.obs.timeseries import Timeseries, build_snapshot
+from repro.obs.timeseries import Metrics, build_snapshot
 
 
 def _snapshot():
-    ts = Timeseries()
+    metrics = Metrics()
     for index in range(32):
-        ts.tick()
-        ts.windowed("fleet.reports").inc()
-        ts.sketch("score").observe(0.1 + 0.01 * (index % 5))
-    ts.gauge_series("fleet.runs_to_rank1.aaa").set(3)
-    ts.gauge_series("fleet.runs_to_rank1.bbb").set(9)
-    ts.sketch("stage.campaign.seconds", timing=True).observe(0.25)
-    return build_snapshot(ts, complete=True)
+        metrics.tick()
+        metrics.counter("fleet.reports").inc()
+        metrics.sketch("score").observe(0.1 + 0.01 * (index % 5))
+    metrics.gauge("fleet.runs_to_rank1.aaa").set(3)
+    metrics.gauge("fleet.runs_to_rank1.bbb").set(9)
+    metrics.sketch("stage.campaign.seconds", timing=True).observe(0.25)
+    return build_snapshot(metrics, complete=True)
 
 
 # -- parsing ------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_parse_valid_document():
          "budget": 0.5},
     ]})
     assert [slo.name for slo in slos] == ["a", "b", "c"]
-    assert slos[2].windowed
+    assert slos[2].per_window
 
 
 @pytest.mark.parametrize("document", [
@@ -82,41 +82,41 @@ def test_gauge_objective_passes_and_fails():
 
 
 def test_gauge_none_point_violates_a_max_bound():
-    ts = Timeseries()
-    ts.gauge_series("fleet.runs_to_rank1.x").set(None)  # never converged
+    metrics = Metrics()
+    metrics.gauge("fleet.runs_to_rank1.x").set(None)  # never converged
     result = evaluate_slo(parse_slos({"slos": [
         {"name": "conv", "metric": "fleet.runs_to_rank1", "max": 99},
-    ]})[0], build_snapshot(ts))
+    ]})[0], build_snapshot(metrics))
     assert not result.ok
 
 
 def test_windowed_objective_ignores_the_filling_tail_window():
-    ts = Timeseries()
+    metrics = Metrics()
     # 20 ticks, window 16: window 0 full (16), window 1 only 4 — the
     # tail window is still filling and must not trip a min gate.
     for _ in range(20):
-        ts.tick()
-        ts.windowed("fleet.reports").inc()
+        metrics.tick()
+        metrics.counter("fleet.reports").inc()
     result = evaluate_slo(parse_slos({"slos": [
         {"name": "thru", "metric": "fleet.reports",
          "min_per_window": 10},
-    ]})[0], build_snapshot(ts))
+    ]})[0], build_snapshot(metrics))
     assert result.ok
     assert result.checked == 1
 
 
 def test_budget_tolerates_a_fraction_of_violations():
-    ts = Timeseries()
+    metrics = Metrics()
     # 4 interior windows: counts 16,16,16,2 (violating), tail dropped.
     for index in range(66):
-        ts.tick()
+        metrics.tick()
         if index < 50 or index >= 64:
-            ts.windowed("fleet.reports").inc()
+            metrics.counter("fleet.reports").inc()
     slo = parse_slos({"slos": [
         {"name": "thru", "metric": "fleet.reports", "min_per_window": 10,
          "budget": 0.5},
     ]})[0]
-    result = evaluate_slo(slo, build_snapshot(ts))
+    result = evaluate_slo(slo, build_snapshot(metrics))
     assert result.violations == 1 and result.checked == 4
     assert result.ok                  # 25% violating / 50% budget = 0.5
     assert result.burn_rate == pytest.approx(0.5)
@@ -124,7 +124,7 @@ def test_budget_tolerates_a_fraction_of_violations():
         {"name": "thru", "metric": "fleet.reports", "min_per_window": 10,
          "budget": 0.1},
     ]})[0]
-    assert not evaluate_slo(tight, build_snapshot(ts)).ok
+    assert not evaluate_slo(tight, build_snapshot(metrics)).ok
 
 
 def test_quantile_objective_covers_timing_sketches():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability, use
-from repro.obs.timeseries import Timeseries, build_snapshot, \
+from repro.obs.timeseries import Metrics, build_snapshot, \
     publish_snapshot
 from repro.obs.watch import render_dashboard, sparkline, watch
 
@@ -49,19 +49,31 @@ def test_sparkline_scales_to_levels():
 
 
 def test_render_dashboard_sections():
-    ts = Timeseries()
+    metrics = Metrics()
     for _ in range(5):
-        ts.tick()
-        ts.windowed("fleet.reports").inc()
-    ts.gauge_series("fleet.rank_of_true_cause.abcd1234").set(1)
-    with ts.timer("stage.cluster.seconds"):
+        metrics.tick()
+        metrics.counter("fleet.reports").inc()
+    metrics.gauge("fleet.rank_of_true_cause.abcd1234").set(1)
+    with metrics.timer("stage.cluster.seconds"):
         pass
     frame = render_dashboard(build_snapshot(
-        ts, fleet={"reports": 5}, executor={"jobs": 2}, complete=False))
+        metrics, fleet={"reports": 5}, executor={"jobs": 2},
+        complete=False))
     assert "running" in frame
     assert "abcd1234" in frame
     assert "stage.cluster.seconds" in frame
     assert "executor" in frame and "jobs=2" in frame
+
+
+def test_render_dashboard_names_counters_in_full():
+    """Counters sharing a last name segment stay distinguishable."""
+    metrics = Metrics()
+    metrics.counter("machine.runs").inc(40)
+    metrics.counter("fleet.runs").inc(7)
+    frame = render_dashboard(build_snapshot(metrics))
+    rows = {line.split()[0]: line.split()[1]
+            for line in frame.splitlines() if "total" in line}
+    assert rows == {"fleet.runs": "7", "machine.runs": "40"}
 
 
 # -- watch --------------------------------------------------------------
@@ -91,9 +103,9 @@ def test_watch_rejects_non_snapshot(tmp_path):
 
 def test_watch_live_stops_on_complete(tmp_path):
     path = tmp_path / "live.json"
-    ts = Timeseries()
-    ts.tick()
-    publish_snapshot(str(path), build_snapshot(ts, complete=True))
+    metrics = Metrics()
+    metrics.tick()
+    publish_snapshot(str(path), build_snapshot(metrics, complete=True))
     out = io.StringIO()
     code = watch(str(path), out, interval=0.01, clear=False)
     assert code == 0
@@ -143,6 +155,46 @@ def test_export_to_file(published, tmp_path):
     assert code == 0
     assert "written to" in text
     assert out_path.read_text().rstrip().endswith("# EOF")
+
+
+def test_metrics_out_snapshot_feeds_export_watch_and_slo(tmp_path):
+    """`--metrics-out` writes the snapshot document, so every reader of
+    `--snapshot-out` files reads it too."""
+    path = tmp_path / "metrics.json"
+    code, _ = run_cli("run", "sort", "--metrics-out", str(path))
+    assert code == 0
+    code, body = run_cli("obs", "export", "--snapshot", str(path))
+    assert code == 0
+    assert "repro_machine_runs_total 1" in body
+    assert "repro_machine_run_retired_count 1" in body
+    assert "machine_run_seconds" not in body          # a timing sketch
+    code, frame = run_cli("obs", "watch", str(path), "--once")
+    assert code == 0
+    assert "machine.runs" in frame
+    slo = _write_slo(tmp_path / "slo.json", [
+        {"name": "run-length", "metric": "machine.run_retired",
+         "quantile": 0.5, "min": 1},
+    ])
+    code, text = run_cli("obs", "trends", "--slo", slo, "--snapshot",
+                         str(path))
+    assert code == 0, text
+
+
+@pytest.mark.parametrize("flag", ["--snapshot-out", "--metrics-out"])
+def test_unwritable_snapshot_is_reported_and_fails(tmp_path, flag):
+    """A final snapshot that does not land is one line naming the path
+    and exit status 1; the triage table still prints."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    target = str(blocker / "snap.json")
+    code, text = run_cli("triage", "--reports", "4", "--seed", "0",
+                         "--bugs", "sort", "tac", "--no-ledger",
+                         flag, target)
+    assert code == 1
+    assert "Fleet triage by fault signature" in text
+    assert [line for line in text.splitlines() if target in line] \
+        == ["could not write the snapshot to %s" % target]
+    assert "published" not in text
 
 
 def test_export_without_telemetry_exits_2(tmp_path):

@@ -290,9 +290,8 @@ def test_injected_torn_ledger_write_recovers_on_next_append(tmp_path):
     assert landed["seq"] == 0              # torn half-line did not count
     assert len(ledger.entries()) == 1
     assert os.path.exists(ledger.quarantine_path)
-    counters = obs.metrics.to_dict()["counters"]
-    assert counters["ledger.append_errors"] == 1
-    assert counters["ledger.quarantined"] == 1
+    assert obs.counter("ledger.append_errors").total == 1
+    assert obs.counter("ledger.quarantined").total == 1
 
 
 def test_ledger_write_error_is_best_effort(tmp_path, capsys):
@@ -317,8 +316,7 @@ def test_corrupt_index_warns_and_rebuilds(tmp_path, capsys):
     assert entry["seq"] == 1
     err = capsys.readouterr().err
     assert err.count("ledger index") == 1      # warned once, not per read
-    counters = obs.metrics.to_dict()["counters"]
-    assert counters["ledger.index_rebuilds"] >= 1
+    assert obs.counter("ledger.index_rebuilds").total >= 1
     with open(ledger.index_path) as handle:
         index = json.load(handle)
     assert [row["seq"] for row in index["entries"]] == [0, 1]
