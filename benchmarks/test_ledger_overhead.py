@@ -1,11 +1,12 @@
 """Run-ledger append overhead on ``experiment table5``.
 
 The flight recorder's contract is that recording is cheap enough to be
-on by default in the CLI: one JSONL append plus an index update per
-*invocation* (not per run).  This benchmark pins that on a full
-experiment: table5 with a real ledger installed must stay within
-``REPRO_LEDGER_OVERHEAD_BOUND`` (default 2%) of the same experiment
-with the no-op ledger (the library default).
+on by default in the CLI: one JSONL append per *invocation* (not per
+run), which reads only the ledger's last line to number the entry.
+This benchmark pins that on a full experiment: table5 with a real
+ledger installed must stay within ``REPRO_LEDGER_OVERHEAD_BOUND``
+(default 2%) of the same experiment with the no-op ledger (the library
+default).
 """
 
 import os

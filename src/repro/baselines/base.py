@@ -182,7 +182,6 @@ class BaselineToolBase:
             params=params,
             wall_seconds=time.perf_counter() - started,
             executor=self.executor,
-            obs=obs,
             backend=self.machine_config.backend,
         )
         return diagnosis

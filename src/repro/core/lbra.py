@@ -297,7 +297,6 @@ class DiagnosisToolBase:
                     "n_failures": n_failures, "n_successes": n_successes},
             wall_seconds=time.perf_counter() - started,
             executor=self.executor,
-            obs=obs,
             backend=self.machine_config.backend,
         )
         return diagnosis

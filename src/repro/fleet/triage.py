@@ -42,7 +42,7 @@ from repro.fleet.signature import (
     extract_signature,
 )
 from repro.obs import get_obs
-from repro.obs.ledger import _obs_record, get_ledger
+from repro.obs.ledger import get_ledger
 from repro.obs.timeseries import build_snapshot, publish_snapshot
 
 #: ring kind -> registered diagnosis tool dispatched for its clusters.
@@ -369,7 +369,9 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
         },
         runs={"campaigns": sum(1 for c in clusters if c.diagnosis)},
         timings={"triage_seconds": time.perf_counter() - started},
-        obs=_obs_record(obs),
+        # The only entry that carries the metrics buffer: it is what
+        # `repro obs export --ledger-dir` rebuilds a snapshot from.
+        obs={"timeseries": metrics.to_dict()} if obs.enabled else None,
     )
     result.snapshot_published = publish(len(clusters), complete=True)
     return result

@@ -2,12 +2,10 @@
 
 Every telemetry buffer PR 2 introduced dies with its process; the
 ledger is the at-rest complement.  One directory (``.repro-ledger/`` by
-default, ``REPRO_LEDGER_DIR`` overrides) holds:
-
-* ``ledger.jsonl`` — one JSON object per recorded invocation, append
-  only, in invocation order;
-* ``index.json`` — a small acceleration index (sequence numbers and
-  entry ids), rebuilt from the JSONL when missing or corrupt.
+default, ``REPRO_LEDGER_DIR`` overrides) holds ``ledger.jsonl``: one
+JSON object per recorded invocation, append only, in invocation order.
+An append reads only the file's last line to number the next entry, so
+it costs the same however long the ledger has grown.
 
 Entries are **content-keyed like the run cache**: ``entry_id`` is the
 sha256 of the entry's deterministic fields — kind, tool, workload,
@@ -37,7 +35,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from repro.obs import get_obs
 from repro.obs.provenance import provenance_digest
@@ -94,36 +91,51 @@ def _sanitize(value):
     return str(value)
 
 
+def _last_line(handle):
+    """The last non-blank line of the binary file *handle*.
+
+    Reads 8 KB at a time backward from the end until the line is whole,
+    so the cost follows the line's length, not the file's.
+    """
+    end = handle.seek(0, os.SEEK_END)
+    tail = b""
+    while end:
+        start = max(0, end - (1 << 13))
+        handle.seek(start)
+        tail = handle.read(end - start) + tail
+        end = start
+        line = tail.rstrip()
+        if b"\n" in line:
+            return line[line.rindex(b"\n") + 1:]
+    return tail.strip()
+
+
 class LedgerError(Exception):
     """Raised for unresolvable entry references and malformed ledgers."""
 
 
 class Ledger:
-    """Append-only JSONL ledger with a content-keyed index.
+    """Append-only JSONL ledger of content-keyed entries.
 
     Crash-consistency contract: every append happens under an advisory
     file lock (so concurrent invocations interleave whole lines, never
     interleaved bytes), and before appending, a torn trailing line —
     the footprint of a process killed mid-write — is moved to
     ``quarantine.jsonl`` and truncated away.  Interior lines that fail
-    to parse are skipped (and counted) on read; the JSONL file, not
-    the index, is always the source of truth.
+    to parse are skipped (and counted) on read.  The JSONL file is the
+    whole ledger: an index file that older versions kept beside it is
+    never read, rewritten or removed.
     """
 
     def __init__(self, directory=None):
         self.directory = resolve_ledger_dir(directory)
         self._lock = None
-        self._warned_index = False
 
     # -- paths ----------------------------------------------------------
 
     @property
     def ledger_path(self):
         return os.path.join(self.directory, "ledger.jsonl")
-
-    @property
-    def index_path(self):
-        return os.path.join(self.directory, "index.json")
 
     @property
     def quarantine_path(self):
@@ -178,7 +190,6 @@ class Ledger:
             with self._locked():
                 self._recover_tail()
                 entry["seq"] = self._append_line(entry)
-                self._index_add(entry)
         except OSError as exc:
             entry["seq"] = None
             get_obs().counter("ledger.append_errors").inc()
@@ -194,7 +205,7 @@ class Ledger:
         line = json.dumps(record, sort_keys=True) + "\n"
         if resilience.fault_point("ledger-write-torn"):
             # Simulate a kill -9 mid-write: half a line lands, then the
-            # "process" dies before the index update.
+            # "process" dies before the newline.
             with open(self.ledger_path, "a") as handle:
                 handle.write(line[:max(1, len(line) // 2)])
             raise resilience.FaultError("ledger-write-torn")
@@ -218,80 +229,21 @@ class Ledger:
             get_obs().counter("ledger.quarantined").inc()
 
     def _next_seq(self):
-        index = self._read_index()
-        if index is not None:
-            return index.get("next_seq", len(index.get("entries", ())))
+        """One past the ``seq`` of the last complete line.
+
+        ``_recover_tail`` has just left the file ending in a newline, so
+        the last line is read backward from the end.  When it does not
+        parse, the count of non-blank lines stands in.
+        """
         try:
-            with open(self.ledger_path) as handle:
-                return sum(1 for line in handle if line.strip())
+            with open(self.ledger_path, "rb") as handle:
+                try:
+                    return json.loads(_last_line(handle))["seq"] + 1
+                except (ValueError, KeyError, TypeError):
+                    handle.seek(0)
+                    return sum(1 for line in handle if line.strip())
         except FileNotFoundError:
             return 0
-
-    # -- the index ------------------------------------------------------
-
-    def _read_index(self):
-        try:
-            with open(self.index_path) as handle:
-                index = json.load(handle)
-            if index.get("version") != LEDGER_FORMAT_VERSION:
-                return None
-            return index
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError) as exc:
-            # A missing index is normal; a *corrupt* one means something
-            # went wrong on disk — rebuild, but leave a trace.
-            get_obs().counter("ledger.index_rebuilds").inc()
-            if not self._warned_index:
-                self._warned_index = True
-                print("repro: warning: ledger index %s is unreadable "
-                      "(%s: %s); rebuilding from the JSONL"
-                      % (self.index_path, type(exc).__name__, exc),
-                      file=sys.stderr)
-            return None
-
-    def _index_add(self, entry):
-        index = self._read_index()
-        if index is None:
-            index = self._rebuild_index(upto_seq=entry["seq"])
-        else:
-            index["entries"].append(self._index_row(entry))
-            index["next_seq"] = entry["seq"] + 1
-        self._write_index(index)
-
-    @staticmethod
-    def _index_row(entry):
-        return {"seq": entry["seq"], "entry_id": entry["entry_id"],
-                "kind": entry["kind"], "tool": entry["tool"],
-                "workload": entry["workload"]}
-
-    def _rebuild_index(self, upto_seq=None):
-        rows = [self._index_row(e) for e in self._read_entries()]
-        return {"version": LEDGER_FORMAT_VERSION,
-                "next_seq": (rows[-1]["seq"] + 1) if rows else
-                (upto_seq + 1 if upto_seq is not None else 0),
-                "entries": rows}
-
-    def _write_index(self, index):
-        # Atomic replace, same discipline as the run cache's disk layer;
-        # best-effort — the JSONL file remains the source of truth.
-        temp_path = None
-        try:
-            _resilience().fault_point("index-write-error")
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             suffix=".tmp")
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle, sort_keys=True)
-            os.replace(temp_path, self.index_path)
-            temp_path = None
-        except OSError:
-            pass
-        finally:
-            if temp_path is not None:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
 
     # -- reading --------------------------------------------------------
 
@@ -336,14 +288,15 @@ class Ledger:
                 raise LedgerError(
                     "bad entry reference %r (expected @<seq>)"
                     % reference) from None
-            for entry in entries:
-                if entry.get("seq") == position:
-                    return entry
-            try:
-                return entries[position]
-            except IndexError:
-                raise LedgerError("no entry %s (ledger has %d entries)"
-                                  % (reference, len(entries))) from None
+            if position < 0:
+                if position >= -len(entries):
+                    return entries[position]
+            else:
+                for entry in entries:
+                    if entry.get("seq") == position:
+                        return entry
+            raise LedgerError("no entry %s (ledger has %d entries)"
+                              % (reference, len(entries)))
         matches = [e for e in entries
                    if e.get("entry_id", "").startswith(reference)]
         if not matches:
@@ -357,7 +310,7 @@ class Ledger:
 
     def record_diagnosis(self, *, tool, workload, raw, seed=0,
                          params=None, wall_seconds=0.0, executor=None,
-                         obs=None, backend=None):
+                         backend=None):
         """Record one finished diagnosis campaign.
 
         *raw* is the tool's native result (a core ``Diagnosis`` or a
@@ -396,7 +349,6 @@ class Ledger:
             backend=backend,
             timings={"wall_seconds": wall_seconds},
             executor=_executor_record(executor),
-            obs=_obs_record(obs),
         )
 
     def record_campaign(self, *, workload, result, backend=None):
@@ -511,17 +463,6 @@ def _executor_record_from_stats(stats):
     if resilience is not None and resilience.activity:
         record["resilience"] = resilience.to_dict()
     return record
-
-
-def _obs_record(obs):
-    """The metrics buffer of an enabled obs bundle (None when disabled).
-
-    It rides in the timing-exempt ``obs`` bucket under the ``timeseries``
-    key, so `repro obs export` can rebuild a snapshot from the ledger.
-    """
-    if obs is None or not getattr(obs, "enabled", False):
-        return None
-    return {"timeseries": obs.metrics.to_dict()}
 
 
 # ----------------------------------------------------------------------

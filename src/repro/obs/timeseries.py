@@ -446,10 +446,10 @@ def publish_snapshot(path, snapshot):
 
     Readers (``repro obs watch``) therefore always see a complete JSON
     document, never a torn write — the same publication discipline the
-    run cache and ledger index use.  The document is encoded in one
-    shot and written in one call.  Best-effort: returns False instead
-    of raising when the file cannot be written, so a full disk does not
-    take the pipeline down.
+    run cache uses.  The document is encoded in one shot and written in
+    one call.  Best-effort: returns False instead of raising when the
+    file cannot be written, so a full disk does not take the pipeline
+    down.
     """
     text = json.dumps(snapshot, sort_keys=True) + "\n"
     directory = os.path.dirname(os.path.abspath(path))

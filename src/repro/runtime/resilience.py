@@ -21,7 +21,7 @@ record.  Three pieces:
   site's firing point reproducibly.
 * **Advisory file locking.**  :class:`FileLock` wraps ``fcntl.flock``
   (no-op where ``fcntl`` is unavailable) and serializes the ledger's
-  append+index transaction and the run cache's publish step, so
+  tail-recovery-and-append step and the run cache's publish step, so
   concurrent CLI invocations interleave safely.
 * **Retry/backoff policy.**  :class:`ResiliencePolicy` bounds how the
   executor reacts to worker failures — per-dispatch timeout, retry
@@ -68,7 +68,6 @@ FAULT_SITES = {
     "ledger-write-torn": "ledger append stops mid-line, as if killed "
                          "between write and newline",
     "ledger-write-error": "ledger append raises OSError",
-    "index-write-error": "ledger index write raises OSError",
     "checkpoint-write-error": "checkpoint journal append raises OSError",
     "checkpoint-write-torn": "checkpoint journal append stops mid-line, "
                              "as if killed between write and newline",

@@ -26,7 +26,7 @@ from repro.runtime.harness import run_campaign
 
 
 # ----------------------------------------------------------------------
-# Append / read / index mechanics
+# Append / read / seq mechanics
 # ----------------------------------------------------------------------
 
 def _append_sample(ledger, rank=1, wall=0.1, seed=0):
@@ -84,18 +84,43 @@ def test_same_content_same_entry_id(tmp_path):
     assert worse["entry_id"] != first["entry_id"]
 
 
-def test_index_rebuilt_when_corrupt(tmp_path):
+def test_stale_index_file_is_ignored(tmp_path):
+    # Older versions kept an index.json beside the JSONL.  A stale one
+    # must neither steer the numbering nor be rewritten.
     ledger = Ledger(tmp_path)
-    _append_sample(ledger)
-    with open(ledger.index_path, "w") as handle:
-        handle.write("not json{")
+    for rank in (1, 2, 3):
+        _append_sample(ledger, rank=rank)
+    stale = tmp_path / "index.json"
+    stale.write_text(json.dumps({"version": 1, "next_seq": 99,
+                                 "entries": []}, sort_keys=True))
+    before = stale.read_bytes()
+    assert _append_sample(ledger, rank=4)["seq"] == 3
+    assert stale.read_bytes() == before
+    assert [e["seq"] for e in ledger.entries()] == [0, 1, 2, 3]
+
+
+def test_seq_follows_last_lines_longer_than_one_read(tmp_path):
+    # A 128 KB last line spans many backward reads, alone in the file or
+    # after another line.  Seqs start at 40, so the line-count fallback
+    # cannot stand in for reading that line whole.
+    long_line = json.dumps({"seq": 41, "blob": "x" * (1 << 17)}) + "\n"
+    for head in ("", json.dumps({"seq": 40}) + "\n"):
+        directory = tmp_path / ("after-a-line" if head else "alone")
+        directory.mkdir()
+        (directory / "ledger.jsonl").write_text(head + long_line)
+        ledger = Ledger(directory)
+        assert _append_sample(ledger)["seq"] == 42
+        assert _append_sample(ledger)["seq"] == 43
+
+
+def test_unparseable_last_line_falls_back_to_line_count(tmp_path):
+    ledger = Ledger(tmp_path)
+    _append_sample(ledger, rank=1)
     _append_sample(ledger, rank=2)
-    entries = ledger.entries()
-    assert [e["seq"] for e in entries] == [0, 1]
-    with open(ledger.index_path) as handle:
-        index = json.load(handle)
-    assert index["next_seq"] == 2
-    assert len(index["entries"]) == 2
+    with open(ledger.ledger_path, "a") as handle:
+        handle.write("not json\n")         # complete, so not quarantined
+    assert _append_sample(ledger, rank=3)["seq"] == 3
+    assert [e["seq"] for e in ledger.entries()] == [0, 1, 3]
 
 
 def test_torn_tail_line_is_skipped(tmp_path):
@@ -121,6 +146,29 @@ def test_resolve_by_seq_and_prefix(tmp_path):
         ledger.resolve("ffff")
     with pytest.raises(LedgerError):
         Ledger(tmp_path / "empty").resolve("@0")
+
+
+def test_resolve_seq_matches_only_that_seq(tmp_path):
+    # Corrupt the line of seq 2: the readable seqs are [0, 1, 3], and
+    # "@2" must not fall back to list position 2 (which holds seq 3).
+    ledger = Ledger(tmp_path)
+    for rank in range(4):
+        _append_sample(ledger, rank=rank)
+    with open(ledger.ledger_path) as handle:
+        lines = handle.readlines()
+    lines[2] = "corrupt\n"
+    with open(ledger.ledger_path, "w") as handle:
+        handle.writelines(lines)
+    assert [e["seq"] for e in ledger.entries()] == [0, 1, 3]
+    with pytest.raises(LedgerError, match="no entry @2"):
+        ledger.resolve("@2")
+    with pytest.raises(LedgerError):
+        render_compare(ledger, "@2", "@3")
+    assert ledger.resolve("@3")["seq"] == 3
+    assert ledger.resolve("@-1")["seq"] == 3
+    assert ledger.resolve("@-3")["seq"] == 0
+    with pytest.raises(LedgerError):
+        ledger.resolve("@-4")
 
 
 def test_resolve_ambiguous_prefix(tmp_path):

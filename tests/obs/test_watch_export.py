@@ -11,6 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability, use
+from repro.obs.ledger import Ledger
 from repro.obs.timeseries import Metrics, build_snapshot, \
     publish_snapshot
 from repro.obs.watch import render_dashboard, sparkline, watch
@@ -145,6 +146,20 @@ def test_export_from_ledger_matches_snapshot_series(published):
                                 str(published["ledger"]))
     assert code == 0
     assert from_snap == from_ledger
+
+
+def test_only_the_fleet_entry_carries_a_metrics_buffer(tmp_path):
+    """The buffer rides only on the entry `obs export --ledger-dir`
+    reads, not on the per-cluster diagnoses of the same invocation."""
+    ledger = tmp_path / "ledger"
+    code, _ = run_cli("triage", "--reports", "4", "--seed", "0",
+                      "--bugs", "sort", "tac", "--ledger-dir", str(ledger),
+                      "--snapshot-out", str(tmp_path / "snap.json"))
+    assert code == 0
+    entries = Ledger(ledger).entries()
+    assert {e["kind"] for e in entries} >= {"diagnosis", "triage"}
+    assert [(e["kind"], e["workload"]) for e in entries if e["obs"]] \
+        == [("triage", "fleet")]
 
 
 def test_export_to_file(published, tmp_path):

@@ -155,7 +155,7 @@ def test_removed_state_dir_retires_plan(tmp_path):
 
 
 def test_env_roundtrip_through_use_plan(monkeypatch):
-    plan = FaultPlan.parse("index-write-error:3", seed=5)
+    plan = FaultPlan.parse("ledger-write-error:3", seed=5)
     with use_plan(plan):
         assert os.environ[resilience.FAULTS_ENV] == plan.describe_spec()
         rebuilt = FaultPlan.from_env()
@@ -260,7 +260,7 @@ def test_campaign_identical_under_torn_cache_writes(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Ledger faults: torn tails, quarantine, index corruption
+# Ledger faults: torn tails and quarantine
 # ----------------------------------------------------------------------
 
 def test_ledger_recovers_torn_tail_into_quarantine(tmp_path):
@@ -303,34 +303,6 @@ def test_ledger_write_error_is_best_effort(tmp_path, capsys):
     assert ledger.entries() == []
     assert ledger.append(kind="diagnosis", tool="t",
                          workload="w")["seq"] == 0
-
-
-def test_corrupt_index_warns_and_rebuilds(tmp_path, capsys):
-    ledger = Ledger(tmp_path)
-    ledger.append(kind="diagnosis", tool="t", workload="w", seed=0)
-    with open(ledger.index_path, "w") as handle:
-        handle.write("{not json")
-    with use_obs(Observability()) as obs:
-        entry = ledger.append(kind="diagnosis", tool="t", workload="w",
-                              seed=1)
-    assert entry["seq"] == 1
-    err = capsys.readouterr().err
-    assert err.count("ledger index") == 1      # warned once, not per read
-    assert obs.counter("ledger.index_rebuilds").total >= 1
-    with open(ledger.index_path) as handle:
-        index = json.load(handle)
-    assert [row["seq"] for row in index["entries"]] == [0, 1]
-
-
-def test_index_write_error_leaves_jsonl_authoritative(tmp_path):
-    ledger = Ledger(tmp_path)
-    with use_plan(FaultPlan.parse("index-write-error:2")):
-        ledger.append(kind="diagnosis", tool="t", workload="w", seed=0)
-    assert not os.path.exists(ledger.index_path)
-    entry = ledger.append(kind="diagnosis", tool="t", workload="w",
-                          seed=1)
-    assert entry["seq"] == 1
-    assert [e["seq"] for e in ledger.entries()] == [0, 1]
 
 
 _APPEND_SCRIPT = """

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Fail the build when the docs drift from the code.
 
-Markdown rots in four predictable ways; this checker catches each:
+Markdown rots in five predictable ways; this checker catches each:
 
 * a ``--flag`` that the ``repro`` CLI no longer accepts (or never did);
 * a dotted ``repro.*`` module/attribute path that no longer imports;
@@ -10,7 +10,10 @@ Markdown rots in four predictable ways; this checker catches each:
 * a backticked ``Class.attr`` or ``Class.attr()``, where ``Class`` is a
   class defined in a ``repro`` module, naming an attribute or dataclass
   field the class no longer has.  Names that are not ``repro`` classes
-  (``DESIGN.md``) are skipped.
+  (``DESIGN.md``) are skipped;
+* a fault-site table in ``docs/resilience.md`` whose site column is not
+  exactly ``repro.runtime.resilience.FAULT_SITES``, so a deleted site
+  cannot linger in the docs and a new one cannot go undocumented.
 
 Checked files: ``README.md``, ``DESIGN.md``, and ``docs/*.md`` — the
 documents that describe the *current* code.  ``ROADMAP.md`` (future
@@ -121,11 +124,38 @@ def check_module(dotted):
     return False
 
 
+def fault_table_errors(page="docs/resilience.md"):
+    """Sites the fault table of *page* adds to or omits from the code's."""
+    from repro.runtime.resilience import FAULT_SITES
+
+    if not (REPO / page).exists():
+        return []                        # reported as a missing page
+    documented = []
+    in_table = False
+    for line in (REPO / page).read_text().splitlines():
+        if line.startswith("| site |"):
+            in_table = True
+        elif in_table and line.startswith("|"):
+            cell = line.split("|")[1].strip()
+            if not cell.startswith("-"):
+                documented.append(cell.strip("`"))
+        elif in_table:
+            break
+    if not documented:
+        return ["%s: no fault-site table" % page]
+    errors = ["%s: fault table lists unknown site %s" % (page, site)
+              for site in sorted(set(documented) - set(FAULT_SITES))]
+    errors += ["%s: fault table omits site %s" % (page, site)
+               for site in sorted(set(FAULT_SITES) - set(documented))]
+    return errors
+
+
 def main():
     known_flags = cli_flags() | FOREIGN_FLAGS
     classes = repro_classes()
     errors = ["missing required page %s" % page
               for page in REQUIRED_DOCS if not (REPO / page).exists()]
+    errors += fault_table_errors()
     for path in doc_files():
         rel = path.relative_to(REPO)
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
@@ -158,7 +188,7 @@ def main():
             print("  " + error)
         return 1
     print("doc check OK: %d files, no stale flags/modules/paths/members"
-          % len(doc_files()))
+          "/fault sites" % len(doc_files()))
     return 0
 
 
