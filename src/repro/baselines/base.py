@@ -9,7 +9,7 @@ from repro.core.api import confidence_summary, validate_options
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
-from repro.runtime import checkpoint as _checkpoint
+from repro.runtime.harness import stream_baseline_runs
 from repro.runtime.process import execute_plan
 
 
@@ -99,8 +99,8 @@ class BaselineToolBase:
         self.seed = self.options["seed"]
         #: optional CampaignExecutor — campaign runs then execute on
         #: worker-side reconstructions of this tool (see _clone_spec)
-        #: and flow back as counter/predicate deltas; results are
-        #: identical to the sequential path.
+        #: or on this tool, and flow back as counter/predicate deltas;
+        #: results are identical to the sequential path.
         self.executor = self.options.get("executor")
         #: optional Observability pinned for run_diagnosis (default:
         #: whatever bundle is current at diagnosis time)
@@ -145,7 +145,10 @@ class BaselineToolBase:
         return failed, finishers[0](failed)
 
     def _absorb(self, result):
-        """Apply one consumed run's counter/predicate deltas."""
+        """Apply one consumed run's counter/predicate deltas.
+
+        Fresh, pooled, cached and journal-replayed runs all land here.
+        """
         self.events_observed += result.events_observed
         self.samples_taken += result.samples_taken
         self.retired_total += result.retired
@@ -158,12 +161,14 @@ class BaselineToolBase:
                       max_attempts=None):
         """Collect runs until the outcome quotas are met, then rank.
 
-        With an executor attached, attempts fan out across its
-        worker pool (and replay from its run cache) but are consumed
-        strictly in attempt order, so counts, observations, and the
-        predicate registry are bit-identical to the sequential path.
-        The finished diagnosis is recorded in the current run ledger
-        (:mod:`repro.obs.ledger`; a no-op unless one is installed).
+        Each phase is one journaled, budgeted campaign stream
+        (:func:`repro.runtime.harness.stream_baseline_runs`).  With an
+        executor attached, attempts fan out across its worker pool (and
+        replay from its run cache) but are consumed strictly in attempt
+        order, so counts, observations, and the predicate registry are
+        bit-identical to the sequential path.  The finished diagnosis
+        is recorded in the current run ledger (:mod:`repro.obs.ledger`;
+        a no-op unless one is installed).
         """
         obs = self.obs if self.obs is not None else get_obs()
         started = time.perf_counter()
@@ -189,76 +194,40 @@ class BaselineToolBase:
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \
             (n_failures + n_successes) * 5 + 100
-        budget = _checkpoint.get_budget()
-        supervisor = _checkpoint.get_supervisor()
         observations = []
         failures = 0
-        successes = 0
-        attempt = 0
         stopped = {"reason": None}
 
-        def within_budget():
-            # Checked before each fresh execution: a deadline/run-budget
-            # stop ends the campaign cleanly with a partial result.
-            reason = budget.exhausted()
-            if reason is not None:
-                stopped["reason"] = reason
-                return False
-            return True
-
-        def consume(plan_of, quota_open):
-            nonlocal failures, successes, attempt
-
-            def record(failed):
-                nonlocal failures, successes, attempt
-                if failed:
-                    failures += 1
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    successes += 1
-                    obs.counter("campaign.runs_succeeded").inc()
-                attempt += 1
-                budget.charge()
-                supervisor.beat("campaign")
-
-            if self.executor is None:
-                while quota_open() and attempt < cap and within_budget():
-                    plan = plan_of(attempt + self.seed)
-                    failed, observation = self._run_once(
-                        plan, attempt + self.seed
-                    )
-                    observations.append(observation)
-                    record(failed)
-                return
-
-            def plan_seeds():
-                k = attempt
-                while True:
-                    yield plan_of(k + self.seed), k + self.seed
-                    k += 1
-
-            runs = self.executor.iter_baseline_runs(self, plan_seeds())
+        def consume(plan_of, phase, quota_open):
+            nonlocal failures
+            runs = stream_baseline_runs(self, plan_of, phase,
+                                        stopped=stopped,
+                                        start=len(observations) + self.seed)
             try:
-                while quota_open() and attempt < cap and within_budget():
-                    _seed, result = next(runs)
+                while quota_open() and len(observations) < cap:
+                    item = next(runs, None)
+                    if item is None:
+                        break
+                    _k, failed, result = item
                     self._absorb(result)
                     observations.append(result.observation)
-                    record(result.failed)
+                    if failed:
+                        failures += 1
             finally:
                 runs.close()
 
         with obs.span("collect.failures", want=n_failures):
-            consume(self.workload.failing_run_plan,
+            consume(self.workload.failing_run_plan, "failing",
                     lambda: failures < n_failures)
         with obs.span("collect.successes", want=n_successes):
-            consume(self.workload.passing_run_plan,
-                    lambda: successes < n_successes)
+            consume(self.workload.passing_run_plan, "passing",
+                    lambda: len(observations) - failures < n_successes)
         with obs.span("rank"):
             ranked = liblit_rank(observations, self.predicate_info())
         return BaselineDiagnosis(
             ranked=ranked,
             n_failures=failures,
-            n_successes=successes,
+            n_successes=len(observations) - failures,
             tool=self.tool_name,
             events_observed=self.events_observed,
             samples_taken=self.samples_taken,

@@ -212,7 +212,6 @@ class DiagnosisToolBase:
     def _collect_failures(self, program, n_failures, max_attempts):
         statuses = []
         k = 0
-        obs = get_obs()
         runs = self._runs(program, self.workload.failing_run_plan,
                           "failing")
         try:
@@ -222,9 +221,6 @@ class DiagnosisToolBase:
                     break
                 if run.failed:
                     statuses.append(run.status)
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    obs.counter("campaign.runs_succeeded").inc()
                 k += 1
         finally:
             runs.close()
@@ -240,7 +236,6 @@ class DiagnosisToolBase:
         profiles = []
         statuses = []
         k = 0
-        obs = get_obs()
         runs = self._runs(program, self.workload.passing_run_plan,
                           "passing")
         try:
@@ -250,9 +245,7 @@ class DiagnosisToolBase:
                     break
                 k += 1
                 if run.failed:
-                    obs.counter("campaign.runs_failed").inc()
                     continue
-                obs.counter("campaign.runs_succeeded").inc()
                 profile = extract_profile(
                     program, run.status, self.ring,
                     site_kinds=SUCCESS_SITE_KINDS,

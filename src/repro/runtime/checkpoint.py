@@ -8,10 +8,13 @@ campaigns survive all three, with three cooperating pieces:
   :class:`CheckpointSession`).  Campaign plan streams are pure
   functions of the workload (see :mod:`repro.runtime.harness`), so the
   whole progress of a campaign is captured by the sequence of run
-  outcomes consumed so far.  A journal is an append-only JSONL file —
-  one fingerprint header plus one group-committed batch line per
-  ``CheckpointJournal.FLUSH_EVERY`` consumed runs — written with the
-  same torn-tail quarantine discipline as the run ledger
+  outcomes consumed so far: for a baseline run, its observation plus
+  its counter and predicate deltas.  Every quota campaign journals
+  through :func:`repro.runtime.harness.durable_stream`.  A journal is an
+  append-only JSONL file — one fingerprint header plus one
+  group-committed batch line per ``CheckpointJournal.FLUSH_EVERY``
+  consumed runs — written with the same torn-tail quarantine
+  discipline as the run ledger
   (:func:`repro.runtime.resilience.recover_jsonl_tail`).  On resume the
   stream *replays* the journaled outcomes (no re-execution) and then
   continues executing from the cursor; because consumption order is
@@ -23,10 +26,9 @@ campaigns survive all three, with three cooperating pieces:
   *normalized* argv (chaos and checkpoint flags stripped), so running
   the same command again resumes automatically.
 * **Supervisor/watchdog** (:class:`CampaignSupervisor`).  A daemon
-  monitor thread tracks named heartbeats (the campaign consume loop,
-  the executor's resolve path) and escalates when one goes stale:
-  counted in obs metrics, reported on stderr, and forwarded to an
-  ``on_stall`` callback.  SIGTERM is converted into
+  monitor thread tracks named heartbeats (the campaign loop, the
+  executor's resolve path) and escalates when one goes stale: counted
+  in obs metrics and reported on stderr.  SIGTERM is converted into
   :class:`CampaignInterrupted` (:func:`graceful_signals`) so ``finally``
   blocks run — pools shut down, locks release, the journal holds every
   consumed run — and the CLI exits with :data:`RESUMABLE_EXIT_CODE`.
@@ -175,7 +177,8 @@ class CheckpointJournal:
     followed by one JSON line per group commit —
     ``{"k0": <first cursor>, "n": <count>, "batch": <base64 pickle>}``
     where the batch payload is the committed ``(k, failed, status)``
-    triples.  Appends are buffered and group-committed: encoded and
+    triples (a baseline run's status is its ``BaselineRunResult``).
+    Appends are buffered and group-committed: encoded and
     flushed every ``FLUSH_EVERY`` records and on close, so a crash
     loses at most the last uncommitted batch — which the resume simply
     re-executes (the plan stream is deterministic) — while the
@@ -572,20 +575,19 @@ NULL_BUDGET = _NullBudget()
 class CampaignSupervisor:
     """Watchdog thread over named campaign heartbeats.
 
-    Producers call :meth:`beat` (the campaign consume loop, the
-    executor's resolve path — one dict write, safe from any thread).
-    The monitor wakes every ``poll_interval`` seconds; a heartbeat
-    older than ``stall_timeout`` escalates: the stall is counted in obs
-    metrics, reported on stderr, and handed to ``on_stall`` so the CLI
-    can react.  The executor's own failure ladder (per-batch timeout →
-    pool recycle → inline fallback) remains the recovery mechanism —
-    the supervisor is the campaign-level observer that notices when
-    even that ladder has gone quiet.  The ``supervisor-stall`` fault
-    site forces one escalation deterministically for tests.
+    Producers call :meth:`beat` (the campaign loop, the executor's
+    resolve path — one dict write, safe from any thread).  The monitor
+    wakes every ``poll_interval`` seconds; a heartbeat older than
+    ``stall_timeout`` escalates: the stall is counted in ``stalls`` and
+    obs metrics and reported on stderr.  The executor's own failure
+    ladder (per-batch timeout → pool recycle → inline fallback) remains
+    the recovery mechanism — the supervisor is the campaign-level
+    observer that notices when even that ladder has gone quiet.  The
+    ``supervisor-stall`` fault site forces one escalation
+    deterministically for tests.
     """
 
-    def __init__(self, stall_timeout=None, poll_interval=None,
-                 on_stall=None):
+    def __init__(self, stall_timeout=None, poll_interval=None):
         if stall_timeout is None:
             raw = os.environ.get(STALL_TIMEOUT_ENV)
             stall_timeout = float(raw) if raw else 300.0
@@ -595,9 +597,7 @@ class CampaignSupervisor:
         self.stall_timeout = float(stall_timeout)
         self.poll_interval = float(poll_interval) if poll_interval \
             else min(self.stall_timeout / 4.0, 5.0)
-        self.on_stall = on_stall
         self.stalls = 0
-        self.escalations = []
         self._beats = {}
         self._stop = threading.Event()
         self._thread = None
@@ -607,11 +607,6 @@ class CampaignSupervisor:
     def beat(self, name="campaign"):
         """Record liveness of *name* (cheap; called per consumed run)."""
         self._beats[name] = time.monotonic()
-
-    def note(self, escalation):
-        """Record one executor-ladder escalation (recycle, fallback...)."""
-        self.escalations.append(escalation)
-        del self.escalations[:-32]
 
     # -- monitor side ---------------------------------------------------
 
@@ -648,8 +643,6 @@ class CampaignSupervisor:
             print("repro: warning: supervisor: no heartbeat from %s for "
                   ">%.1fs" % (", ".join(stalled), self.stall_timeout),
                   file=sys.stderr)
-            if self.on_stall is not None:
-                self.on_stall(stalled)
         return stalled
 
 
@@ -657,12 +650,8 @@ class _NullSupervisor:
     """No watchdog; the default.  ``beat()`` is the only hot call."""
 
     stalls = 0
-    escalations = ()
 
     def beat(self, name="campaign"):
-        pass
-
-    def note(self, escalation):
         pass
 
     def start(self):

@@ -148,6 +148,25 @@ def fingerprint_workload(workload):
                  workload.failure_output))
 
 
+def fingerprint_tool(tool):
+    """Stable content hash of a baseline tool (run cache and journal key).
+
+    Covers the tool's ``_clone_spec`` and machine config; cached on the
+    tool.
+    """
+    cached = tool.__dict__.get("_content_fingerprint")
+    if cached is not None:
+        return cached
+    tool_class, workload, kwargs = tool._clone_spec()
+    fingerprint = hashlib.sha256(repr((
+        tool_class.__module__, tool_class.__qualname__,
+        fingerprint_workload(workload), sorted(kwargs.items()),
+        fingerprint_config(tool.machine_config),
+    )).encode()).hexdigest()
+    tool.__dict__["_content_fingerprint"] = fingerprint
+    return fingerprint
+
+
 def _run_key(program, plan, config):
     plan_fp = fingerprint_plan(plan)
     if plan_fp is None:
@@ -216,6 +235,16 @@ class BaselineRunResult:
     cached: bool = False
     error: str = None
     traceback: str = None
+
+    @classmethod
+    def of(cls, value, **run):
+        """The result of one :func:`_baseline_execute` *value*."""
+        return cls(failed=value["failed"],
+                   observation=value["observation"],
+                   events_observed=value["events"],
+                   samples_taken=value["samples"],
+                   retired=value["retired"],
+                   new_predicates=value["predicates"], **run)
 
 
 # ----------------------------------------------------------------------
@@ -405,43 +434,46 @@ def _worker_run_plans(program_fp, program_blob, config_blob, collect_obs,
 def _baseline_execute(tool, plan, run_seed):
     """Run one baseline attempt on *tool*; return value with deltas.
 
-    Counter and predicate contributions are measured as before/after
-    deltas so speculative attempts executed on a long-lived worker tool
-    never leak into results of other attempts.  The predicate registry
-    (metadata written via ``setdefault``, never read during runs) is
-    rolled back afterwards, so every run reports the *full* predicate
-    set it observed regardless of what ran on this tool before — the
-    consumer's in-order ``setdefault`` merge then reproduces the
+    The tool is left exactly as it was found.  Counter contributions
+    are measured as before/after deltas and the counters restored;
+    the run registers its predicates into an empty registry swapped in
+    for its duration.  So every run reports the *full* predicate set it
+    observed, whatever ran on this tool before, and a result replayed
+    from the cache or the journal into another tool applies the same
+    way — the consumer's in-order ``setdefault`` merge reproduces the
     sequential registry exactly, contents and insertion order both.
     """
     events0 = tool.events_observed
     samples0 = tool.samples_taken
     retired0 = tool.retired_total
-    predicates = getattr(tool, "_predicates", None)
-    known = frozenset(predicates) if predicates is not None else None
-    failed, observation = tool._run_once(plan, run_seed)
-    new_predicates = {}
-    if predicates is not None:
-        new_predicates = {key: value for key, value in predicates.items()
-                          if key not in known}
-        for key in new_predicates:
-            del predicates[key]
-    return {
-        "failed": failed,
-        "observation": observation,
-        "events": tool.events_observed - events0,
-        "samples": tool.samples_taken - samples0,
-        "retired": tool.retired_total - retired0,
-        "predicates": new_predicates,
-    }
+    registry = getattr(tool, "_predicates", None)
+    observed = {}
+    if registry is not None:
+        tool._predicates = observed
+    try:
+        failed, observation = tool._run_once(plan, run_seed)
+        return {
+            "failed": failed,
+            "observation": observation,
+            "events": tool.events_observed - events0,
+            "samples": tool.samples_taken - samples0,
+            "retired": tool.retired_total - retired0,
+            "predicates": observed,
+        }
+    finally:
+        tool.events_observed = events0
+        tool.samples_taken = samples0
+        tool.retired_total = retired0
+        if registry is not None:
+            tool._predicates = registry
 
 
 def _worker_run_baselines(tool_fp, tool_blob, collect_obs, calls):
     """Execute a batch of ``(plan_blob, run_seed)`` baseline attempts.
 
-    Safe to batch because :func:`_baseline_execute` reports before/after
-    deltas and rolls the predicate registry back after each attempt —
-    every attempt's contribution is independent of its batch-mates.
+    Safe to batch because :func:`_baseline_execute` reports deltas and
+    leaves the tool as it found it — every attempt's contribution is
+    independent of its batch-mates.
     """
     resilience.worker_entry_faults()
     tool = _WORKER_TOOLS.get(tool_fp)
@@ -709,13 +741,11 @@ class CampaignExecutor:
             except Exception:
                 pass
             self.stats.resilience.pool_restarts += 1
-            checkpoint.get_supervisor().note("pool-restart")
         if (self.stats.resilience.pool_restarts
                 > self.resilience.max_pool_restarts
                 and not self._degraded):
             self._degraded = True
             self.stats.resilience.degraded_serial = True
-            checkpoint.get_supervisor().note("degraded-serial")
             print(
                 "repro: worker pool failed %d times; degrading to "
                 "serial execution"
@@ -773,7 +803,6 @@ class CampaignExecutor:
                         batch.future = None
         # Out of retries (or no usable pool): run the batch here.
         rstats.inline_fallbacks += 1
-        checkpoint.get_supervisor().note("inline-fallback")
         batch.result = batch.fn(*batch.header, batch.items)
         return batch.result
 
@@ -806,9 +835,10 @@ class CampaignExecutor:
         """Yield ``(run_seed, BaselineRunResult)`` for a baseline tool.
 
         *plan_seeds* is an iterable of ``(plan, run_seed)`` pairs, in
-        campaign order.  The passed *tool* is never mutated: fresh runs
-        execute on per-worker (or executor-local) reconstructions and
-        return counter/predicate deltas for the caller to apply.
+        campaign order.  The passed *tool* is left as it was found:
+        fresh runs execute on per-worker reconstructions, or in process
+        on *tool* itself through :func:`_baseline_execute`, and return
+        counter/predicate deltas for the caller to apply.
         """
         tasks = (self._baseline_task(tool, plan, run_seed)
                  for plan, run_seed in plan_seeds)
@@ -891,36 +921,8 @@ class CampaignExecutor:
                      batch_item=batch_item, inline_call=inline_call,
                      wrap=wrap, backend=config.backend)
 
-    def _baseline_fingerprint(self, tool):
-        cached = tool.__dict__.get("_content_fingerprint")
-        if cached is not None:
-            return cached
-        tool_class, workload, kwargs = tool._clone_spec()
-        fingerprint = hashlib.sha256(repr((
-            tool_class.__module__, tool_class.__qualname__,
-            fingerprint_workload(workload), sorted(kwargs.items()),
-            fingerprint_config(tool.machine_config),
-        )).encode()).hexdigest()
-        tool.__dict__["_content_fingerprint"] = fingerprint
-        return fingerprint
-
-    def _local_baseline_tool(self, tool):
-        """An executor-owned clone of *tool* for in-process execution.
-
-        Never the passed instance: all effects must flow through deltas
-        so pooled, cached, and in-process attempts are interchangeable.
-        """
-        tools = self.__dict__.setdefault("_local_tools", {})
-        fingerprint = self._baseline_fingerprint(tool)
-        clone = tools.get(fingerprint)
-        if clone is None:
-            tool_class, workload, kwargs = tool._clone_spec()
-            clone = tool_class(workload, **kwargs)
-            tools[fingerprint] = clone
-        return clone
-
     def _baseline_task(self, tool, plan, run_seed):
-        tool_fp = self._baseline_fingerprint(tool)
+        tool_fp = fingerprint_tool(tool)
         key = None
         if self.cache is not None:
             key = _baseline_key(tool_fp, plan, run_seed)
@@ -945,19 +947,11 @@ class CampaignExecutor:
                 batch_fn = None
 
         def inline_call():
-            return _baseline_execute(
-                self._local_baseline_tool(tool), plan, run_seed
-            )
+            return _baseline_execute(tool, plan, run_seed)
 
         def wrap(value, duration, pid, cached):
-            return run_seed, BaselineRunResult(
-                failed=value["failed"],
-                observation=value["observation"],
-                events_observed=value["events"],
-                samples_taken=value["samples"],
-                retired=value["retired"],
-                new_predicates=value["predicates"],
-                duration=duration, worker_pid=pid, cached=cached,
+            return run_seed, BaselineRunResult.of(
+                value, duration=duration, worker_pid=pid, cached=cached,
                 error=note["error"], traceback=note["traceback"],
             )
 
@@ -1160,5 +1154,6 @@ __all__ = [
     "fingerprint_config",
     "fingerprint_plan",
     "fingerprint_program",
+    "fingerprint_tool",
     "fingerprint_workload",
 ]

@@ -7,6 +7,9 @@ right outcome have been observed, which mirrors production reality: a
 failing input occasionally fails to manifest (concurrency bugs!) and is
 then just another success run.
 
+Every quota campaign — :func:`run_campaign`, LBRA/LCRA and the
+CBI-family baselines — consumes one loop, :func:`durable_stream`.
+
 Determinism contract
 --------------------
 
@@ -42,7 +45,12 @@ from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs, use
 from repro.obs.ledger import get_ledger
 from repro.runtime import checkpoint as _checkpoint
-from repro.runtime.executor import fingerprint_program
+from repro.runtime.executor import (
+    BaselineRunResult,
+    _baseline_execute,
+    fingerprint_program,
+    fingerprint_tool,
+)
 from repro.runtime.process import run_program
 
 
@@ -203,12 +211,7 @@ def run_campaign(program, workload, *, want_failures, want_successes,
                 if record is None:
                     break
                 record.index = attempts
-                if record.failed:
-                    failures.append(record)
-                    obs.counter("campaign.runs_failed").inc()
-                else:
-                    successes.append(record)
-                    obs.counter("campaign.runs_succeeded").inc()
+                (failures if record.failed else successes).append(record)
                 attempts += 1
         finally:
             runs.close()
@@ -285,61 +288,33 @@ def _executor_detail(executor):
             % (len(resilience.task_errors), last["stage"], last["error"]))
 
 
-def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
-                key=(), start=0, executor=None):
-    """Yield RunRecords for ``plan_fn(start), plan_fn(start+1), ...``.
+def durable_stream(stream, fingerprint, fresh, *, stopped, start=0):
+    """The one campaign loop: yield ``(k, failed, value)`` from *start* on.
 
-    The one resumable campaign stream: :func:`run_campaign` and the
-    LBRA/LCRA tools (:class:`~repro.core.lbra.DiagnosisToolBase`) both
-    consume it.  The sequential path executes one plan per pull through
-    :func:`~repro.runtime.process.run_program`; the executor path
-    speculates ahead on the pool but still yields in plan order, so the
-    caller's stopping logic sees the same sequence either way.
+    ``fresh(cursor)`` generates the records of attempts ``cursor,
+    cursor+1, ...`` in plan order.  Every record yielded beats the
+    supervisor's ``"campaign"`` heartbeat and bumps
+    ``campaign.runs_failed`` or ``campaign.runs_succeeded``.
 
     When a checkpoint session is active (see
-    :mod:`repro.runtime.checkpoint`), the stream journals each consumed
-    outcome under ``<owner>.<phase>`` for *stream* = ``(owner, phase)``,
-    fingerprinted over (owner, phase, program fingerprint,
-    ``repr(config)``, workload token, ``*key``), and replays journaled
-    records for free on resume — the plan stream is deterministic, so
-    record k *is* the outcome of ``plan_fn(k)``.  Each fresh outcome is
-    appended before it is yielded, making the stream resumable after a
-    crash at any point.  Replayed records never charge the active
-    campaign budget; fresh ones do, and when the budget reports
-    exhaustion the stream ends early with the reason left in
-    ``stopped["reason"]``.
+    :mod:`repro.runtime.checkpoint`), the loop journals each consumed
+    record under ``<owner>.<phase>`` for *stream* = ``(owner, phase)``,
+    fingerprinted by ``fingerprint()`` (called only then, so nothing is
+    hashed without a session), and replays journaled records for free on
+    resume — the plan stream is deterministic, so record k *is* the
+    outcome of attempt k.  Each fresh record is appended before it is
+    yielded, making the stream resumable after a crash at any point.
+    Replayed records never charge the active campaign budget; fresh ones
+    do, and when the budget reports exhaustion the stream ends early
+    with the reason left in ``stopped["reason"]``.
     """
     budget = _checkpoint.get_budget()
     supervisor = _checkpoint.get_supervisor()
     session = _checkpoint.get_session()
+    counter = get_obs().counter
     journal = None
     if session is not None:
-        journal = session.journal(
-            "%s.%s" % stream,
-            _checkpoint.stream_fingerprint(
-                *stream, fingerprint_program(program), repr(config),
-                _checkpoint.workload_token(workload), *key),
-        )
-
-    def record(status, plan):
-        return RunRecord(index=-1, status=status,
-                         failed=workload.is_failure(status), plan=plan)
-
-    def fresh(cursor):
-        if executor is None:
-            for k in itertools.count(cursor):
-                plan = plan_fn(k)
-                yield k, record(run_program(
-                    program, args=plan.args,
-                    scheduler=plan.make_scheduler(), config=config,
-                    max_steps=plan.max_steps,
-                    globals_setup=plan.globals_setup), plan)
-        else:
-            plans = (plan_fn(k) for k in itertools.count(cursor))
-            for k, (plan, result) in enumerate(
-                    executor.iter_runs(program, plans, config),
-                    start=cursor):
-                yield k, record(result.status, plan)
+        journal = session.journal("%s.%s" % stream, fingerprint())
 
     cursor = start
     try:
@@ -347,7 +322,9 @@ def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
             for rec in journal.replay():
                 cursor = rec["k"] + 1
                 supervisor.beat("campaign")
-                yield record(rec["status"], plan_fn(rec["k"]))
+                counter("campaign.runs_failed" if rec["failed"]
+                        else "campaign.runs_succeeded").inc()
+                yield rec["k"], rec["failed"], rec["status"]
         source = fresh(cursor)
         try:
             while True:
@@ -358,14 +335,86 @@ def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
                 item = next(source, None)
                 if item is None:
                     return
-                k, run = item
+                k, failed, value = item
                 budget.charge()
                 if journal is not None:
-                    journal.append(k, run.failed, run.status)
+                    journal.append(k, failed, value)
                 supervisor.beat("campaign")
-                yield run
+                counter("campaign.runs_failed" if failed
+                        else "campaign.runs_succeeded").inc()
+                yield item
         finally:
             source.close()
     finally:
         if journal is not None:
             journal.close()
+
+
+def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
+                key=(), start=0, executor=None):
+    """Yield RunRecords for ``plan_fn(start), plan_fn(start+1), ...``.
+
+    :func:`durable_stream` over plan runs, for :func:`run_campaign` and
+    the LBRA/LCRA tools.  The sequential path executes one plan per pull
+    through :func:`~repro.runtime.process.run_program`; the executor
+    path speculates ahead on the pool but still yields in plan order.
+    The journal fingerprint covers (owner, phase, program fingerprint,
+    ``repr(config)``, workload token, ``*key``).
+    """
+    def fresh(cursor):
+        if executor is None:
+            for k in itertools.count(cursor):
+                plan = plan_fn(k)
+                status = run_program(
+                    program, args=plan.args,
+                    scheduler=plan.make_scheduler(), config=config,
+                    max_steps=plan.max_steps,
+                    globals_setup=plan.globals_setup)
+                yield k, workload.is_failure(status), status
+        else:
+            plans = (plan_fn(k) for k in itertools.count(cursor))
+            for k, (_plan, result) in enumerate(
+                    executor.iter_runs(program, plans, config),
+                    start=cursor):
+                yield k, workload.is_failure(result.status), result.status
+
+    def fingerprint():
+        return _checkpoint.stream_fingerprint(
+            *stream, fingerprint_program(program), repr(config),
+            _checkpoint.workload_token(workload), *key)
+
+    for k, failed, status in durable_stream(stream, fingerprint, fresh,
+                                            stopped=stopped, start=start):
+        yield RunRecord(index=-1, status=status, failed=failed,
+                        plan=plan_fn(k))
+
+
+def stream_baseline_runs(tool, plan_fn, phase, *, stopped, start):
+    """Yield ``(k, failed, BaselineRunResult)`` for a baseline campaign.
+
+    :func:`durable_stream` over a CBI-family *tool*: attempt k runs
+    ``plan_fn(k)`` with run seed k, in process or on ``tool.executor``,
+    and leaves *tool* as it was found.  The journal is keyed by phase,
+    tool fingerprint, seed and *start*, because a passing phase starts
+    where its failing phase stopped.
+    """
+    name = tool.tool_name.lower()
+    executor = tool.executor
+
+    def fresh(cursor):
+        if executor is None:
+            for k in itertools.count(cursor):
+                result = BaselineRunResult.of(
+                    _baseline_execute(tool, plan_fn(k), k))
+                yield k, result.failed, result
+        else:
+            plan_seeds = ((plan_fn(k), k) for k in itertools.count(cursor))
+            for k, result in executor.iter_baseline_runs(tool, plan_seeds):
+                yield k, result.failed, result
+
+    def fingerprint():
+        return _checkpoint.stream_fingerprint(
+            name, phase, fingerprint_tool(tool), tool.seed, start)
+
+    return durable_stream((name, phase), fingerprint, fresh,
+                          stopped=stopped, start=start)

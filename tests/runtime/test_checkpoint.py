@@ -15,6 +15,8 @@ import warnings
 
 import pytest
 
+from repro.baselines.cbi import CbiTool
+from repro.bugs.registry import get_bug
 from repro.compiler import compile_source
 from repro.obs import Observability, use as use_obs
 from repro.obs.ledger import Ledger, render_trends, use as use_ledger
@@ -295,14 +297,12 @@ def test_supervisor_detects_stale_heartbeat(monkeypatch, capsys):
 
 
 def test_supervisor_stall_fault_forces_escalation(tmp_path, capsys):
-    seen = []
-    supervisor = CampaignSupervisor(stall_timeout=100.0,
-                                    on_stall=seen.append)
+    supervisor = CampaignSupervisor(stall_timeout=100.0)
     supervisor.beat("campaign")
     plan = FaultPlan.parse("supervisor-stall:1")
     with use_plan(plan):
         assert supervisor.check() == ["forced"]
-    assert seen == [["forced"]]
+    assert supervisor.stalls == 1
     assert "no heartbeat" in capsys.readouterr().err
 
 
@@ -315,14 +315,6 @@ def test_supervisor_monitor_thread_lifecycle():
     supervisor.stop()
     assert not any(t.name == "repro-supervisor"
                    for t in threading.enumerate())
-
-
-def test_supervisor_notes_are_bounded():
-    supervisor = CampaignSupervisor(stall_timeout=60.0)
-    for index in range(100):
-        supervisor.note("escalation-%d" % index)
-    assert len(supervisor.escalations) == 32
-    assert supervisor.escalations[-1] == "escalation-99"
 
 
 # ----------------------------------------------------------------------
@@ -421,6 +413,61 @@ def test_campaign_budget_stop_recorded_in_ledger(tmp_path):
                      want_successes=4)
     entry = ledger.entries()[-1]
     assert entry["runs"]["partial"] == "run-budget"
+
+
+# ----------------------------------------------------------------------
+# Baseline campaigns: the same journal, keyed by the start cursor
+# ----------------------------------------------------------------------
+
+def _cbi(runs):
+    """A CBI ``sort`` diagnosis at *runs* + *runs*, as comparable rows.
+
+    Sampling at 0.3 (not the default 1/100) so ranked rows exist.
+    """
+    tool = CbiTool(get_bug("sort"), sampling_rate=0.3)
+    diagnosis = tool.run_diagnosis(n_failures=runs, n_successes=runs)
+    return {
+        "ranked": [repr(predicate) for predicate in diagnosis.ranked],
+        "runs": (diagnosis.n_failures, diagnosis.n_successes),
+        "partial": diagnosis.partial,
+        "events_observed": tool.events_observed,
+        "samples_taken": tool.samples_taken,
+        "retired_total": tool.retired_total,
+    }
+
+
+def test_baseline_replays_are_free_under_budget(tmp_path):
+    session = _session(tmp_path)
+    with use_session(session):
+        complete = _cbi(30)
+    session.close()
+    assert complete["ranked"]
+
+    # Resume with a budget of zero fresh runs: every consumed run
+    # replays from the journal, so the budget never bites.
+    resumed_session = CheckpointSession.create(str(tmp_path / "ck"),
+                                               ["test", "campaign"])
+    with use_session(resumed_session), \
+            use_budget(CampaignBudget(run_budget=0)):
+        resumed = _cbi(30)
+    resumed_session.close()
+    assert resumed == complete
+    assert not resumed["partial"]
+    assert sum(journal.replayed
+               for journal in resumed_session._journals) == 60
+
+
+def test_baseline_campaigns_of_different_quotas_in_one_session(tmp_path):
+    # The passing phase starts at the failing phase's attempt count, so
+    # a journal keyed without that cursor would replay the 20-run
+    # campaign's passing records into the 35-run campaign.
+    expected = [_cbi(20), _cbi(35)]
+    session = _session(tmp_path)
+    with use_session(session):
+        got = [_cbi(20), _cbi(35)]
+    session.close()
+    assert got == expected
+    assert all(row["ranked"] for row in got)
 
 
 # ----------------------------------------------------------------------

@@ -91,6 +91,28 @@ def test_parallel_baseline_matches_sequential():
     assert parallel_tool.retired_total == sequential_tool.retired_total
 
 
+def test_cached_baseline_runs_replay_into_a_fresh_tool():
+    # A later, longer campaign on a shared run cache replays the runs an
+    # earlier one executed in process.  Each replayed run must carry the
+    # full predicate set it observed, not just the predicates the first
+    # campaign's registry lacked at the time.
+    from repro.baselines.pbi import PbiTool
+
+    cold = PbiTool(get_bug("mysql1"))
+    expected = cold.run_diagnosis(n_failures=20, n_successes=20)
+    with CampaignExecutor(jobs=1, cache=True) as executor:
+        PbiTool(get_bug("mysql1"),
+                executor=executor).run_diagnosis(12, 12)
+        warm = PbiTool(get_bug("mysql1"), executor=executor)
+        replayed = warm.run_diagnosis(n_failures=20, n_successes=20)
+        assert executor.stats.cache_hits > 0
+    assert [repr(p) for p in replayed.ranked] == \
+        [repr(p) for p in expected.ranked]
+    assert list(warm.predicate_info()) == list(cold.predicate_info())
+    assert (warm.events_observed, warm.samples_taken, warm.retired_total) \
+        == (cold.events_observed, cold.samples_taken, cold.retired_total)
+
+
 def test_pool_workers_actually_used():
     workload = Thresholdy()
     program = compile_source(SOURCE)

@@ -9,6 +9,7 @@ backend.  SIGTERM exits with the distinct resumable code and prints the
 resume hint.
 """
 
+import glob
 import os
 import signal
 import subprocess
@@ -73,11 +74,13 @@ def _entry_ids(ledger_dir):
                    for entry in Ledger(str(ledger_dir)).entries()})
 
 
-def _kill_resume_roundtrip(tmp_path, argv, site_spec):
+def _kill_resume_roundtrip(tmp_path, argv, site_spec, journaled=False):
     """Run *argv* clean, then chaos-killed + resumed; return both sides.
 
     Returns ``None`` when the fault site was never reached (the chaos
-    run finished normally) — the caller skips.
+    run finished normally) — the caller skips.  With *journaled* the
+    chaos run must die, and must leave a checkpoint journal on disk, so
+    the resume replays journaled runs instead of re-executing them all.
     """
     clean_ledger = tmp_path / "ledger-clean"
     chaos_ledger = tmp_path / "ledger-chaos"
@@ -92,11 +95,14 @@ def _kill_resume_roundtrip(tmp_path, argv, site_spec):
                 "--checkpoint", "--checkpoint-dir", str(ckpt),
                 "--inject-faults", site_spec],
         cwd=str(tmp_path))
-    if chaos.returncode == 0:
+    if chaos.returncode == 0 and not journaled:
         return None          # site not on this command's path
     assert chaos.returncode == CRASH_EXIT_CODE, \
         "expected kill at %s, got rc=%d\n%s" % (
             site_spec, chaos.returncode, chaos.stderr)
+    if journaled:
+        assert glob.glob(str(ckpt / "*" / "*.jsonl")), \
+            "no checkpoint journal on disk after the kill"
 
     # The session manifest stored --ledger-dir (it is not a volatile
     # flag), so the re-dispatched command writes to the chaos ledger.
@@ -129,15 +135,27 @@ def test_kill_at_every_site_then_resume_is_byte_identical(tmp_path, site):
 @pytest.mark.parametrize("backend", ["reference", "threaded"])
 @pytest.mark.parametrize("jobs", ["1", "4"])
 def test_kill_resume_across_jobs_and_backends(tmp_path, jobs, backend):
-    argv = ["diagnose", "sort", "--runs", "3",
+    # Killed at the 13th journal append: the failing phase's 10 records
+    # are on disk as two group commits, so the resume replays them.
+    argv = ["diagnose", "sort", "--runs", "10",
             "--jobs", jobs, "--backend", backend]
-    result = _kill_resume_roundtrip(tmp_path, argv,
-                                    "checkpoint-write-torn!kill:1:2")
-    if result is None:
-        pytest.skip("checkpoint-write-torn not reached")
-    clean, resumed, clean_ledger, chaos_ledger = result
+    clean, resumed, clean_ledger, chaos_ledger = _kill_resume_roundtrip(
+        tmp_path, argv, "checkpoint-write-torn!kill:1:12", journaled=True)
     # --jobs stdout includes wall-clock executor statistics; everything
     # above that block is the diagnosis itself and must match exactly.
+    assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
+    assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
+
+
+@pytest.mark.parametrize("jobs", ["1", "4"])
+def test_baseline_kill_resume_replays_the_journal(tmp_path, jobs):
+    # A CBI campaign journals like LBRA's.  The kill lands at the 21st
+    # append, past two group commits of CheckpointJournal.FLUSH_EVERY
+    # (8) records each.
+    argv = ["diagnose", "sort", "--tool", "cbi", "--runs", "40",
+            "--jobs", jobs]
+    clean, resumed, clean_ledger, chaos_ledger = _kill_resume_roundtrip(
+        tmp_path, argv, "checkpoint-write-torn!kill:1:20", journaled=True)
     assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
 
