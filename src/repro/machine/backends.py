@@ -23,12 +23,13 @@ The ExecBackend contract
 A backend must be **observationally identical** to ``reference``: same
 exit status, output, fault (kind, pc, message), retired counts, context
 switches, scheduler state, ring contents, profile snapshots, counter
-values, cache/bus statistics, and profile-hook firing points, for every
-program and scheduler.  ``tests/machine/test_backends.py`` enforces this
-over the whole bug suite.  Because the backend choice can never change
-results, it still participates in the run-cache key and ledger entries
-(via ``MachineConfig.backend`` and ``repr(config)``) so recorded
-artifacts stay attributable.
+values, cache/bus statistics, profile-hook firing points, and observer
+event streams, for every program and scheduler.
+``tests/machine/test_backends.py`` enforces this over the whole bug
+suite.  Because the backend choice can never change results, it still
+participates in the run-cache key and ledger entries (via
+``MachineConfig.backend`` and ``repr(config)``) so recorded artifacts
+stay attributable.
 
 Why deferred ring writes are safe
 ---------------------------------
@@ -62,18 +63,28 @@ replicated picks.  Schedulers without a lease (e.g. the seeded
 draw per pick) degrade to one-instruction slices and still benefit from
 threaded dispatch.
 
-Fallback semantics
-------------------
+Observers
+---------
 
 Software observers (``machine.branch_observers`` /
 ``machine.coherence_observers``, used by the execution tracer, the
-CBI/CCI baselines, and the BTS simulation) require a synchronous
-callback per event, which the deferred path cannot provide.  The
-threaded backend checks for observers at run start and at every slice
-boundary; the moment any are present it flushes the pending rings and
-delegates the *rest of the run* to the reference loop.  Observer users
-therefore run on the reference path automatically — no configuration
-needed, no behaviour change possible.
+CBI/CCI baselines, and the BTS simulation) get a synchronous callback
+per event.  A program therefore has two closure tables, each compiled
+on first use: the plain one, whose closures never look at the observer
+lists, and the observed one, whose LOAD/STORE/PUSH/POP, branch,
+CALL/CALLR and RET closures call the observers exactly where
+``Machine.data_access`` and ``Machine.retire_branch`` do.
+``exec_loop`` picks the observed table when either list is non-empty
+at run start, so the plain closures carry no observer test and the
+reference loop runs only under the ``reference`` backend.
+
+That is sound because observers keep the contract stated on the lists
+in :class:`~repro.machine.cpu.Machine`: they are registered before
+``Machine.run``; they get every event synchronously, in reference
+order; they read neither the rings, which may hold deferred appends,
+nor the per-slice counters (``machine.retired``, ``retired_user``,
+``thread.retired``), which the threaded loop brings up to date only
+between slices; and they never mutate machine state.
 """
 
 from contextlib import contextmanager
@@ -174,9 +185,8 @@ def get_backend(name):
 # ----------------------------------------------------------------------
 
 
-def _reference_loop(machine, budget, steps=0, hang_delivered=False,
-                    last_thread=None):
-    """The original per-instruction run loop (also the fallback target).
+def _reference_loop(machine, budget):
+    """The original per-instruction run loop.
 
     Must remain semantically identical to the historical
     ``Machine.run`` body: pick, step, profile hook, watchdog — in that
@@ -185,6 +195,9 @@ def _reference_loop(machine, budget, steps=0, hang_delivered=False,
     profile_every = machine._profile_every
     profile_hook = machine._profile_hook
     scheduler = machine.scheduler
+    steps = 0
+    hang_delivered = False
+    last_thread = None
     while machine.running:
         thread = scheduler.pick(machine)
         if thread is None:
@@ -380,6 +393,55 @@ def _pend_branch_dynamic(machine, core_id, pc, target, kind, ring,
         if len(pending) >= _PENDING_FLUSH_THRESHOLD:
             lbr.bulk_append(pending)
             del pending[:]
+
+
+def _observed_access(machine, thread, pc, ring, ring_user, access, address,
+                     value=None):
+    """:func:`_deferred_load` / :func:`_deferred_store` for the observed
+    table, then every coherence observer.
+
+    The observers run last, as in ``Machine.data_access``: after the LCR
+    filter decision, the counter update and the sample hook.  Returns
+    the loaded word (a LOAD) or *value* (a STORE).
+    """
+    memory = machine.memory
+    if not memory.is_mapped(address):
+        raise MachineFault(FaultInfo(
+            kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
+            thread_id=thread.tid, address=address,
+            message="invalid %s at 0x%x" % (
+                "read" if access is _LOAD else "write", address),
+        ))
+    core_id = thread.core_id
+    if access is _LOAD:
+        value = memory._words.get(address, 0)
+        observed = machine.bus.load(core_id, address)
+    else:
+        memory._words[address] = value
+        observed = machine.bus.store(core_id, address)
+    core = machine.cores[core_id]
+    lcr = core.lcr
+    if lcr.enabled:
+        cfg = lcr.config
+        if (cfg.record_user if ring_user else cfg.record_kernel) \
+                and (access, observed) in cfg.events:
+            pending = machine._lcr_pending[core_id]
+            pending.append((pc, observed, access, ring))
+            if len(pending) >= _PENDING_FLUSH_THRESHOLD:
+                lcr.bulk_append(pending)
+                del pending[:]
+    counters = core.counters
+    if counters.count_user if ring_user else counters.count_kernel:
+        key = (access, observed)
+        counters.counts[key] = counters.counts.get(key, 0) + 1
+        if counters._sample_hook is not None:
+            counters._sample_countdown -= 1
+            if counters._sample_countdown <= 0:
+                counters._sample_countdown = counters._sample_period
+                counters._sample_hook(pc, access, observed)
+    for observer in machine.coherence_observers:
+        observer(thread, pc, access, observed, address)
+    return value
 
 
 # Closure return protocol: None = retired USER instruction, keep slicing;
@@ -768,20 +830,187 @@ def _compile_instruction(instr, program):
     raise AssertionError(opcode)  # pragma: no cover - exhaustive
 
 
-def compiled_table(program):
+def _compile_observed(instr, program):
+    """Return the observer-calling closure for *instr*, or ``None``.
+
+    Only instructions that reach ``Machine.data_access`` or
+    ``Machine.retire_branch`` in the reference interpreter get one, and
+    each calls the observers where the reference does: a coherence event
+    once the access is accounted, a branch event before the LBR append
+    and the pc update.  Everything else shares its plain closure
+    (``None``), including LOCK/UNLOCK, whose eager ``Machine.data_access``
+    calls the coherence observers itself.
+    """
+    opcode = instr.opcode
+    ring = instr.ring
+    ring_user = ring is Ring.USER
+    cont = _CONT_USER if ring_user else _CONT_KERNEL
+    brk = _BREAK_USER if ring_user else _BREAK_KERNEL
+    pc = instr.address
+    next_pc = pc + INSTRUCTION_SIZE
+
+    if opcode is Opcode.LOAD:
+        rd, rs, offset = instr.rd, instr.rs, instr.offset
+
+        def op_load(machine, thread):
+            thread.regs[rd] = _observed_access(
+                machine, thread, pc, ring, ring_user, _LOAD,
+                thread.regs[rs] + offset,
+            )
+            thread.pc = next_pc
+            return cont
+        return op_load
+
+    if opcode is Opcode.STORE:
+        rd, rs, offset = instr.rd, instr.rs, instr.offset
+
+        def op_store(machine, thread):
+            regs = thread.regs
+            _observed_access(machine, thread, pc, ring, ring_user, _STORE,
+                             regs[rd] + offset, regs[rs])
+            thread.pc = next_pc
+            return cont
+        return op_store
+
+    if opcode is Opcode.PUSH:
+        rs = instr.rs
+
+        def op_push(machine, thread):
+            regs = thread.regs
+            sp = regs[SP] - WORD_SIZE
+            _observed_access(machine, thread, pc, ring, ring_user, _STORE,
+                             sp, regs[rs])
+            regs[SP] = sp
+            thread.pc = next_pc
+            return cont
+        return op_push
+
+    if opcode is Opcode.POP:
+        rd = instr.rd
+
+        def op_pop(machine, thread):
+            regs = thread.regs
+            sp = regs[SP]
+            regs[rd] = _observed_access(machine, thread, pc, ring,
+                                        ring_user, _LOAD, sp)
+            regs[SP] = sp + WORD_SIZE
+            thread.pc = next_pc
+            return cont
+        return op_pop
+
+    if opcode in (Opcode.JZ, Opcode.JNZ, Opcode.JMP):
+        # Nothing happens between the branch event and the plain
+        # closure's LBR append and pc update: notify, then run it.
+        plain = _compile_instruction(instr, program)
+        rs, target = instr.rs, instr.target
+        taken_on_zero = opcode is Opcode.JZ
+        always = opcode is Opcode.JMP
+
+        def op_branch(machine, thread):
+            taken = always or (thread.regs[rs] == 0) == taken_on_zero
+            for observer in machine.branch_observers:
+                observer(thread, instr, taken, target)
+            return plain(machine, thread)
+        return op_branch
+
+    if opcode is Opcode.CALL or opcode is Opcode.CALLR:
+        rs, fixed = instr.rs, instr.target
+        direct = opcode is Opcode.CALL
+        has_instruction = program.has_instruction
+        kind = instr.branch_kind()
+        select_test = _RING_SUPPRESS_BIT[ring] | int(_KIND_TO_BIT[kind])
+
+        def op_call(machine, thread):
+            regs = thread.regs
+            target = fixed if direct else regs[rs]
+            if not has_instruction(target):
+                raise MachineFault(FaultInfo(
+                    kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
+                    thread_id=thread.tid, address=target,
+                    message="call through bad pointer",
+                ))
+            sp = regs[SP] - WORD_SIZE
+            _observed_access(machine, thread, pc, ring, ring_user, _STORE,
+                             sp, next_pc)
+            regs[SP] = sp
+            for observer in machine.branch_observers:
+                observer(thread, instr, True, target)
+            _pend_branch_dynamic(machine, thread.core_id, pc, target, kind,
+                                 ring, select_test)
+            thread.pc = target
+            return cont
+        return op_call
+
+    if opcode is Opcode.RET:
+        has_instruction = program.has_instruction
+        select_test = (_RING_SUPPRESS_BIT[ring]
+                       | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
+
+        def op_ret(machine, thread):
+            regs = thread.regs
+            sp = regs[SP]
+            return_address = _observed_access(machine, thread, pc, ring,
+                                              ring_user, _LOAD, sp)
+            regs[SP] = sp + WORD_SIZE
+            if return_address == PROCESS_EXIT_ADDR:
+                machine.process_exit(regs[0])
+                return brk
+            if return_address == THREAD_EXIT_ADDR:
+                machine.thread_exit(thread)
+                return brk
+            if return_address == SIGNAL_RETURN_ADDR:
+                machine.signal_handler_returned(thread)
+                return brk
+            if not has_instruction(return_address):
+                raise MachineFault(FaultInfo(
+                    kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
+                    thread_id=thread.tid, address=return_address,
+                    message="return to bad address",
+                ))
+            for observer in machine.branch_observers:
+                observer(thread, instr, True, return_address)
+            _pend_branch_dynamic(machine, thread.core_id, pc,
+                                 return_address, BranchKind.NEAR_RET,
+                                 ring, select_test)
+            thread.pc = return_address
+            return cont
+        return op_ret
+
+    return None
+
+
+class _TableCache(dict):
+    """A program's closure tables, keyed by ``observed``.
+
+    A per-process cache that pickles as empty: closures cannot be
+    pickled, and a program that has already run in process must still
+    ship to pool workers, which compile their own tables.
+    """
+
+    def __reduce__(self):
+        return _TableCache, ()
+
+
+def compiled_table(program, observed=False):
     """Return (building once) the pc -> closure table for *program*.
 
-    The table is cached on the program instance: programs are immutable
-    after construction while machines are created fresh per run, so
-    caching per program amortizes compilation across a whole campaign.
+    *observed* selects the table whose closures call the machine's
+    branch and coherence observers (see the module docstring); the
+    plain table never looks at them.  Both are cached on the program
+    instance: programs are immutable after construction while machines
+    are created fresh per run, so caching per program amortizes
+    compilation across a whole campaign.
     """
-    table = program.__dict__.get("_threaded_code")
+    tables = program.__dict__.get("_threaded_code")
+    if tables is None:
+        tables = program.__dict__["_threaded_code"] = _TableCache()
+    table = tables.get(observed)
     if table is None:
-        table = {
-            instr.address: _compile_instruction(instr, program)
-            for instr in program.instructions
-        }
-        program.__dict__["_threaded_code"] = table
+        table = tables[observed] = {}
+        for instr in program.instructions:
+            op = _compile_observed(instr, program) if observed else None
+            table[instr.address] = op or _compile_instruction(instr,
+                                                              program)
     return table
 
 
@@ -837,7 +1066,8 @@ class ThreadedBackend(ExecBackend):
     name = "threaded"
 
     def exec_loop(self, machine, budget):
-        table = compiled_table(machine.program)
+        table = compiled_table(machine.program, bool(
+            machine.branch_observers or machine.coherence_observers))
         scheduler = machine.scheduler
         lease = getattr(scheduler, "lease", None)
         profile_every = machine._profile_every
@@ -846,14 +1076,6 @@ class ThreadedBackend(ExecBackend):
         hang_delivered = False
         last_thread = None
         while machine.running:
-            if machine.branch_observers or machine.coherence_observers:
-                # Observers need synchronous per-event callbacks; hand
-                # the rest of the run to the reference loop.
-                machine.flush_ring_buffers()
-                _reference_loop(machine, budget, steps=steps,
-                                hang_delivered=hang_delivered,
-                                last_thread=last_thread)
-                return
             if lease is not None:
                 leased = lease(machine)
                 if leased is None:

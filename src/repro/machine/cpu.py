@@ -251,6 +251,12 @@ class Machine:
         self.running = False
         self.retired = 0
         self.retired_user = 0
+        # Software observers.  The contract every backend relies on:
+        # observers are registered before run(); each gets every event
+        # synchronously, in the order data_access() and retire_branch()
+        # emit them; and none reads the rings or the per-slice counters
+        # (retired, retired_user, Thread.retired) or mutates machine
+        # state (see repro.machine.backends).
         #: callbacks: fn(thread, instr, taken, target_address)
         self.branch_observers = []
         #: callbacks: fn(thread, pc, access, state, address)

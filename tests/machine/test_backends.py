@@ -21,7 +21,9 @@ from repro.machine.backends import (
     get_default_backend,
     use_backend,
 )
-from repro.machine.cpu import MachineConfig
+from repro.isa.asm import Assembler
+from repro.isa.instructions import BinaryOperator, HwOp, Opcode
+from repro.machine.cpu import Machine, MachineConfig
 from repro.runtime.process import execute_plan
 
 
@@ -36,15 +38,37 @@ def _program(bug):
     return program
 
 
-def _fingerprint(program, plan, backend, num_cores):
-    """Everything observable about one run, as a comparable dict."""
+def _observe(machine, events):
+    """One branch and one coherence observer appending to *events*,
+    interleaved in one stream the way ``ExecutionTracer`` records."""
+    machine.branch_observers.append(
+        lambda thread, instr, taken, target: events.append(
+            ("branch", thread.tid, instr.address, taken, target)))
+    machine.coherence_observers.append(
+        lambda thread, pc, access, state, address: events.append(
+            ("access", thread.tid, pc, access, state, address)))
+
+
+def _fingerprint(program, plan, backend, num_cores, observe=False):
+    """Everything observable about one run, as a comparable dict.
+
+    With *observe*, the run carries the observers of :func:`_observe`
+    and their event stream is part of the fingerprint.
+    """
     config = MachineConfig(num_cores=num_cores, backend=backend)
     machines = []
-    status = execute_plan(program, plan, config,
-                          attach=machines.append).status
+    events = []
+
+    def attach(machine):
+        machines.append(machine)
+        if observe:
+            _observe(machine, events)
+
+    status = execute_plan(program, plan, config, attach=attach).status
     machine = machines[0]
     fault = status.fault
     fingerprint = {
+        "events": tuple(events),
         "exit_code": status.exit_code,
         "fault": None if fault is None else (
             fault.kind, fault.pc, fault.thread_id, fault.address,
@@ -141,23 +165,120 @@ def test_diagnosis_rows_identical(bug_name, tool_name):
     assert reference == threaded
 
 
-def test_observer_fallback_matches_reference():
-    """Branch observers force the reference loop; results still match."""
-    bug = get_bug("paste")
+@pytest.mark.parametrize("bug", _BUGS, ids=lambda bug: bug.name)
+def test_observer_streams_equivalent(bug):
+    """Observed runs: the same events in the same order, and the same
+    run, on both backends."""
     program = _program(bug)
-    plan = bug.failing_run_plan(0)
+    for kind in ("failing", "passing"):
+        plan = getattr(bug, kind + "_run_plan")(0)
+        reference = _fingerprint(program, plan, "reference",
+                                 bug.num_cores, observe=True)
+        threaded = _fingerprint(program, plan, "threaded", bug.num_cores,
+                                observe=True)
+        assert reference["events"], "%s %s plan observed nothing" % (
+            bug.name, kind)
+        assert reference == threaded, "%s %s plan diverged" % (bug.name,
+                                                               kind)
+
+
+def _indirect_call(target):
+    """LBR on, CALLR through r7 = *target* (a function name or an
+    address), then OUT the callee's result."""
+    a = Assembler()
+    a.function("main")
+    a.op(Opcode.HWOP, hwop=HwOp.LBR_ENABLE, offset=1)
+    a.op(Opcode.LI, rd=7, imm=0)
+    a.op(Opcode.CALLR, rs=7)
+    a.op(Opcode.OUT, rs=0)
+    a.op(Opcode.HALT, imm=0)
+    a.function("callee")
+    a.op(Opcode.LI, rd=0, imm=42)
+    a.op(Opcode.RET)
+    program = a.link()
+    program.instructions[1].imm = program.function_named(target).entry \
+        if isinstance(target, str) else target
+    return program
+
+
+def _countdown_loop():
+    """JNZ taken twice and then not, then a JMP: no corpus bug has a
+    JNZ."""
+    a = Assembler()
+    a.function("main")
+    a.op(Opcode.LI, rd=8, imm=3)
+    a.label("spin")
+    a.op(Opcode.LI, rd=9, imm=1)
+    a.op(Opcode.BINOP, operator=BinaryOperator.SUB, rd=8, rs=8, rs2=9)
+    a.op(Opcode.JNZ, rs=8, target="spin")
+    a.op(Opcode.JMP, target="done")
+    a.op(Opcode.HALT, imm=1)
+    a.label("done")
+    a.op(Opcode.HALT, imm=0)
+    return a.link()
+
+
+def _bad_direct_call():
+    a = Assembler()
+    a.function("main")
+    a.op(Opcode.CALL, target=0xDEAD00)
+    a.op(Opcode.HALT, imm=0)
+    return a.link()
+
+
+def _smashed_return():
+    a = Assembler()
+    a.function("main")
+    a.op(Opcode.CALL, target="victim")
+    a.op(Opcode.HALT, imm=0)
+    a.function("victim")
+    a.op(Opcode.LI, rd=7, imm=0xBAD)
+    a.op(Opcode.STORE, rd=15, rs=7)
+    a.op(Opcode.RET)
+    return a.link()
+
+
+@pytest.mark.parametrize("build", [
+    _countdown_loop,
+    lambda: _indirect_call("callee"),
+    lambda: _indirect_call(0xDEAD00),
+    _bad_direct_call,
+    _smashed_return,
+], ids=["jnz-loop", "indirect-call", "indirect-call-to-garbage",
+        "bad-direct-call", "smashed-return"])
+def test_observer_streams_equivalent_on_edge_programs(build):
+    """JNZ, indirect calls, and faulting calls and returns, which no
+    corpus bug executes, give the same observed run on both backends (a
+    call that faults emits no event at all)."""
+    program = build()
     seen = {}
-    for backend in ("reference", "threaded"):
-        config = MachineConfig(num_cores=bug.num_cores, backend=backend)
+    for backend in BACKEND_NAMES:
+        machine = Machine(program, MachineConfig(backend=backend))
         events = []
-        status = execute_plan(
-            program, plan, config,
-            attach=lambda machine: machine.branch_observers.append(
-                lambda thread, instr, taken, target:
-                events.append((thread.tid, instr.address, taken, target))),
-        ).status
-        seen[backend] = (status.retired, tuple(events))
+        _observe(machine, events)
+        machine.load()
+        status = machine.run()
+        seen[backend] = (tuple(events), status.exit_code, str(status.fault),
+                         status.output, status.retired,
+                         machine.branches_taken,
+                         tuple(core.lbr.entries() for core in machine.cores))
     assert seen["reference"] == seen["threaded"]
+
+
+def test_observed_runs_stay_on_the_threaded_engine(monkeypatch):
+    """CBI and CCI campaigns never touch the reference loop."""
+    from repro.machine import backends
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an observed run reached the reference loop")
+
+    monkeypatch.setattr(backends, "_reference_loop", refuse)
+    with use_backend("threaded"):
+        for tool_name, bug_name in (("cbi", "sort"), ("cci", "fft")):
+            report = get_tool(tool_name)(get_bug(bug_name)) \
+                .run_diagnosis(3, 3)
+            assert report.campaign["backend"] == "threaded"
+            assert report.campaign["events_observed"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,25 @@ def test_pool_workers_actually_used():
     assert all(isinstance(pid, int) for pid in stats.worker_pids)
 
 
+def test_program_that_ran_in_process_still_ships_to_the_pool():
+    """The closure tables a run caches on its program stay out of the
+    program's pickled state."""
+    from repro.compiler.frontend import compile_module
+    from repro.runtime.process import execute_plan
+
+    bug = get_bug("sort")
+    program = compile_module(bug.build_module())
+    config = MachineConfig(num_cores=bug.num_cores, backend="threaded")
+    plans = [bug.failing_run_plan(k) for k in range(8)]
+    expected = execute_plan(program, plans[0], config).status
+    with CampaignExecutor(jobs=2, cache=False) as executor:
+        results = [result for _plan, result
+                   in executor.iter_runs(program, plans, config)]
+        assert executor.stats.unpicklable_tasks == 0
+    assert all(isinstance(result.worker_pid, int) for result in results)
+    assert [result.status for result in results] == [expected] * 8
+
+
 # ----------------------------------------------------------------------
 # Cache accounting
 # ----------------------------------------------------------------------

@@ -227,7 +227,14 @@ def test_sigterm_exits_resumable_with_hint(tmp_path):
         cwd=str(tmp_path), env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    time.sleep(1.0)
+    # Signal once the campaign is journaling, not after a fixed sleep:
+    # on a fast host the whole command can finish inside any fixed
+    # delay, and a signal landing after the campaign hits no handler.
+    journals = str(tmp_path / "ck" / "*" / "*.jsonl")
+    deadline = time.monotonic() + 30
+    while proc.poll() is None and not glob.glob(journals) \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
     proc.send_signal(signal.SIGTERM)
     _out, err = proc.communicate(timeout=60)
     if proc.returncode == 0:
