@@ -56,7 +56,10 @@ class L1Cache:
     def __init__(self, config=None, core_id=0):
         self.config = config or CacheConfig()
         self.core_id = core_id
-        self._sets = [dict() for _ in range(self.config.num_sets)]
+        #: set index -> {line address: CacheLine}, a set allocated by
+        #: its first install: a run touches a few of a core's 512 sets,
+        #: and a missing set is an empty one
+        self._sets = {}
         self._tick = 0
         self.eviction_count = 0
         # Geometry snapshot: every simulated access computes a line
@@ -73,8 +76,10 @@ class L1Cache:
         """Return the resident :class:`CacheLine` for *address*, or ``None``."""
         line_size = self._line_size
         line_address = address - address % line_size
-        return self._sets[line_address // line_size % self._num_sets] \
-            .get(line_address)
+        cache_set = self._sets.get(line_address // line_size % self._num_sets)
+        if cache_set is None:
+            return None
+        return cache_set.get(line_address)
 
     def state_of(self, address):
         """Return the MESI state observed for *address* (I when absent)."""
@@ -97,7 +102,10 @@ class L1Cache:
         """
         line_size = self._line_size
         line_address = address - address % line_size
-        cache_set = self._sets[line_address // line_size % self._num_sets]
+        index = line_address // line_size % self._num_sets
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = {}
         self._tick += 1
         existing = cache_set.get(line_address)
         if existing is not None:
@@ -135,11 +143,11 @@ class L1Cache:
         self.set_state(address, MesiState.INVALID)
 
     def resident_lines(self):
-        """Yield all resident cache lines (testing/introspection)."""
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                yield line
+        """Yield all resident cache lines (testing/introspection), in
+        set-index order."""
+        for index in sorted(self._sets):
+            yield from self._sets[index].values()
 
     def flush(self):
         """Empty the cache (used between simulated runs)."""
-        self._sets = [dict() for _ in range(self.config.num_sets)]
+        self._sets.clear()

@@ -65,7 +65,9 @@ is then enabled for the invocation and the span trace / metrics
 snapshot are written on exit (see :mod:`repro.obs`; render traces with
 ``repro obs report``).  ``triage`` additionally accepts
 ``--snapshot-out FILE.json``, publishing the same snapshot document
-(:mod:`repro.obs.timeseries`) live, after every diagnosed cluster.
+(:mod:`repro.obs.timeseries`) live: up front, after a diagnosed cluster
+at most once per ``repro obs watch`` poll interval, and complete at
+the end.
 Either file feeds ``repro obs watch``, ``repro obs export`` and
 ``repro obs trends --slo``; a final snapshot that cannot be written is
 reported in one line, with exit status 1.
@@ -959,6 +961,7 @@ def _ledger_flags():
 
 def build_parser():
     from repro.core.api import available_tools
+    from repro.obs.watch import DEFAULT_INTERVAL
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1112,9 +1115,10 @@ def build_parser():
     triage_parser.add_argument(
         "--snapshot-out", metavar="FILE.json", default=None,
         help="publish a live telemetry snapshot here (atomically, "
-             "after every diagnosed cluster); tail it with `repro obs "
-             "watch`, render it with `repro obs export` (enables "
-             "observability)",
+             "after diagnosed clusters, at most once per `repro obs "
+             "watch` poll interval, and complete at the end); tail it "
+             "with `repro obs watch`, render it with `repro obs "
+             "export` (enables observability)",
     )
 
     synth_parser = commands.add_parser(
@@ -1270,7 +1274,8 @@ def build_parser():
         help="render a single frame and exit (no live loop)",
     )
     watch_parser.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
+        "--interval", type=float, default=DEFAULT_INTERVAL,
+        metavar="SECONDS",
         help="refresh poll interval (default: %(default)s)",
     )
 

@@ -44,6 +44,7 @@ from repro.fleet.signature import (
 from repro.obs import get_obs
 from repro.obs.ledger import get_ledger
 from repro.obs.timeseries import build_snapshot, publish_snapshot
+from repro.obs.watch import DEFAULT_INTERVAL
 
 #: ring kind -> registered diagnosis tool dispatched for its clusters.
 RING_TOOLS = {"lbr": "lbra", "lcr": "lcra"}
@@ -307,11 +308,13 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
     draw from one run cache.  Returns a :class:`TriageResult`.
 
     When *snapshot_path* is given, a telemetry snapshot is published
-    atomically there after each diagnosed cluster (and once up front),
-    then marked ``complete`` at the end — the live feed ``repro obs
-    watch`` tails and ``repro obs export`` renders.  Publication is
-    best-effort; ``TriageResult.snapshot_published`` says whether the
-    final, complete snapshot landed.
+    atomically there once up front, after a diagnosed cluster when at
+    least ``DEFAULT_INTERVAL`` seconds (``repro obs watch``'s default
+    poll) have passed since the last publication, and marked
+    ``complete`` at the end — the live feed ``repro obs watch`` tails
+    and ``repro obs export`` renders.  Publication is best-effort;
+    ``TriageResult.snapshot_published`` says whether the final,
+    complete snapshot landed.
     """
     obs = get_obs()
     metrics = obs.metrics
@@ -332,17 +335,27 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
                 "granularity": granularity},
     )
 
+    published_at = None
+
     def publish(done, complete=False):
+        # Each rename onto the previous snapshot can cost tens of
+        # milliseconds of filesystem writeback, so intermediate frames
+        # go out no faster than a watcher polls for them.
+        nonlocal published_at
         if not snapshot_path:
             return False
+        now = time.perf_counter()
+        if not complete and published_at is not None \
+                and now - published_at < DEFAULT_INTERVAL:
+            return False
+        published_at = now
         return publish_snapshot(snapshot_path, build_snapshot(
             metrics,
             fleet={"reports": result.n_reports,
                    "clusters": result.n_clusters,
                    "diagnosed": done},
             executor=_executor_section(executor),
-            wall={"elapsed_seconds":
-                  round(time.perf_counter() - started, 6)},
+            wall={"elapsed_seconds": round(now - started, 6)},
             complete=complete,
         ))
 

@@ -147,15 +147,12 @@ class LastBranchRecord:
         msr_file.register_read_handler(
             msrdefs.LBR_SELECT, lambda: self.select_mask
         )
-        for slot in range(self.capacity):
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTBRANCH_FROM_BASE + slot,
-                self._from_ip_reader(slot),
-            )
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTBRANCH_TO_BASE + slot,
-                self._to_ip_reader(slot),
-            )
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTBRANCH_FROM_BASE, self.capacity, self._from_ip
+        )
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTBRANCH_TO_BASE, self.capacity, self._to_ip
+        )
 
     def _write_debugctl(self, value):
         if value & DEBUGCTL_ENABLE_VALUE:
@@ -163,17 +160,13 @@ class LastBranchRecord:
         else:
             self.disable()
 
-    def _from_ip_reader(self, slot):
-        def read():
-            entry = self.entry_latest(slot + 1)
-            return 0 if entry is None else entry.from_address
-        return read
+    def _from_ip(self, slot):
+        entry = self.entry_latest(slot + 1)
+        return 0 if entry is None else entry.from_address
 
-    def _to_ip_reader(self, slot):
-        def read():
-            entry = self.entry_latest(slot + 1)
-            return 0 if entry is None else entry.to_address
-        return read
+    def _to_ip(self, slot):
+        entry = self.entry_latest(slot + 1)
+        return 0 if entry is None else entry.to_address
 
     # ------------------------------------------------------------------
     # Hardware interface

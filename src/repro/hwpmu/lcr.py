@@ -228,34 +228,26 @@ class LastCacheCoherenceRecord:
         msr_file.register_read_handler(
             msrdefs.LCR_SELECT, lambda: encode_lcr_select(self.config)
         )
-        for slot in range(self.capacity):
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTCOHERENCE_PC_BASE + slot,
-                self._pc_reader(slot),
-            )
-            msr_file.register_read_handler(
-                msrdefs.MSR_LASTCOHERENCE_STATE_BASE + slot,
-                self._state_reader(slot),
-            )
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTCOHERENCE_PC_BASE, self.capacity, self._pc
+        )
+        msr_file.register_range_reader(
+            msrdefs.MSR_LASTCOHERENCE_STATE_BASE, self.capacity, self._state
+        )
 
-    def _pc_reader(self, slot):
-        def read():
-            entry = self.entry_latest(slot + 1)
-            return 0 if entry is None else entry.pc
-        return read
+    def _pc(self, slot):
+        entry = self.entry_latest(slot + 1)
+        return 0 if entry is None else entry.pc
 
-    def _state_reader(self, slot):
+    def _state(self, slot):
         """Encode the slot's observed state and access type: Table 2's
         unit mask in the low byte, the access's event code in the next."""
         from repro.hwpmu.counters import UNIT_MASK
 
-        def read():
-            entry = self.entry_latest(slot + 1)
-            if entry is None:
-                return 0
-            return (entry.access.event_code << 8) \
-                | UNIT_MASK[entry.state]
-        return read
+        entry = self.entry_latest(slot + 1)
+        if entry is None:
+            return 0
+        return (entry.access.event_code << 8) | UNIT_MASK[entry.state]
 
     def enable(self, pollution_pc=0, pollute=True):
         """Enable recording; injects the enabling-ioctl pollution.

@@ -32,27 +32,39 @@ class MsrFile:
     """A per-core machine-specific register file.
 
     Plain MSRs behave as storage.  A hardware unit may register *handlers*
-    for specific MSR numbers so reads and writes are serviced live.
+    for specific MSR numbers so reads and writes are serviced live, and
+    one *range reader* for a block of consecutive numbers, such as a
+    ring's per-slot registers.
     """
 
     def __init__(self):
         self._values = {}
         self._read_handlers = {}
         self._write_handlers = {}
+        self._range_readers = []
 
     def register_read_handler(self, msr, handler):
         """Route ``rdmsr`` of *msr* through *handler()*."""
         self._read_handlers[msr] = handler
+
+    def register_range_reader(self, base, count, reader):
+        """Route ``rdmsr`` of ``base`` … ``base + count - 1`` through
+        *reader(slot)*, where ``slot = msr - base``."""
+        self._range_readers.append((base, count, reader))
 
     def register_write_handler(self, msr, handler):
         """Route ``wrmsr`` of *msr* through *handler(value)*."""
         self._write_handlers[msr] = handler
 
     def rdmsr(self, msr):
-        """Read an MSR."""
+        """Read an MSR: its handler, else the range reader covering it,
+        else its stored value."""
         handler = self._read_handlers.get(msr)
         if handler is not None:
             return handler()
+        for base, count, reader in self._range_readers:
+            if base <= msr < base + count:
+                return reader(msr - base)
         if msr in self._values:
             return self._values[msr]
         raise MsrAccessError("rdmsr of unimplemented MSR 0x%x" % msr)

@@ -454,6 +454,16 @@ _BREAK_USER = 2
 _BREAK_KERNEL = 3
 
 
+def _address_check(program):
+    """:meth:`Program.has_instruction` without a reference to *program*.
+
+    Closures hold this instead of the bound method, which would close a
+    reference cycle through the program's cached tables (see
+    :func:`compiled_table`).
+    """
+    return program._index_by_address.__contains__
+
+
 def _compile_instruction(instr, program):
     """Return the specialized closure ``fn(machine, thread) -> code``."""
     opcode = instr.opcode
@@ -603,7 +613,7 @@ def _compile_instruction(instr, program):
 
     if opcode is Opcode.CALLR:
         rs = instr.rs
-        has_instruction = program.has_instruction
+        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_IND_CALL]))
 
@@ -628,7 +638,7 @@ def _compile_instruction(instr, program):
         return op_callr
 
     if opcode is Opcode.RET:
-        has_instruction = program.has_instruction
+        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
 
@@ -916,7 +926,7 @@ def _compile_observed(instr, program):
     if opcode is Opcode.CALL or opcode is Opcode.CALLR:
         rs, fixed = instr.rs, instr.target
         direct = opcode is Opcode.CALL
-        has_instruction = program.has_instruction
+        has_instruction = _address_check(program)
         kind = instr.branch_kind()
         select_test = _RING_SUPPRESS_BIT[ring] | int(_KIND_TO_BIT[kind])
 
@@ -942,7 +952,7 @@ def _compile_observed(instr, program):
         return op_call
 
     if opcode is Opcode.RET:
-        has_instruction = program.has_instruction
+        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
 
@@ -999,7 +1009,9 @@ def compiled_table(program, observed=False):
     plain table never looks at them.  Both are cached on the program
     instance: programs are immutable after construction while machines
     are created fresh per run, so caching per program amortizes
-    compilation across a whole campaign.
+    compilation across a whole campaign.  No closure in either table
+    refers to the program, so the cache forms no reference cycle and
+    the program is freed with its last reference.
     """
     tables = program.__dict__.get("_threaded_code")
     if tables is None:

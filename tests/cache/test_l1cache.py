@@ -76,6 +76,51 @@ def test_flush_empties_cache():
     assert list(cache.resident_lines()) == []
 
 
+#: One address in each of a spread of sets of the default geometry.
+_SPREAD = [set_index * 64 + 0x10000 for set_index in (0, 1, 7, 255, 511)]
+
+
+def test_empty_cache_is_invalid_everywhere():
+    cache = L1Cache()
+    for address in _SPREAD:
+        assert cache.lookup(address) is None
+        assert cache.state_of(address) is MesiState.INVALID
+        cache.touch(address)
+        cache.invalidate(address)
+    assert list(cache.resident_lines()) == []
+    assert cache.eviction_count == 0
+
+
+def test_flush_after_installs_in_many_sets():
+    cache = L1Cache()
+    for address in _SPREAD:
+        cache.install(address, MesiState.MODIFIED)
+    assert [line.line_address for line in cache.resident_lines()] \
+        == _SPREAD
+    cache.flush()
+    assert list(cache.resident_lines()) == []
+    for address in _SPREAD:
+        assert cache.state_of(address) is MesiState.INVALID
+    cache.install(_SPREAD[0], MesiState.SHARED)
+    assert cache.state_of(_SPREAD[0]) is MesiState.SHARED
+
+
+def test_lru_eviction_within_one_default_set():
+    # 512 sets of 64-byte lines: a 32 KB stride stays in one 2-way set,
+    # and lines of other sets never compete with it.
+    cache = L1Cache()
+    stride = 512 * 64
+    cache.install(64, MesiState.EXCLUSIVE)
+    cache.install(0, MesiState.EXCLUSIVE)
+    cache.install(stride, MesiState.EXCLUSIVE)
+    cache.touch(0)
+    assert cache.install(2 * stride, MesiState.EXCLUSIVE) == stride
+    assert cache.eviction_count == 1
+    assert [line.line_address for line in cache.resident_lines()] \
+        == [0, 2 * stride, 64]
+    assert cache.state_of(64) is MesiState.EXCLUSIVE
+
+
 def test_degenerate_config_rejected():
     with pytest.raises(ValueError):
         CacheConfig(total_size=0).num_sets

@@ -185,3 +185,53 @@ def test_diagnosis_error_is_reported_not_raised(monkeypatch, tmp_path):
     assert cluster.diagnosis is None
     assert cluster.true_rank is None
     assert "error: injected" in result.table().format()
+
+
+def _publications(monkeypatch, tmp_path, seconds_per_reading):
+    """Triage two clusters with snapshot publication recorded, under a
+    clock that advances *seconds_per_reading* each time it is read."""
+    import types
+
+    from repro.fleet import triage
+    from repro.obs.timeseries import read_snapshot
+
+    readings = iter(range(10_000))
+    monkeypatch.setattr(triage, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(readings) * seconds_per_reading))
+    published = []
+
+    def record(path, snapshot):
+        published.append((snapshot["fleet"]["diagnosed"],
+                          snapshot["complete"]))
+        return real_publish(path, snapshot)
+
+    real_publish = triage.publish_snapshot
+    monkeypatch.setattr(triage, "publish_snapshot", record)
+    reports = FleetStream(population=["sort", "apache1"],
+                          seed=3).generate(6)
+    path = tmp_path / "snap.json"
+    result = triage_reports(reports, runs=3, seed=3,
+                            snapshot_path=str(path))
+    assert result.n_clusters == 2
+    assert result.snapshot_published
+    final = read_snapshot(str(path))
+    assert final["complete"] and final["fleet"]["diagnosed"] == 2
+    return published
+
+
+def test_snapshot_publishes_only_first_and_final_frames_within_interval(
+        monkeypatch, tmp_path):
+    """With no time passing, no intermediate frame is worth a rename:
+    the first and the complete snapshot only."""
+    assert _publications(monkeypatch, tmp_path, 0.0) \
+        == [(0, False), (2, True)]
+
+
+def test_snapshot_publishes_every_cluster_once_an_interval_passes(
+        monkeypatch, tmp_path):
+    """A clock that moves a full watch interval per reading publishes
+    after every diagnosed cluster, as a slow triage would."""
+    from repro.obs.watch import DEFAULT_INTERVAL
+
+    assert _publications(monkeypatch, tmp_path, DEFAULT_INTERVAL) \
+        == [(0, False), (1, False), (2, False), (2, True)]

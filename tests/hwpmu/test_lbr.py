@@ -1,5 +1,7 @@
 """Tests for the Last Branch Record model."""
 
+import pytest
+
 from repro.hwpmu.lbr import (
     DEBUGCTL_ENABLE_VALUE,
     LBR_SELECT_PAPER_MASK,
@@ -7,7 +9,7 @@ from repro.hwpmu.lbr import (
     LbrSelectBits,
 )
 from repro.hwpmu import msr as msrdefs
-from repro.hwpmu.msr import MsrFile
+from repro.hwpmu.msr import MsrAccessError, MsrFile
 from repro.isa.instructions import BranchKind, Ring
 
 
@@ -106,6 +108,32 @@ def test_msr_interface():
     assert msrs.rdmsr(msrdefs.MSR_LASTBRANCH_FROM_BASE + 5) == 0
     msrs.wrmsr(msrdefs.IA32_DEBUGCTL, 0)
     assert not lbr.enabled
+
+
+@pytest.mark.parametrize("capacity", [4, 16, 32])
+def test_every_slot_msr_reads_its_ring_entry(capacity):
+    """Slot n of the FROM/TO blocks reads the (n+1)-th latest entry, 0
+    once the ring runs out, and the number after the last slot is not a
+    register."""
+    lbr = LastBranchRecord(capacity=capacity)
+    msrs = MsrFile()
+    lbr.attach_msrs(msrs)
+    lbr.enable()
+    for filled in (capacity // 2, capacity + 3):
+        lbr.reset()
+        for index in range(filled):
+            lbr.record(0x1000 + 4 * index, 0x9000 + 8 * index,
+                       BranchKind.CONDITIONAL, Ring.USER)
+        for slot in range(capacity):
+            entry = lbr.entry_latest(slot + 1)
+            assert msrs.rdmsr(msrdefs.MSR_LASTBRANCH_FROM_BASE + slot) \
+                == (0 if entry is None else entry.from_address)
+            assert msrs.rdmsr(msrdefs.MSR_LASTBRANCH_TO_BASE + slot) \
+                == (0 if entry is None else entry.to_address)
+    for base in (msrdefs.MSR_LASTBRANCH_FROM_BASE,
+                 msrdefs.MSR_LASTBRANCH_TO_BASE):
+        with pytest.raises(MsrAccessError):
+            msrs.rdmsr(base + capacity)
 
 
 def test_table1_msr_numbers():

@@ -1,10 +1,12 @@
 """Tests for the LCR's MSR interface and its driver ioctls."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache.mesi import MesiState
 from repro.hwpmu import msr as msrdefs
+from repro.hwpmu.counters import UNIT_MASK
 from repro.hwpmu.lcr import (
     AccessType,
     CONF_SPACE_CONSUMING,
@@ -14,7 +16,7 @@ from repro.hwpmu.lcr import (
     decode_lcr_select,
     encode_lcr_select,
 )
-from repro.hwpmu.msr import MsrFile
+from repro.hwpmu.msr import MsrAccessError, MsrFile
 from repro.isa.asm import halting_program
 from repro.isa.instructions import Ring
 from repro.kernel.driver import (
@@ -64,6 +66,42 @@ def test_lcr_msr_reads_entries():
     assert state == (0x41 << 8) | 0x01          # store, Invalid
     assert msrs.rdmsr(msrdefs.MSR_LASTCOHERENCE_PC_BASE + 1) == 0x2000
     assert msrs.rdmsr(msrdefs.MSR_LASTCOHERENCE_PC_BASE + 5) == 0
+
+
+@pytest.mark.parametrize("capacity", [4, 16, 32])
+def test_every_slot_msr_reads_its_ring_entry(capacity):
+    """Slot n of the PC/STATE blocks reads the (n+1)-th latest entry, 0
+    once the ring runs out, and the number after the last slot is not a
+    register."""
+    lcr = LastCacheCoherenceRecord(capacity=capacity,
+                                   config=CONF_SPACE_CONSUMING)
+    msrs = MsrFile()
+    lcr.attach_msrs(msrs)
+    lcr.enabled = True
+    events = sorted(CONF_SPACE_CONSUMING.events,
+                    key=lambda event: (event[0].value, event[1].value))
+    for filled in (capacity // 2, capacity + 3):
+        lcr.reset()
+        for index in range(filled):
+            access, state = events[index % len(events)]
+            lcr.record(0x2000 + 4 * index, state, access, Ring.USER)
+        for slot in range(capacity):
+            entry = lcr.entry_latest(slot + 1)
+            assert msrs.rdmsr(msrdefs.MSR_LASTCOHERENCE_PC_BASE + slot) \
+                == (0 if entry is None else entry.pc)
+            assert msrs.rdmsr(
+                msrdefs.MSR_LASTCOHERENCE_STATE_BASE + slot
+            ) == (0 if entry is None else
+                  (entry.access.event_code << 8) | UNIT_MASK[entry.state])
+    # The PC block is 32 numbers long: at capacity 32 the number after
+    # its last slot is the first STATE register.
+    past = [msrdefs.MSR_LASTCOHERENCE_STATE_BASE + capacity]
+    if msrdefs.MSR_LASTCOHERENCE_PC_BASE + capacity \
+            < msrdefs.MSR_LASTCOHERENCE_STATE_BASE:
+        past.append(msrdefs.MSR_LASTCOHERENCE_PC_BASE + capacity)
+    for number in past:
+        with pytest.raises(MsrAccessError):
+            msrs.rdmsr(number)
 
 
 def test_lcr_msr_configures():

@@ -9,6 +9,9 @@ and ``threaded`` execution — plus a chaos spot check showing fault
 injection does not tell the backends apart either.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bugs.registry import all_bugs, get_bug
@@ -279,6 +282,35 @@ def test_observed_runs_stay_on_the_threaded_engine(monkeypatch):
                 .run_diagnosis(3, 3)
             assert report.campaign["backend"] == "threaded"
             assert report.campaign["events_observed"] > 0
+
+
+@pytest.mark.parametrize("bug", _BUGS, ids=lambda bug: bug.name)
+def test_runs_leave_no_cyclic_garbage(bug):
+    """A compiled program, its cached closure tables and the machines
+    that ran it are freed by reference counting alone: a run leaves
+    nothing for the cyclic collector to find."""
+    for kind in ("failing", "passing"):
+        for observe in (False, True):
+            where = "%s %s plan%s" % (bug.name, kind,
+                                      " observed" if observe else "")
+            gc.collect()
+            gc.disable()
+            try:
+                program = compile_module(bug.build_module())
+                events = []
+                execute_plan(
+                    program, getattr(bug, kind + "_run_plan")(0),
+                    MachineConfig(num_cores=bug.num_cores,
+                                  backend="threaded"),
+                    attach=(lambda machine: _observe(machine, events))
+                    if observe else None,
+                )
+                alive = weakref.ref(program)
+                del program
+                assert alive() is None, "%s: program outlived its run" % where
+                assert gc.collect() == 0, "%s left cycles" % where
+            finally:
+                gc.enable()
 
 
 # ----------------------------------------------------------------------
