@@ -72,6 +72,10 @@ class BaselineDiagnosis:
         return "\n".join(lines)
 
 
+def _rebuild_tool(tool_class, workload, kwargs):
+    return tool_class(workload, **kwargs)
+
+
 class BaselineToolBase:
     """Runs campaigns over an uninstrumented (plain) program build.
 
@@ -130,6 +134,12 @@ class BaselineToolBase:
         extend the kwargs so clones sample and observe identically.
         """
         return type(self), self.workload, {"seed": self.seed}
+
+    def __reduce__(self):
+        # A tool pickles as its clone: the receiver — a pool worker —
+        # rebuilds an equivalent fresh tool (counters and predicate
+        # registry empty, no executor) instead of copying this one.
+        return _rebuild_tool, self._clone_spec()
 
     # -- campaign ---------------------------------------------------------
 

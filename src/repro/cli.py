@@ -95,9 +95,10 @@ resumes — via ``repro resume``, ``--resume``, or simply re-running the
 same command — with byte-identical final output; ``--deadline SECONDS``
 and ``--run-budget N`` bound the invocation, degrading gracefully to a
 ``partial`` report with a confidence summary instead of raising.
-SIGINT/SIGTERM shut worker pools down, release locks, flush the
-journals, and exit with code 75 (resumable) when a checkpoint session
-is active.
+In every campaign command — ``diagnose``, ``experiment``, ``triage``
+and ``obs conformance`` — SIGINT/SIGTERM shut worker pools down,
+release locks, remove the chaos state, flush the journals, and exit
+with code 130, or 75 (resumable) when a checkpoint session is active.
 """
 
 import argparse
@@ -197,20 +198,6 @@ def _experiment_registry():
     }
 
 
-def _build_executor(args):
-    """Build the shared CampaignExecutor the flags ask for, or None."""
-    from repro.runtime.executor import CampaignExecutor
-
-    jobs = getattr(args, "jobs", 1)
-    cache = getattr(args, "cache", False)
-    if jobs <= 1 and not cache:
-        return None
-    return CampaignExecutor(
-        jobs=jobs, cache=cache,
-        cache_dir=args.cache_dir if cache else None,
-    )
-
-
 def _write_stats(executor, out):
     from repro.experiments.report import executor_stats_result
 
@@ -241,12 +228,13 @@ def _fault_session(args, out):
     from repro.runtime import resilience
 
     state_dir = tempfile.mkdtemp(prefix="repro-faults-")
-    plan = resilience.FaultPlan.parse(
-        spec, seed=getattr(args, "fault_seed", 0), state_dir=state_dir,
-    )
-    out.write("fault injection active: %s (seed %d)\n"
-              % (plan.describe_spec(), plan.seed))
     try:
+        # A spec that does not parse must not leave its state behind.
+        plan = resilience.FaultPlan.parse(
+            spec, seed=getattr(args, "fault_seed", 0), state_dir=state_dir,
+        )
+        out.write("fault injection active: %s (seed %d)\n"
+                  % (plan.describe_spec(), plan.seed))
         with resilience.use_plan(plan):
             yield
     finally:
@@ -257,16 +245,17 @@ def _fault_session(args, out):
 def _durability_session(args, out):
     """Checkpoint session, supervisor, budget, and graceful signals.
 
-    Active for ``diagnose``/``experiment``.  Without ``--checkpoint``
-    (or ``--resume``) only the signal conversion and any
-    ``--deadline``/``--run-budget`` budget install — SIGTERM then still
-    unwinds through every ``finally`` (pools shut down, locks release)
-    before the process exits.  With checkpointing on, campaign streams
-    journal their progress under the session directory; the session is
-    removed when the invocation completes with budget to spare, and
-    kept (with a resume hint on interrupt) otherwise, so ``repro
-    resume`` — or simply re-running the same command with
-    ``--checkpoint`` — continues where it stopped.
+    Opened by every campaign command; only ``diagnose``/``experiment``
+    take its flags.  Without ``--checkpoint`` (or ``--resume``) only the
+    signal conversion and any ``--deadline``/``--run-budget`` budget
+    install — SIGTERM then still unwinds through every ``finally``
+    (pools shut down, locks release) before the process exits.  With
+    checkpointing on, campaign streams journal their progress under the
+    session directory; the session is removed when the invocation
+    completes with budget to spare, and kept (with a resume hint on
+    interrupt) otherwise, so ``repro resume`` — or simply re-running
+    the same command with ``--checkpoint`` — continues where it
+    stopped.
     """
     from repro.runtime import checkpoint
 
@@ -359,6 +348,30 @@ def _obs_session(args, out):
         out.write("metrics written to %s\n" % metrics_out)
 
 
+@contextlib.contextmanager
+def _campaign_session(args, out):
+    """The session stack of a campaign command; yields its executor.
+
+    Opens the backend session, builds the executor ``--jobs``/``--cache``
+    ask for (``None`` by default) — after the backend, so forked workers
+    inherit the chosen process default — then the fault, ledger, obs
+    and durability sessions.  The pool shuts down inside the fault
+    session: the chaos state directory has to outlive every worker, or a
+    straggling speculative batch would restart the schedule.
+    """
+    from repro.runtime.executor import build_executor
+
+    with _backend_session(args):
+        executor = build_executor(args.jobs, args.cache, args.cache_dir)
+        with _fault_session(args, out), _ledger_session(args), \
+                _obs_session(args, out), _durability_session(args, out):
+            try:
+                yield executor
+            finally:
+                if executor is not None:
+                    executor.shutdown()
+
+
 def _cmd_bugs(_args, out):
     for name in sorted(bug_names()):
         bug = get_bug(name)
@@ -421,32 +434,16 @@ def _cmd_diagnose(args, out):
     if name in ("lbra", "lcra"):
         options["scheme"] = args.scheme
     try:
-        # The backend session opens before the executor is built so
-        # forked workers inherit the chosen process default.
-        with _backend_session(args):
-            executor = _build_executor(args)
-            with _fault_session(args, out), _ledger_session(args), \
-                    _obs_session(args, out), \
-                    _durability_session(args, out):
-                # The pool must drain before the fault session ends:
-                # the chaos state directory has to outlive every
-                # worker, or a straggling speculative batch would
-                # restart the schedule.
-                try:
-                    report = get_tool(name)(bug, executor=executor,
-                                            **options) \
-                        .run_diagnosis(args.runs, args.runs)
-                    out.write(report.describe(n=args.top) + "\n")
-                    if args.json:
-                        out.write(report.to_json() + "\n")
-                    if args.json_out:
-                        with open(args.json_out, "w") as handle:
-                            handle.write(report.to_json() + "\n")
-                        out.write("report written to %s\n"
-                                  % args.json_out)
-                finally:
-                    if executor is not None:
-                        executor.shutdown()
+        with _campaign_session(args, out) as executor:
+            report = get_tool(name)(bug, executor=executor, **options) \
+                .run_diagnosis(args.runs, args.runs)
+            out.write(report.describe(n=args.top) + "\n")
+            if args.json:
+                out.write(report.to_json() + "\n")
+            if args.json_out:
+                with open(args.json_out, "w") as handle:
+                    handle.write(report.to_json() + "\n")
+                out.write("report written to %s\n" % args.json_out)
     except (DiagnosisError, BaselineUnsupportedError) as exc:
         out.write("diagnosis failed: %s\n" % exc)
         return 1
@@ -464,30 +461,21 @@ def _cmd_triage(args, out):
         from repro.bugs import synth
 
         population = synth.population_names(args.synth, seed=args.seed)
-    with _backend_session(args):
-        executor = _build_executor(args)
-        with _fault_session(args, out), _ledger_session(args), \
-                _obs_session(args, out):
-            # Shut the pool down inside the fault session (see
-            # _cmd_diagnose).
-            try:
-                stream = FleetStream(population=population,
-                                     seed=args.seed, executor=executor)
-                reports = stream.generate(args.reports)
-                result = triage_reports(
-                    reports, runs=args.runs, depth=args.depth,
-                    granularity=args.granularity, executor=executor,
-                    seed=args.seed, snapshot_path=args.snapshot_out,
-                )
-            finally:
-                if executor is not None:
-                    executor.shutdown()
-            # Print before the obs session exports --metrics-out, so a
-            # failed export still leaves the table on stdout.
-            if stream.shortfall is not None:
-                out.write("warning: %s\n" % stream.shortfall.describe())
-            out.write(result.table().format() + "\n")
-            _write_stats(executor, out)
+    with _campaign_session(args, out) as executor:
+        stream = FleetStream(population=population, seed=args.seed,
+                             executor=executor)
+        reports = stream.generate(args.reports)
+        result = triage_reports(
+            reports, runs=args.runs, depth=args.depth,
+            granularity=args.granularity, executor=executor,
+            seed=args.seed, snapshot_path=args.snapshot_out,
+        )
+        # Print before the obs session exports --metrics-out, so a
+        # failed export still leaves the table on stdout.
+        if stream.shortfall is not None:
+            out.write("warning: %s\n" % stream.shortfall.describe())
+        out.write(result.table().format() + "\n")
+        _write_stats(executor, out)
     if args.snapshot_out:
         if not result.snapshot_published:
             raise SnapshotNotWritten(args.snapshot_out)
@@ -548,36 +536,24 @@ def _cmd_experiment(args, out):
                   % (args.name, ", ".join(sorted(registry))))
         return 1
     names = sorted(registry) if args.name == "all" else [args.name]
-    with contextlib.ExitStack() as sessions:
-        sessions.enter_context(_backend_session(args))
-        executor = _build_executor(args)
-        sessions.enter_context(_fault_session(args, out))
-        sessions.enter_context(_ledger_session(args))
-        sessions.enter_context(_obs_session(args, out))
-        sessions.enter_context(_durability_session(args, out))
-        # Shut the pool down inside the fault session (see _cmd_diagnose).
-        try:
-            for index, name in enumerate(names):
-                if name == "curves" and args.name == "curves":
-                    # Invoked by name: honor the sweep flags.  Under
-                    # `experiment all` the registry's fixed smoke
-                    # sweep runs instead, keeping `all` fast.
-                    from repro.experiments import curves
+    with _campaign_session(args, out) as executor:
+        for index, name in enumerate(names):
+            if name == "curves" and args.name == "curves":
+                # Invoked by name: honor the sweep flags.  Under
+                # `experiment all` the registry's fixed smoke sweep
+                # runs instead, keeping `all` fast.
+                from repro.experiments import curves
 
-                    kwargs = dict(knob=args.knob, points=args.points,
-                                  per_point=args.per_point,
-                                  seed=args.seed)
-                    if args.baseline_runs is not None:
-                        kwargs["baseline_runs"] = args.baseline_runs
-                    result = curves.run(executor=executor, **kwargs)
-                else:
-                    result = registry[name](executor=executor)
-                if index:
-                    out.write("\n")
-                out.write(result.format() + "\n")
-        finally:
-            if executor is not None:
-                executor.shutdown()
+                kwargs = dict(knob=args.knob, points=args.points,
+                              per_point=args.per_point, seed=args.seed)
+                if args.baseline_runs is not None:
+                    kwargs["baseline_runs"] = args.baseline_runs
+                result = curves.run(executor=executor, **kwargs)
+            else:
+                result = registry[name](executor=executor)
+            if index:
+                out.write("\n")
+            out.write(result.format() + "\n")
     _write_stats(executor, out)
     return 0
 
@@ -819,17 +795,8 @@ def _cmd_obs_conformance(args, out):
     from repro.experiments.expected import run_conformance
 
     try:
-        with _backend_session(args):
-            executor = _build_executor(args)
-            with _fault_session(args, out), _ledger_session(args):
-                # Shut the pool down inside the fault session (see
-                # _cmd_diagnose).
-                try:
-                    text, code = run_conformance(args.names,
-                                                 executor=executor)
-                finally:
-                    if executor is not None:
-                        executor.shutdown()
+        with _campaign_session(args, out) as executor:
+            text, code = run_conformance(args.names, executor=executor)
     except ValueError as exc:
         out.write("%s\n" % exc)
         return 1

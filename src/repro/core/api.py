@@ -294,14 +294,7 @@ class DiagnosisTool:
             campaign["backend"] = machine_config.backend
         executor = getattr(self.tool, "executor", None)
         if executor is not None:
-            campaign["executor"] = {
-                "attempts": executor.stats.attempts,
-                "cache_hits": executor.stats.cache_hits,
-                "pool_runs": executor.stats.pool_runs,
-            }
-            resilience = executor.stats.resilience
-            if resilience.activity:
-                campaign["executor"]["resilience"] = resilience.to_dict()
+            campaign["executor"] = executor.stats.to_dict()
         confidence = getattr(raw, "confidence", None)
         return DiagnosisReport(
             tool=self.name,

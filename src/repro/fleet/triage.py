@@ -278,25 +278,6 @@ def _record_cluster(cluster, result):
     )
 
 
-def _executor_section(executor):
-    """The snapshot's free-form executor section (venue/timing data)."""
-    stats = getattr(executor, "stats", None)
-    if stats is None:
-        return {}
-    hits, misses = stats.cache_hits, stats.cache_misses
-    looked_up = hits + misses
-    return {
-        "jobs": stats.jobs,
-        "attempts": stats.attempts,
-        "pool_runs": stats.pool_runs,
-        "inline_runs": stats.inline_runs,
-        "cache_hits": hits,
-        "cache_hit_ratio": round(hits / looked_up, 4) if looked_up
-        else 0.0,
-        "workers_used": stats.workers_used,
-    }
-
-
 @traced("triage")
 def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
                    granularity=DEFAULT_GRANULARITY, executor=None,
@@ -354,7 +335,8 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
             fleet={"reports": result.n_reports,
                    "clusters": result.n_clusters,
                    "diagnosed": done},
-            executor=_executor_section(executor),
+            executor=(executor.stats.to_dict() if executor is not None
+                      else None),
             wall={"elapsed_seconds": round(now - started, 6)},
             complete=complete,
         ))

@@ -23,6 +23,13 @@ LCR_SELECT = 0x7C8
 MSR_LASTCOHERENCE_PC_BASE = 0x780
 MSR_LASTCOHERENCE_STATE_BASE = 0x7A0
 
+#: Largest ring each numbering has room for: slot n of a ring lives at
+#: ``base + n``, so a ring's first block must end where its second
+#: begins (64 LBR FROM numbers, 32 LCR PC numbers; the 32-slot STATE
+#: block then also ends before ``LCR_SELECT``).
+MAX_LBR_CAPACITY = MSR_LASTBRANCH_TO_BASE - MSR_LASTBRANCH_FROM_BASE
+MAX_LCR_CAPACITY = MSR_LASTCOHERENCE_STATE_BASE - MSR_LASTCOHERENCE_PC_BASE
+
 
 class MsrAccessError(Exception):
     """Raised on access to an unimplemented MSR."""

@@ -19,6 +19,7 @@ from repro.hwpmu.lcr import (
     CONF_SPACE_CONSUMING,
     CONF_SPACE_SAVING,
 )
+from repro.hwpmu.msr import MAX_LBR_CAPACITY, MAX_LCR_CAPACITY
 from repro.cache.mesi import MesiState
 from repro.hwpmu.counters import UNIT_MASK
 from repro.isa.instructions import HwOp, Opcode, Ring
@@ -78,6 +79,13 @@ class MachineConfig:
                 "unknown backend %r (choose from %s)"
                 % (self.backend, ", ".join(BACKEND_NAMES))
             )
+        for ring, capacity, limit in (
+                ("lbr", self.lbr_capacity, MAX_LBR_CAPACITY),
+                ("lcr", self.lcr_capacity, MAX_LCR_CAPACITY)):
+            if capacity > limit:
+                raise ValueError(
+                    "%s_capacity %d does not fit its MSR block (at most "
+                    "%d slots)" % (ring, capacity, limit))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ from repro.obs.timeseries import (
     build_snapshot,
     publish_snapshot,
 )
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer, read_jsonl
+from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
 
 class Observability:
@@ -218,7 +218,6 @@ __all__ = [
     "Tracer",
     "enabled",
     "get_obs",
-    "read_jsonl",
     "set_obs",
     "span",
     "use",

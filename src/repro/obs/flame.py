@@ -18,8 +18,8 @@ bar — and :func:`format_folded` emits the raw folded lines for external
 tooling.  ``repro obs flame trace.jsonl`` drives both.
 """
 
-from repro.obs.report import aggregate, validate_trace
-from repro.obs.tracer import read_jsonl
+from repro.obs.report import _children_totals, aggregate, skipped_note
+from repro.obs.tracer import read_jsonl_tolerant
 
 
 def collapse_spans(records):
@@ -30,18 +30,10 @@ def collapse_spans(records):
     ``campaign/campaign.failing`` folds to
     ``campaign;campaign.failing``.
     """
-    validate_trace(records)
     phases = aggregate(records)
-    folded = {}
-    for path, entry in phases.items():
-        children = sum(
-            other["total"] for other_path, other in phases.items()
-            if other_path.rfind("/") == len(path)
-            and other_path.startswith(path + "/")
-        )
-        folded[path.replace("/", ";")] = max(0.0,
-                                             entry["total"] - children)
-    return folded
+    children = _children_totals(phases)
+    return {path.replace("/", ";"): max(0.0, entry["total"] - children[path])
+            for path, entry in phases.items()}
 
 
 def collapse_profile(profiler, program):
@@ -138,14 +130,17 @@ def render_flame(folded, width=60, unit="s"):
 def render_flame_file(path, width=60, folded_out=None):
     """``repro obs flame``: collapse a trace file and render it.
 
-    When *folded_out* is given, also write the canonical folded lines
-    there for external flame-graph tooling.
+    Torn traces are read the way ``repro obs report`` reads them:
+    unparseable lines are skipped and counted in a trailing note.  When
+    *folded_out* is given, also write the canonical folded lines there
+    for external flame-graph tooling.
     """
-    folded = collapse_spans(read_jsonl(path))
+    records, skipped = read_jsonl_tolerant(path)
+    folded = collapse_spans(records)
     if folded_out:
         with open(folded_out, "w") as handle:
             handle.write(format_folded(folded) + "\n")
-    return render_flame(folded, width=width)
+    return render_flame(folded, width=width) + skipped_note(skipped, path)
 
 
 __all__ = [

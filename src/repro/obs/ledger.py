@@ -348,7 +348,8 @@ class Ledger:
             provenance_digest=provenance_digest(ranked),
             backend=backend,
             timings={"wall_seconds": wall_seconds},
-            executor=_executor_record(executor),
+            executor=(executor.stats.to_dict() if executor is not None
+                      else None),
         )
 
     def record_campaign(self, *, workload, result, backend=None):
@@ -366,7 +367,8 @@ class Ledger:
             workload=getattr(workload, "name", str(workload)),
             runs=runs,
             backend=backend,
-            executor=_executor_record_from_stats(result.executor_stats),
+            executor=(result.executor_stats.to_dict()
+                      if result.executor_stats is not None else None),
         )
 
     def record_experiment(self, name, result, wall_seconds,
@@ -441,28 +443,6 @@ def diagnosis_quality(raw, workload):
         quality["best_score"] = getattr(best, "f_score",
                                         getattr(best, "importance", None))
     return quality
-
-
-def _executor_record(executor):
-    return _executor_record_from_stats(getattr(executor, "stats", None))
-
-
-def _executor_record_from_stats(stats):
-    if stats is None:
-        return None
-    record = {
-        "jobs": stats.jobs,
-        "attempts": stats.attempts,
-        "pool_runs": stats.pool_runs,
-        "inline_runs": stats.inline_runs,
-        "cache_hits": stats.cache_hits,
-        "cache_misses": stats.cache_misses,
-        "workers_used": stats.workers_used,
-    }
-    resilience = getattr(stats, "resilience", None)
-    if resilience is not None and resilience.activity:
-        record["resilience"] = resilience.to_dict()
-    return record
 
 
 # ----------------------------------------------------------------------

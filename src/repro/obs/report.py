@@ -158,13 +158,17 @@ def render_report_file(path, top=None):
     trace.
     """
     records, skipped = read_jsonl_tolerant(path)
-    text = render_report(records, top=top)
-    if skipped:
-        text += ("\nnote: skipped %d torn/corrupt line%s in %s "
-                 "(ledger-style recovery; the surviving spans are "
-                 "reported above)"
-                 % (skipped, "" if skipped == 1 else "s", path))
-    return text
+    return render_report(records, top=top) + skipped_note(skipped, path)
+
+
+def skipped_note(skipped, path):
+    """The trailing note on *skipped* torn lines of trace *path*."""
+    if not skipped:
+        return ""
+    return ("\nnote: skipped %d torn/corrupt line%s in %s "
+            "(ledger-style recovery; the surviving spans are "
+            "reported above)"
+            % (skipped, "" if skipped == 1 else "s", path))
 
 
 def tree_shape(records):
@@ -179,4 +183,5 @@ def tree_shape(records):
 
 
 __all__ = ["NotASpanTrace", "SPAN_KEYS", "aggregate", "render_report",
-           "render_report_file", "tree_shape", "validate_trace"]
+           "render_report_file", "skipped_note", "tree_shape",
+           "validate_trace"]

@@ -18,8 +18,8 @@ plan order).
 
 Buffers serialize: :meth:`Tracer.to_records` / :meth:`Tracer.absorb`
 are how pool workers ship their span buffers back to the parent, and
-:meth:`Tracer.export_jsonl` / :func:`read_jsonl` round-trip a trace
-through a ``.jsonl`` file for ``repro obs report``.
+:meth:`Tracer.export_jsonl` / :func:`read_jsonl_tolerant` round-trip a
+trace through a ``.jsonl`` file for ``repro obs report``.
 
 The module is zero-dependency and the disabled path is allocation-free:
 :data:`NULL_TRACER` hands out one shared no-op span whose enter/exit do
@@ -152,28 +152,17 @@ class Tracer:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_jsonl(path):
-    """Read a span-record list back from a JSONL trace file."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def read_jsonl_tolerant(path):
     """Read a JSONL trace, skipping torn/corrupt lines.
 
     The run ledger's recovery discipline applied to traces: a process
     killed mid-export leaves half a JSON object on the last line (and a
     crashing writer can tear interior lines too).  Instead of raising
-    on the first bad line the way :func:`read_jsonl` does, parse what
-    survives and report the damage — returns ``(records, skipped)``
-    where *skipped* counts unparseable non-empty lines.  A file with
-    lines but no parseable record is not a trace at all, so that still
-    raises ``json.JSONDecodeError`` (from its first line).
+    on the first bad line, parse what survives and report the damage —
+    returns ``(records, skipped)`` where *skipped* counts unparseable
+    non-empty lines.  A file with lines but no parseable record is not
+    a trace at all, so that still raises ``json.JSONDecodeError`` (from
+    its first line).
     """
     records = []
     skipped = 0
@@ -241,5 +230,5 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer", "read_jsonl",
+__all__ = ["NULL_TRACER", "NullTracer", "Span", "Tracer",
            "read_jsonl_tolerant"]

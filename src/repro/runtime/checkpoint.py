@@ -83,13 +83,16 @@ class CheckpointError(Exception):
     """A checkpoint session/journal cannot be read or created."""
 
 
-class CampaignInterrupted(RuntimeError):
+class CampaignInterrupted(BaseException):
     """Raised in the main thread when SIGTERM asks the campaign to stop.
 
     Deliberately an exception (not a polled flag): it unwinds through
     the same ``finally`` paths as Ctrl-C, so worker pools shut down,
     chaos state directories are removed, and locks release before the
-    process exits resumable.
+    process exits resumable.  A ``BaseException``, like
+    ``KeyboardInterrupt``, so the ``except Exception`` handlers that
+    absorb a corrupt cache entry or journal line let it through instead
+    of mistaking the signal for damage.
     """
 
 

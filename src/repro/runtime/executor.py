@@ -49,7 +49,6 @@ concurrent invocations sharing ``.repro-cache/`` interleave safely.
 """
 
 import hashlib
-import io
 import os
 import pickle
 import sys
@@ -167,12 +166,12 @@ def fingerprint_tool(tool):
     return fingerprint
 
 
-def _run_key(program, plan, config):
+def _run_key(program_fp, plan, config):
     plan_fp = fingerprint_plan(plan)
     if plan_fp is None:
         return None
     return hashlib.sha256("|".join((
-        "run", str(CACHE_FORMAT_VERSION), fingerprint_program(program),
+        "run", str(CACHE_FORMAT_VERSION), program_fp,
         plan_fp, fingerprint_config(config),
     )).encode()).hexdigest()
 
@@ -380,14 +379,12 @@ class RunCache:
 # Worker-side execution (module level, importable by pool workers)
 # ----------------------------------------------------------------------
 
-#: Per-worker memo: program fingerprint -> unpickled Program.  Pool
-#: workers serve many attempts against few programs; unpickling a
-#: ~100 KB program once per worker instead of once per task matters.
-_WORKER_PROGRAMS = {}
-
-#: Per-worker memo: tool fingerprint -> reconstructed baseline tool
-#: (reconstruction compiles the workload, so it is amortized likewise).
-_WORKER_TOOLS = {}
+#: Per-worker memo: subject fingerprint -> unpickled subject (a Program,
+#: or a baseline tool rebuilt from its clone spec).  Pool workers serve
+#: many attempts against few subjects; unpickling a ~100 KB program, or
+#: compiling a tool's workload, once per worker instead of once per task
+#: matters.
+_WORKER_SUBJECTS = {}
 
 
 def _collected(callable_, collect_obs):
@@ -407,27 +404,24 @@ def _collected(callable_, collect_obs):
     return time.perf_counter() - started, value, obs.to_payload()
 
 
-def _worker_run_plans(program_fp, program_blob, config_blob, collect_obs,
-                      plan_blobs):
-    """Execute a batch of plans against one program on a pool worker.
+def _worker_run(fn, subject_fp, subject_blob, collect_obs, arg_blobs):
+    """Run ``fn(subject, *args)`` for each pickled *args* on a pool worker.
 
     Batching amortizes the dominant dispatch costs — shipping the
-    ~100 KB program blob and paying one future round-trip — over many
-    short runs; per-run results keep their own durations (and, when
-    *collect_obs* is set, their own span/metric payloads).
+    subject blob and paying one future round-trip — over many short
+    runs; per-run results keep their own durations (and, when
+    *collect_obs* is set, their own span/metric payloads).  Safe to
+    batch because each ``fn`` leaves its subject as it found it, so an
+    attempt's result is independent of its batch-mates.
     """
     resilience.worker_entry_faults()
-    program = _WORKER_PROGRAMS.get(program_fp)
-    if program is None:
-        program = pickle.loads(program_blob)
-        _WORKER_PROGRAMS[program_fp] = program
-    config = pickle.loads(config_blob)
+    subject = _WORKER_SUBJECTS.get(subject_fp)
+    if subject is None:
+        subject = _WORKER_SUBJECTS[subject_fp] = pickle.loads(subject_blob)
     results = []
-    for plan_blob in plan_blobs:
-        plan = pickle.loads(plan_blob)
-        results.append(_collected(
-            lambda: execute_plan(program, plan, config), collect_obs
-        ))
+    for blob in arg_blobs:
+        args = pickle.loads(blob)
+        results.append(_collected(lambda: fn(subject, *args), collect_obs))
     return os.getpid(), results
 
 
@@ -466,28 +460,6 @@ def _baseline_execute(tool, plan, run_seed):
         tool.retired_total = retired0
         if registry is not None:
             tool._predicates = registry
-
-
-def _worker_run_baselines(tool_fp, tool_blob, collect_obs, calls):
-    """Execute a batch of ``(plan_blob, run_seed)`` baseline attempts.
-
-    Safe to batch because :func:`_baseline_execute` reports deltas and
-    leaves the tool as it found it — every attempt's contribution is
-    independent of its batch-mates.
-    """
-    resilience.worker_entry_faults()
-    tool = _WORKER_TOOLS.get(tool_fp)
-    if tool is None:
-        tool_class, workload, kwargs = pickle.loads(tool_blob)
-        tool = tool_class(workload, **kwargs)
-        _WORKER_TOOLS[tool_fp] = tool
-    results = []
-    for plan_blob, run_seed in calls:
-        plan = pickle.loads(plan_blob)
-        results.append(_collected(
-            lambda: _baseline_execute(tool, plan, run_seed), collect_obs
-        ))
-    return os.getpid(), results
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +515,23 @@ class ExecutorStats:
     def sequential_estimate(self):
         return self.busy_seconds + self.saved_seconds
 
+    def to_dict(self):
+        """The venue record: where runs executed, for the ledger entry's
+        ``executor`` bucket, a triage snapshot's ``executor`` section and
+        ``DiagnosisReport.campaign["executor"]``."""
+        record = {
+            "jobs": self.jobs,
+            "attempts": self.attempts,
+            "pool_runs": self.pool_runs,
+            "inline_runs": self.inline_runs,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "workers_used": self.workers_used,
+        }
+        if self.resilience.activity:
+            record["resilience"] = self.resilience.to_dict()
+        return record
+
     def snapshot_rows(self):
         """Rows for the stats table (see ``experiments.report``)."""
         wall = self.wall_seconds
@@ -595,23 +584,32 @@ class ExecutorStats:
 
 @dataclass
 class _Task:
-    """One schedulable unit inside the ordered pipeline.
+    """One schedulable unit inside the ordered pipeline:
+    ``fn(subject, *args)``, where the subject is a program or a baseline
+    tool.
 
-    Pool-eligible tasks describe themselves in batchable form: tasks
-    sharing a ``batch_group`` are submitted together as one pool call
-    ``batch_fn(*batch_header, [batch_item, ...])``, so the (large)
-    shared header is shipped once per batch, not once per run.
+    A pool-eligible task carries a batch ``header`` — ``(fn,
+    subject_fp, subject_blob, collect_obs)`` — and its pickled args as
+    ``item``; tasks with equal headers are submitted together as one
+    pool call ``_worker_run(*header, [item, ...])``, so the (large)
+    subject blob ships once per batch, not once per run.
     """
 
-    tag: object                    # opaque, handed back to the consumer
+    fn: object                     # fn(subject, *args) -> value
+    subject: object
+    args: tuple
+    result: object                 # (value, **run) -> the consumer's item
+    backend: str                   # VM execution backend of the run
     key: str = None                # cache key (None = uncacheable)
-    batch_fn: object = None        # pool entry point (None = inline only)
-    batch_group: object = None     # hashable; equal => may share a batch
-    batch_header: tuple = None     # shared leading args (blobs)
-    batch_item: object = None      # this task's per-run argument
-    inline_call: object = None     # () -> value, runs in-process
-    wrap: object = None            # value, duration, pid, cached -> result
-    backend: str = None            # VM execution backend of the run
+    header: tuple = None           # pool batch header (None = inline only)
+    item: bytes = None             # pickled args, one pool batch entry
+    error: str = None              # why the task could not be pickled
+    traceback: str = None
+
+    def done(self, value, duration, pid, cached):
+        return self.result(value, duration=duration, worker_pid=pid,
+                           cached=cached, error=self.error,
+                           traceback=self.traceback)
 
 
 class _Batch:
@@ -622,17 +620,22 @@ class _Batch:
     once per batch, however many tasks consume it.
     """
 
-    __slots__ = ("fn", "group", "header", "items", "future", "result",
-                 "pool")
+    __slots__ = ("header", "items", "future", "result", "pool")
 
-    def __init__(self, fn, group, header):
-        self.fn = fn
-        self.group = group
+    def __init__(self, header):
         self.header = header
         self.items = []
         self.future = None
         self.result = None
         self.pool = None               # the pool the future belongs to
+
+
+#: Dispatch-ahead window: runs ship to workers in batches of up to
+#: ``BATCH`` (one subject blob per batch, not per run), and at most
+#: ``jobs * SPECULATION * BATCH`` attempts are in flight past the
+#: consumer.
+SPECULATION = 2
+BATCH = 16
 
 
 class CampaignExecutor:
@@ -649,17 +652,13 @@ class CampaignExecutor:
     experiment driver of an invocation — that sharing is what lets one
     driver's runs serve another's cache lookups.
 
-    ``speculation`` and ``batch`` bound the dispatch-ahead window:
-    runs ship to workers in batches of up to ``batch`` (one program
-    blob per batch, not per run), and at most
-    ``jobs * speculation * batch`` attempts are in flight past the
-    consumer.  The batch size ramps up from 1 as a campaign proves
-    long, so short campaigns barely speculate.  Wall-clock gains from
+    :data:`SPECULATION` and :data:`BATCH` bound the dispatch-ahead
+    window; the batch size ramps up from 1 as a campaign proves long,
+    so short campaigns barely speculate.  Wall-clock gains from
     ``jobs`` require real CPU cores; the cache helps regardless.
     """
 
     def __init__(self, jobs=1, cache=True, cache_dir=None,
-                 memory_capacity=4096, speculation=2, batch=16,
                  resilience_policy=None):
         self.jobs = max(1, int(jobs))
         self.cache = None
@@ -667,10 +666,7 @@ class CampaignExecutor:
             directory = None
             if cache_dir is not None:
                 directory = os.fspath(cache_dir)
-            self.cache = RunCache(directory=directory,
-                                  memory_capacity=memory_capacity)
-        self.speculation = max(1, int(speculation))
-        self.batch = max(1, int(batch))
+            self.cache = RunCache(directory=directory)
         self.resilience = resilience_policy if resilience_policy \
             is not None else ResiliencePolicy.from_env()
         self.stats = ExecutorStats(jobs=self.jobs)
@@ -796,14 +792,14 @@ class CampaignExecutor:
                 if pool is not None:
                     try:
                         batch.future = pool.submit(
-                            batch.fn, *batch.header, batch.items)
+                            _worker_run, *batch.header, batch.items)
                         batch.pool = pool
                         rstats.retries += 1
                     except Exception:
                         batch.future = None
         # Out of retries (or no usable pool): run the batch here.
         rstats.inline_fallbacks += 1
-        batch.result = batch.fn(*batch.header, batch.items)
+        batch.result = _worker_run(*batch.header, batch.items)
         return batch.result
 
     def _note_batch_error(self, stage, exc):
@@ -851,114 +847,62 @@ class CampaignExecutor:
 
     # -- task construction ---------------------------------------------
 
-    @staticmethod
-    def _pickle_blob(obj, memo_holder=None, attr=None):
-        """Pickle *obj*, memoizing the blob on *memo_holder* when given."""
-        if memo_holder is not None:
-            blob = memo_holder.__dict__.get(attr)
-            if blob is not None:
-                return blob
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if memo_holder is not None:
-            memo_holder.__dict__[attr] = blob
-        return blob
-
-    def _note_unpicklable(self, stage, exc, note):
-        """Record a pickling failure, keeping its traceback observable.
-
-        The task still executes in-process and its outcome stands; the
-        error/traceback ride along on the run result and in
-        ``ResilienceStats.task_errors`` instead of being discarded.
-        """
-        self.stats.unpicklable_tasks += 1
-        note["error"] = "%s: %s" % (type(exc).__name__, exc)
-        note["traceback"] = traceback_module.format_exc()
-        self.stats.resilience.note_task_error(
-            stage, note["error"], note["traceback"])
-
     def _run_task(self, program, plan, config):
+        program_fp = fingerprint_program(program)
         key = None
         if self.cache is not None:
-            key = _run_key(program, plan, config)
-        collect_obs = get_obs().enabled
-        batch_fn = batch_group = batch_header = batch_item = None
-        note = {"error": None, "traceback": None}
-        if self.jobs > 1:
-            try:
-                program_fp = fingerprint_program(program)
-                program_blob = self._pickle_blob(
-                    program, memo_holder=program, attr="_pickle_blob"
-                )
-                config_blob = self._pickle_blob(
-                    config, memo_holder=config, attr="_pickle_blob"
-                )
-                batch_item = pickle.dumps(
-                    plan, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                batch_fn = _worker_run_plans
-                batch_group = ("plan", program_fp, config_blob,
-                               collect_obs)
-                batch_header = (program_fp, program_blob, config_blob,
-                                collect_obs)
-            except Exception as exc:
-                self._note_unpicklable("pickle:run", exc, note)
-                batch_fn = None
+            key = _run_key(program_fp, plan, config)
 
-        def inline_call():
-            return execute_plan(program, plan, config)
+        def result(value, **run):
+            return plan, RunResult(status=value.status,
+                                   hwop_counts=value.hwop_counts,
+                                   hwop_broadcast=value.hwop_broadcast,
+                                   **run)
 
-        def wrap(value, duration, pid, cached):
-            return plan, RunResult(
-                status=value.status,
-                hwop_counts=value.hwop_counts,
-                hwop_broadcast=value.hwop_broadcast,
-                duration=duration, worker_pid=pid, cached=cached,
-                error=note["error"], traceback=note["traceback"],
-            )
-
-        return _Task(tag=plan, key=key, batch_fn=batch_fn,
-                     batch_group=batch_group, batch_header=batch_header,
-                     batch_item=batch_item, inline_call=inline_call,
-                     wrap=wrap, backend=config.backend)
+        return self._task("run", key, execute_plan, program, program_fp,
+                          (plan, config), result, config.backend)
 
     def _baseline_task(self, tool, plan, run_seed):
         tool_fp = fingerprint_tool(tool)
         key = None
         if self.cache is not None:
             key = _baseline_key(tool_fp, plan, run_seed)
-        collect_obs = get_obs().enabled
-        batch_fn = batch_group = batch_header = batch_item = None
-        note = {"error": None, "traceback": None}
+        return self._task(
+            "baseline", key, _baseline_execute, tool, tool_fp,
+            (plan, run_seed),
+            lambda value, **run: (run_seed,
+                                  BaselineRunResult.of(value, **run)),
+            tool.machine_config.backend)
+
+    def _task(self, kind, key, fn, subject, fingerprint, args, result,
+              backend):
+        """A task running ``fn(subject, *args)``, pool-eligible when it
+        pickles.
+
+        The subject's blob is memoized on the subject, so a campaign
+        pickles its program (or tool, as its clone) once.  A task that
+        cannot be pickled still executes in process and its outcome
+        stands; the error and traceback ride along on its result and in
+        ``ResilienceStats.task_errors`` under stage ``pickle:<kind>``.
+        """
+        task = _Task(fn, subject, args, result, backend, key)
         if self.jobs > 1:
             try:
-                tool_blob = self._pickle_blob(
-                    tool._clone_spec(), memo_holder=tool,
-                    attr="_clone_blob",
-                )
-                plan_blob = pickle.dumps(
-                    plan, protocol=pickle.HIGHEST_PROTOCOL
-                )
-                batch_fn = _worker_run_baselines
-                batch_group = ("baseline", tool_fp, collect_obs)
-                batch_header = (tool_fp, tool_blob, collect_obs)
-                batch_item = (plan_blob, run_seed)
+                blob = subject.__dict__.get("_pickle_blob")
+                if blob is None:
+                    blob = pickle.dumps(subject,
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+                    subject.__dict__["_pickle_blob"] = blob
+                task.item = pickle.dumps(args,
+                                         protocol=pickle.HIGHEST_PROTOCOL)
+                task.header = (fn, fingerprint, blob, get_obs().enabled)
             except Exception as exc:
-                self._note_unpicklable("pickle:baseline", exc, note)
-                batch_fn = None
-
-        def inline_call():
-            return _baseline_execute(tool, plan, run_seed)
-
-        def wrap(value, duration, pid, cached):
-            return run_seed, BaselineRunResult.of(
-                value, duration=duration, worker_pid=pid, cached=cached,
-                error=note["error"], traceback=note["traceback"],
-            )
-
-        return _Task(tag=run_seed, key=key, batch_fn=batch_fn,
-                     batch_group=batch_group, batch_header=batch_header,
-                     batch_item=batch_item, inline_call=inline_call,
-                     wrap=wrap, backend=tool.machine_config.backend)
+                self.stats.unpicklable_tasks += 1
+                task.error = "%s: %s" % (type(exc).__name__, exc)
+                task.traceback = traceback_module.format_exc()
+                self.stats.resilience.note_task_error(
+                    "pickle:" + kind, task.error, task.traceback)
+        return task
 
     # -- the ordered pipeline -------------------------------------------
 
@@ -969,7 +913,7 @@ class CampaignExecutor:
         bounded window of ``jobs * speculation * batch_size`` tasks,
         grouping same-campaign tasks into pool batches (one submission
         carries one shared header plus up to ``batch_size`` per-run
-        payloads).  ``batch_size`` ramps 1 → ``self.batch`` as the
+        payloads).  ``batch_size`` ramps 1 → :data:`BATCH` as the
         consumer keeps pulling — short campaigns barely speculate, long
         campaigns amortize dispatch overhead across full batches.  With
         ``jobs=1`` the window is one and tasks execute lazily, so no
@@ -989,7 +933,7 @@ class CampaignExecutor:
                 # restart (or degradation to serial) must steer new
                 # dispatches, not just retries.
                 pool = self._pool_handle()
-                window = (self.jobs * self.speculation * batch_size
+                window = (self.jobs * SPECULATION * batch_size
                           if pool is not None else 1)
                 while not exhausted and len(pending) < window:
                     task = next(tasks, _MISS)
@@ -1007,7 +951,7 @@ class CampaignExecutor:
                     return
                 yield self._resolve(pending.popleft(), inflight, obs)
                 consumed += 1
-                if (pool is not None and batch_size < self.batch
+                if (pool is not None and batch_size < BATCH
                         and consumed >= 2 * window):
                     batch_size *= 2
         finally:
@@ -1037,17 +981,16 @@ class CampaignExecutor:
             if not RunCache.is_miss(entry):
                 return ("hit", task, entry, None), open_batch
             inflight.add(task.key)
-        if pool is not None and task.batch_fn is not None:
+        if pool is not None and task.header is not None:
             if open_batch is not None and (
-                    open_batch.group != task.batch_group
+                    open_batch.header != task.header
                     or len(open_batch.items) >= batch_size):
                 self._submit_batch(open_batch)
                 open_batch = None
             if open_batch is None:
-                open_batch = _Batch(task.batch_fn, task.batch_group,
-                                    task.batch_header)
+                open_batch = _Batch(task.header)
             index = len(open_batch.items)
-            open_batch.items.append(task.batch_item)
+            open_batch.items.append(task.item)
             return ("batch", task, open_batch, index), open_batch
         return ("inline", task, None, None), open_batch
 
@@ -1063,7 +1006,7 @@ class CampaignExecutor:
             batch.future = None
             return
         try:
-            batch.future = pool.submit(batch.fn, *batch.header,
+            batch.future = pool.submit(_worker_run, *batch.header,
                                        batch.items)
             batch.pool = pool
         except Exception as exc:
@@ -1094,7 +1037,7 @@ class CampaignExecutor:
             obs.tracer.record_complete(
                 "interp.run", duration,
                 {"cached": True, "backend": task.backend})
-            return task.wrap(payload["value"], duration, None, True)
+            return task.done(payload["value"], duration, None, True)
         if kind == "batch":
             pid, results = self._batch_result(payload)
             duration, value, obs_payload = results[index]
@@ -1105,7 +1048,7 @@ class CampaignExecutor:
             started = time.perf_counter()
             # Inline calls execute under the current obs, so their spans
             # and metrics land in the campaign's buffers directly.
-            value = task.inline_call()
+            value = task.fn(task.subject, *task.args)
             duration = time.perf_counter() - started
             pid = None
             self.stats.inline_runs += 1
@@ -1116,7 +1059,7 @@ class CampaignExecutor:
             if isinstance(inflight, set):
                 inflight.discard(task.key)
         self._sync_cache_stats()
-        return task.wrap(value, duration, pid, False)
+        return task.done(value, duration, pid, False)
 
     def _sync_cache_stats(self):
         if self.cache is None:

@@ -18,7 +18,7 @@ from repro.hwpmu.lcr import (
 )
 from repro.hwpmu.msr import MsrAccessError, MsrFile
 from repro.isa.asm import halting_program
-from repro.isa.instructions import Ring
+from repro.isa.instructions import BranchKind, Ring
 from repro.kernel.driver import (
     DRIVER_CLEAN_LCR,
     DRIVER_CONFIG_LCR,
@@ -27,7 +27,7 @@ from repro.kernel.driver import (
     DRIVER_PROFILE_LCR,
     LbrDriver,
 )
-from repro.machine.cpu import Machine
+from repro.machine.cpu import Machine, MachineConfig
 
 
 def test_encode_decode_round_trip_known_configs():
@@ -102,6 +102,36 @@ def test_every_slot_msr_reads_its_ring_entry(capacity):
     for number in past:
         with pytest.raises(MsrAccessError):
             msrs.rdmsr(number)
+
+
+def test_machine_rings_fill_their_msr_blocks_and_no_more():
+    """A machine's full 32-entry LCR and 64-entry LBR read back through
+    the driver slot for slot; a ring one slot larger would run into the
+    next MSR block, so the config rejects it."""
+    config = MachineConfig(num_cores=1, lcr_capacity=32, lbr_capacity=64)
+    core = Machine(halting_program(), config=config).cores[0]
+    core.lcr.enabled = True
+    core.lbr.enable()
+    events = sorted(CONF_SPACE_CONSUMING.events,
+                    key=lambda event: (event[0].value, event[1].value))
+    for index in range(40):
+        access, state = events[index % len(events)]
+        core.lcr.record(0x2000 + 4 * index, state, access, Ring.USER)
+    for index in range(70):
+        core.lbr.record(0x1000 + 4 * index, 0x9000 + 8 * index,
+                        BranchKind.CONDITIONAL, Ring.USER)
+    assert LbrDriver._read_lcr_via_msrs(core) == [
+        (entry.pc, (entry.access.event_code << 8) | UNIT_MASK[entry.state])
+        for entry in core.lcr.entries_latest_first()]
+    assert LbrDriver._read_ring_via_msrs(core) == [
+        (entry.from_address, entry.to_address)
+        for entry in core.lbr.entries_latest_first()]
+    assert len(core.lcr.entries_latest_first()) == 32
+    assert len(core.lbr.entries_latest_first()) == 64
+    with pytest.raises(ValueError):
+        MachineConfig(lcr_capacity=33)
+    with pytest.raises(ValueError):
+        MachineConfig(lbr_capacity=65)
 
 
 def test_lcr_msr_configures():

@@ -106,3 +106,22 @@ def test_render_flame_file_and_folded_out(tmp_path):
     assert "campaign" in text
     content = folded_path.read_text()
     assert "campaign;run" in content
+
+
+def test_obs_flame_reads_a_torn_trace_like_obs_report(tmp_path):
+    from tests.runtime.test_cli import run_cli
+
+    trace = tmp_path / "trace.jsonl"
+    obs = Observability()
+    with obs.span("campaign"):
+        with obs.span("run"):
+            pass
+    obs.tracer.export_jsonl(str(trace))
+    # A writer killed mid-export: half of one more line lands.
+    with open(trace, "a") as handle:
+        handle.write('{"name": "cut", "pa')
+    for command in ("report", "flame"):
+        code, text = run_cli("obs", command, str(trace))
+        assert code == 0, text
+        assert "campaign" in text
+        assert "skipped 1 torn/corrupt line" in text

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.tracer import NULL_TRACER, Tracer, read_jsonl
+from repro.obs.tracer import NULL_TRACER, Tracer, read_jsonl_tolerant
 
 
 def test_span_paths_encode_nesting():
@@ -83,7 +83,7 @@ def test_jsonl_round_trip(tmp_path):
             pass
     path = tmp_path / "trace.jsonl"
     tracer.export_jsonl(str(path))
-    assert read_jsonl(str(path)) == tracer.records
+    assert read_jsonl_tolerant(str(path)) == (tracer.records, 0)
 
 
 def test_null_tracer_is_inert_but_loud_on_export(tmp_path):

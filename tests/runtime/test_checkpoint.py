@@ -11,6 +11,7 @@ unwinds through ``finally`` paths as an exception.
 import json
 import signal
 import threading
+import types
 import warnings
 
 import pytest
@@ -328,6 +329,48 @@ def test_graceful_signals_converts_sigterm():
             signal.raise_signal(signal.SIGTERM)
     # The previous disposition is restored on exit.
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def _sigterm(*_args):
+    signal.raise_signal(signal.SIGTERM)
+
+
+def test_sigterm_during_a_disk_cache_read_keeps_the_entry(tmp_path,
+                                                          monkeypatch):
+    # The signal must not pass for a corrupt entry: no eviction, no
+    # miss, no drop counted.
+    from repro.runtime import executor
+
+    key = "ab" * 32
+    executor.RunCache(directory=str(tmp_path)).put(
+        key, {"value": 1, "duration": 0.5})
+    path = tmp_path / key[:2] / (key + ".pkl")
+    cache = executor.RunCache(directory=str(tmp_path))
+    monkeypatch.setattr(executor, "fault_point", _sigterm)
+    with pytest.raises(CampaignInterrupted):
+        with graceful_signals():
+            cache.get(key)
+    assert path.exists()
+    assert cache.corrupt_dropped == 0
+
+
+def test_sigterm_during_a_journal_replay_keeps_the_journal(tmp_path,
+                                                           monkeypatch):
+    # The signal must not pass for a bad line: replay must not truncate
+    # the journal the signal was meant to preserve.
+    journal = _journal(tmp_path)
+    for k in range(16):
+        journal.append(k, k % 3 == 0, {"exit": k % 3})
+    journal.close()
+    with open(journal.path, "rb") as handle:
+        before = handle.read()
+    monkeypatch.setattr(checkpoint, "base64",
+                        types.SimpleNamespace(b64decode=_sigterm))
+    with pytest.raises(CampaignInterrupted):
+        with graceful_signals():
+            _journal(tmp_path).replay()
+    with open(journal.path, "rb") as handle:
+        assert handle.read() == before
 
 
 # ----------------------------------------------------------------------

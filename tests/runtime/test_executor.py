@@ -347,3 +347,52 @@ def test_build_executor_returns_none_for_defaults():
         assert executor.cache is None
     finally:
         executor.shutdown()
+
+
+@pytest.mark.parametrize("tool_class, bug", [("CbiTool", "sort"),
+                                             ("CciTool", "mysql1")])
+def test_pickled_baseline_tool_is_a_fresh_clone(tool_class, bug):
+    """Pool workers receive a tool as its clone: same fingerprint, and
+    none of the sender's counters, predicates or executor."""
+    from repro import baselines
+    from repro.runtime.executor import fingerprint_tool
+
+    with CampaignExecutor(jobs=1, cache=True) as executor:
+        tool = getattr(baselines, tool_class)(get_bug(bug),
+                                              executor=executor)
+        tool.run_diagnosis(n_failures=5, n_successes=5)
+    assert tool.events_observed and tool.retired_total
+    clone = pickle.loads(pickle.dumps(tool))
+    assert type(clone) is type(tool)
+    assert fingerprint_tool(clone) == fingerprint_tool(tool)
+    assert (clone.events_observed, clone.samples_taken,
+            clone.retired_total) == (0, 0, 0)
+    assert getattr(clone, "_predicates", {}) == {}
+    assert clone.executor is None
+
+
+def test_every_artifact_carries_the_executor_venue_record(tmp_path):
+    from repro.core.api import get_tool
+    from repro.fleet import FleetStream, triage_reports
+    from repro.obs.ledger import Ledger, use as use_ledger
+    from repro.obs.timeseries import read_snapshot
+
+    ledger = Ledger(str(tmp_path / "ledger"))
+    snapshot = tmp_path / "snapshot.json"
+    with use_ledger(ledger), \
+            CampaignExecutor(jobs=1, cache=True) as executor:
+        report = get_tool("lbra")(get_bug("sort"),
+                                  executor=executor).run_diagnosis(3, 3)
+        record = executor.stats.to_dict()
+        assert set(record) == {"jobs", "attempts", "pool_runs",
+                               "inline_runs", "cache_hits",
+                               "cache_misses", "workers_used"}
+        assert ledger.entries(kind="diagnosis")[-1]["executor"] == record
+        assert report.campaign["executor"] == record
+
+        reports = FleetStream(population=["sort"], seed=0,
+                              executor=executor).generate(2)
+        triage_reports(reports, runs=3, executor=executor, seed=0,
+                       snapshot_path=str(snapshot))
+        assert read_snapshot(str(snapshot))["executor"] == \
+            executor.stats.to_dict()

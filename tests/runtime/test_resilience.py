@@ -12,6 +12,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -457,12 +458,17 @@ def test_shortfall_warning_carries_executor_detail():
 # End-to-end through the CLI
 # ----------------------------------------------------------------------
 
-def test_cli_rejects_bad_fault_spec(tmp_path):
+def test_cli_rejects_bad_fault_spec(tmp_path, monkeypatch):
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
     code, text = run_cli("experiment", "table5", "--inject-faults",
                          "definitely-not-a-site:1",
-                         "--ledger-dir", str(tmp_path))
+                         "--ledger-dir", str(tmp_path / "ledger"))
     assert code == 2
     assert "bad --inject-faults spec" in text
+    # The rejected spec left no fault state directory behind.
+    assert list(temp.iterdir()) == []
 
 
 def test_cli_table5_identical_under_faults(tmp_path):

@@ -40,6 +40,9 @@ class _Result:
 def _repro(args, cwd, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
+    # A `!kill` exit skips the cleanup that removes the fault state
+    # directory; keep it inside the test's own directory.
+    env["TMPDIR"] = cwd
     env.pop(resilience.FAULTS_ENV, None)
     env.pop(resilience.FAULTS_STATE_ENV, None)
     # Output goes to files, not pipes: a chaos run dies via os._exit
@@ -242,6 +245,42 @@ def test_sigterm_exits_resumable_with_hint(tmp_path):
     assert proc.returncode == RESUMABLE_EXIT_CODE, err
     assert "resume with" in err
     assert "repro resume" in err
+
+
+@pytest.mark.parametrize("command", ["triage", "obs-conformance"])
+def test_sigterm_unwinds_every_campaign_command(tmp_path, command):
+    """Commands without checkpoint flags convert SIGTERM too: they
+    unwind, remove the chaos state directory, and exit 130."""
+    if command == "triage":
+        # The first snapshot lands before the first cluster campaign.
+        artifact = tmp_path / "snapshot.json"
+        argv = ["triage", "--reports", "500", "--cache",
+                "--snapshot-out", str(artifact)]
+    else:
+        # The ledger exists once the first diagnosis is recorded.
+        artifact = tmp_path / "ledger" / "ledger.jsonl"
+        argv = ["obs", "conformance", "table6"]
+    argv += ["--ledger-dir", str(tmp_path / "ledger"),
+             "--inject-faults", "cache-read-error:1"]
+    env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path))
+    env.pop(resilience.FAULTS_ENV, None)
+    env.pop(resilience.FAULTS_STATE_ENV, None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro"] + argv, cwd=str(tmp_path),
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    deadline = time.monotonic() + 60
+    while proc.poll() is None and not artifact.exists() \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    proc.send_signal(signal.SIGTERM)
+    _out, err = proc.communicate(timeout=60)
+    if proc.returncode == 0:
+        pytest.skip("%s finished before the signal landed" % command)
+    assert proc.returncode == 130, err
+    assert "repro: SIGTERM" in err
+    assert glob.glob(str(tmp_path / "repro-faults-*")) == []
 
 
 def test_resume_lists_and_rejects_unknown_sessions(tmp_path, monkeypatch):
