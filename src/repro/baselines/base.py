@@ -7,8 +7,9 @@ from repro.baselines.scoring import liblit_rank, rank_of_line
 from repro.compiler.frontend import compile_module
 from repro.core.api import confidence_summary, validate_options
 from repro.machine.cpu import MachineConfig
-from repro.obs import get_obs, use
+from repro.obs import get_obs
 from repro.obs.ledger import get_ledger
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.harness import stream_baseline_runs
 from repro.runtime.process import execute_plan
 
@@ -94,21 +95,18 @@ class BaselineToolBase:
     tool_name = "baseline"
 
     #: accepted constructor options and their defaults
-    OPTIONS = {"seed": 0, "executor": None, "obs": None}
+    OPTIONS = {"seed": 0, "executor": None}
 
     def __init__(self, workload, **options):
         self.options = validate_options(type(self).__name__,
                                         self.OPTIONS, options)
         self.workload = workload
         self.seed = self.options["seed"]
-        #: optional CampaignExecutor — campaign runs then execute on
-        #: worker-side reconstructions of this tool (see _clone_spec)
-        #: or on this tool, and flow back as counter/predicate deltas;
-        #: results are identical to the sequential path.
-        self.executor = self.options.get("executor")
-        #: optional Observability pinned for run_diagnosis (default:
-        #: whatever bundle is current at diagnosis time)
-        self.obs = self.options.get("obs")
+        #: the CampaignExecutor campaign runs go through (default: in
+        #: process, no cache) — on worker-side reconstructions of this
+        #: tool (see _clone_spec) or on this tool, flowing back as
+        #: counter/predicate deltas; results are identical either way.
+        self.executor = self.options.get("executor") or CampaignExecutor()
         self.program = compile_module(workload.build_module(),
                                       toggling=False)
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
@@ -127,18 +125,20 @@ class BaselineToolBase:
         raise NotImplementedError
 
     def _clone_spec(self):
-        """``(class, workload, kwargs)`` rebuilding an equivalent tool.
+        """``(class, workload, kwargs)`` rebuilding an equivalent tool:
+        every option but the executor.
 
         Used by the campaign executor to reconstruct this tool inside
-        worker processes; subclasses adding behavioural parameters must
-        extend the kwargs so clones sample and observe identically.
+        worker processes, so clones sample and observe identically.
         """
-        return type(self), self.workload, {"seed": self.seed}
+        return type(self), self.workload, {
+            name: value for name, value in self.options.items()
+            if name != "executor"}
 
     def __reduce__(self):
         # A tool pickles as its clone: the receiver — a pool worker —
         # rebuilds an equivalent fresh tool (counters and predicate
-        # registry empty, no executor) instead of copying this one.
+        # registry empty, a default executor) instead of copying it.
         return _rebuild_tool, self._clone_spec()
 
     # -- campaign ---------------------------------------------------------
@@ -172,22 +172,23 @@ class BaselineToolBase:
         """Collect runs until the outcome quotas are met, then rank.
 
         Each phase is one journaled, budgeted campaign stream
-        (:func:`repro.runtime.harness.stream_baseline_runs`).  With an
-        executor attached, attempts fan out across its worker pool (and
-        replay from its run cache) but are consumed strictly in attempt
-        order, so counts, observations, and the predicate registry are
-        bit-identical to the sequential path.  The finished diagnosis
-        is recorded in the current run ledger (:mod:`repro.obs.ledger`;
-        a no-op unless one is installed).
+        (:func:`repro.runtime.harness.stream_baseline_runs`) on this
+        tool's executor: attempts may fan out across its worker pool
+        (and replay from its run cache) but are consumed strictly in
+        attempt order, so counts, observations, and the predicate
+        registry are the same at any worker count.  The diagnosis and
+        its campaign's executor activity are recorded in the current
+        run ledger (:mod:`repro.obs.ledger`; a no-op unless installed).
         """
-        obs = self.obs if self.obs is not None else get_obs()
+        obs = get_obs()
+        mark = self.executor.stats.mark()
         started = time.perf_counter()
-        with use(obs), obs.span("diagnose." + self.tool_name.lower(),
-                                workload=self.workload.name):
+        with obs.span("diagnose." + self.tool_name.lower(),
+                      workload=self.workload.name):
             diagnosis = self._run_diagnosis(obs, n_failures, n_successes,
                                             max_attempts)
         params = {name: value for name, value in self.options.items()
-                  if name not in ("executor", "obs", "seed")}
+                  if name not in ("executor", "seed")}
         params.update(n_failures=n_failures, n_successes=n_successes)
         get_ledger().record_diagnosis(
             tool=self.tool_name.lower(),
@@ -196,7 +197,7 @@ class BaselineToolBase:
             seed=self.seed,
             params=params,
             wall_seconds=time.perf_counter() - started,
-            executor=self.executor,
+            executor=self.executor.stats.to_dict(since=mark),
             backend=self.machine_config.backend,
         )
         return diagnosis

@@ -90,10 +90,6 @@ class CbiTool(BaselineToolBase):
 
         return finish
 
-    def _clone_spec(self):
-        return (type(self), self.workload,
-                {"seed": self.seed, "sampling_rate": self.sampling_rate})
-
     def predicate_info(self):
         info = {}
         for tag in self._conditional_tags.values():

@@ -57,12 +57,13 @@ class CbiAdaptiveTool(BaselineToolBase):
 
     Accepts no ``executor`` option: iterations are inherently
     sequential — each wave's predicate set depends on the previous
-    wave's diagnosis, so runs cannot be speculated ahead.
+    wave's diagnosis, so runs cannot be speculated ahead — and run in
+    process through :meth:`_run_once`.
     """
 
     tool_name = "CBI-adaptive"
 
-    OPTIONS = {"seed": 0, "obs": None, "runs_per_iteration": 20}
+    OPTIONS = {"seed": 0, "runs_per_iteration": 20}
 
     def __init__(self, workload, **options):
         super().__init__(workload, **options)
@@ -196,11 +197,11 @@ class CbiAdaptiveTool(BaselineToolBase):
 
     def run_diagnosis(self, max_iterations=50):
         """Run the adaptive campaign; returns an AdaptiveOutcome."""
-        from repro.obs import get_obs, use
+        from repro.obs import get_obs
 
-        obs = self.obs if self.obs is not None else get_obs()
-        with use(obs), obs.span("diagnose.cbi-adaptive",
-                                workload=self.workload.name):
+        obs = get_obs()
+        with obs.span("diagnose.cbi-adaptive",
+                      workload=self.workload.name):
             return self._run_adaptive(obs, max_iterations)
 
     def _run_adaptive(self, obs, max_iterations):

@@ -34,10 +34,6 @@ class CciTool(BaselineToolBase):
         self.sampling_rate = self.options["sampling_rate"]
         self._predicates = {}
 
-    def _clone_spec(self):
-        return (type(self), self.workload,
-                {"seed": self.seed, "sampling_rate": self.sampling_rate})
-
     def attach(self, machine, run_seed):
         sampler = GeometricSampler(rate=self.sampling_rate,
                                    seed=(self.seed, run_seed).__hash__())

@@ -36,10 +36,6 @@ class PbiTool(BaselineToolBase):
         self.sample_period = self.options["sample_period"]
         self._predicates = {}
 
-    def _clone_spec(self):
-        return (type(self), self.workload,
-                {"seed": self.seed, "sample_period": self.sample_period})
-
     def attach(self, machine, run_seed):
         true_predicates = set()
         observed_sites = set()

@@ -199,11 +199,11 @@ def _experiment_registry():
 
 
 def _write_stats(executor, out):
+    """Append the statistics block if ``--jobs`` > 1 or ``--cache``."""
     from repro.experiments.report import executor_stats_result
 
-    stats = executor_stats_result(executor)
-    if stats is not None:
-        out.write("\n" + stats.format() + "\n")
+    if executor.jobs > 1 or executor.cache is not None:
+        out.write("\n" + executor_stats_result(executor).format() + "\n")
 
 
 @contextlib.contextmanager
@@ -353,23 +353,23 @@ def _campaign_session(args, out):
     """The session stack of a campaign command; yields its executor.
 
     Opens the backend session, builds the executor ``--jobs``/``--cache``
-    ask for (``None`` by default) — after the backend, so forked workers
-    inherit the chosen process default — then the fault, ledger, obs
-    and durability sessions.  The pool shuts down inside the fault
-    session: the chaos state directory has to outlive every worker, or a
-    straggling speculative batch would restart the schedule.
+    ask for — after the backend, so forked workers inherit the chosen
+    process default — then the fault, ledger, obs and durability
+    sessions.  The pool shuts down inside the fault session: the chaos
+    state directory has to outlive every worker, or a straggling
+    speculative batch would restart the schedule.
     """
-    from repro.runtime.executor import build_executor
+    from repro.runtime.executor import CampaignExecutor
 
     with _backend_session(args):
-        executor = build_executor(args.jobs, args.cache, args.cache_dir)
+        executor = CampaignExecutor(jobs=args.jobs, cache=args.cache,
+                                    cache_dir=args.cache_dir)
         with _fault_session(args, out), _ledger_session(args), \
                 _obs_session(args, out), _durability_session(args, out):
             try:
                 yield executor
             finally:
-                if executor is not None:
-                    executor.shutdown()
+                executor.shutdown()
 
 
 def _cmd_bugs(_args, out):
@@ -395,12 +395,12 @@ def _cmd_run(args, out):
     return 0
 
 
-def _log_tool(bug, toggling, executor=None, name="auto"):
+def _log_tool(bug, toggling, name="auto"):
     from repro.core.api import get_log_tool
 
     if name == "auto":
         name = "lbrlog" if bug.category == "sequential" else "lcrlog"
-    return get_log_tool(name)(bug, toggling=toggling, executor=executor)
+    return get_log_tool(name)(bug, toggling=toggling)
 
 
 def _cmd_log(args, out):
@@ -794,12 +794,12 @@ def _cmd_obs_compare(args, out):
 def _cmd_obs_conformance(args, out):
     from repro.experiments.expected import run_conformance
 
-    try:
-        with _campaign_session(args, out) as executor:
+    with _campaign_session(args, out) as executor:
+        try:
             text, code = run_conformance(args.names, executor=executor)
-    except ValueError as exc:
-        out.write("%s\n" % exc)
-        return 1
+        except ValueError as exc:          # an unknown driver name
+            out.write("%s\n" % exc)
+            return 1
     out.write(text + "\n")
     return code
 

@@ -17,7 +17,7 @@ own constructor signature and result type.  This module unifies them:
   :class:`~repro.baselines.base.BaselineDiagnosis`) stays reachable as
   ``report.raw`` and its convenience accessors delegate.
 * :class:`DiagnosisTool` — the protocol adapter: uniform constructor
-  ``Tool(workload, *, executor=None, obs=None, seed=0, **options)`` and
+  ``Tool(workload, *, executor=None, seed=0, **options)`` and
   a ``run_diagnosis(...) -> DiagnosisReport`` method.
 * :func:`register_tool` / :func:`get_tool` / :func:`get_log_tool` — the
   pluggable tool registry.  The built-in tools (``"lbra"``, ``"lcra"``,
@@ -240,40 +240,42 @@ class DiagnosisTool:
 
     Subclasses (built by :func:`get_tool`) bind ``name``, the
     implementation class, and the default campaign size.  Constructor
-    keywords beyond the common four (``executor``, ``obs``, ``seed``,
-    plus the workload argument) pass through to — and are validated
-    by — the underlying tool.
+    keywords beyond the common three (``executor``, ``seed``, plus the
+    workload argument) pass through to — and are validated by — the
+    underlying tool.
     """
 
     name = None
     _impl = None                       # ("module", "ClassName")
     default_runs = 10
 
-    def __init__(self, workload, *, executor=None, obs=None, seed=0,
-                 **options):
+    def __init__(self, workload, *, executor=None, seed=0, **options):
         module = importlib.import_module(self._impl[0])
         impl_class = getattr(module, self._impl[1])
         self.workload = workload
-        self.tool = impl_class(workload, executor=executor, obs=obs,
-                               seed=seed, **options)
+        self.tool = impl_class(workload, executor=executor, seed=seed,
+                               **options)
         self.params = dict(options, seed=seed)
 
     def run_diagnosis(self, n_failures=None, n_successes=None,
                       max_attempts=None):
-        """Run the campaign; returns a :class:`DiagnosisReport`."""
+        """Run the campaign; returns a :class:`DiagnosisReport` whose
+        ``campaign["executor"]`` describes this campaign's runs alone."""
         n_failures = n_failures if n_failures is not None \
             else self.default_runs
         n_successes = n_successes if n_successes is not None \
             else self.default_runs
+        stats = self.tool.executor.stats
+        mark = stats.mark()
         started = time.perf_counter()
         raw = self.tool.run_diagnosis(
             n_failures=n_failures, n_successes=n_successes,
             max_attempts=max_attempts,
         )
         elapsed = time.perf_counter() - started
-        return self._report(raw, elapsed)
+        return self._report(raw, elapsed, stats.to_dict(since=mark))
 
-    def _report(self, raw, elapsed):
+    def _report(self, raw, elapsed, venue):
         runs_used = {
             "failures": getattr(raw, "n_failure_profiles",
                                 getattr(raw, "n_failures", 0)),
@@ -292,9 +294,7 @@ class DiagnosisTool:
             # repro.machine.backends).  Informational: the ranked rows
             # are backend-invariant by the equivalence contract.
             campaign["backend"] = machine_config.backend
-        executor = getattr(self.tool, "executor", None)
-        if executor is not None:
-            campaign["executor"] = executor.stats.to_dict()
+        campaign["executor"] = venue
         confidence = getattr(raw, "confidence", None)
         return DiagnosisReport(
             tool=self.name,

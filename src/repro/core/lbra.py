@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 from repro.compiler.frontend import compile_module
 from repro.lang.transform import ReactiveTarget, enhance_logging
 from repro.machine.cpu import MachineConfig
-from repro.obs import get_obs, use
+from repro.obs import get_obs
 from repro.obs.ledger import get_ledger
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.harness import stream_runs
 from repro.core.api import confidence_summary, validate_options
 from repro.core.profiles import (
@@ -131,18 +132,14 @@ class DiagnosisToolBase:
     raises :class:`TypeError` listing the accepted set instead of being
     silently ignored.
 
-    ``executor`` optionally supplies a
-    :class:`~repro.runtime.executor.CampaignExecutor`; campaign runs
-    then execute on its worker pool and/or replay from its run cache.
-    Results are bit-identical to the sequential path — runs are consumed
+    ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
+    campaign runs go through — on its worker pool and/or from its run
+    cache; by default, a fresh ``CampaignExecutor()`` runs them in
+    process.  Results are bit-identical either way — runs are consumed
     strictly in plan order, so the stopping logic below replays the same
-    decisions regardless of worker count.
-
-    ``obs`` optionally pins an :class:`~repro.obs.Observability` that
-    :meth:`run_diagnosis` installs for its duration; by default the
-    currently installed bundle is used (the shared no-op one unless
-    tracing was enabled).  ``seed`` offsets the campaign's plan streams,
-    giving statistically independent repetitions of one diagnosis.
+    decisions regardless of worker count.  ``seed`` offsets the
+    campaign's plan streams, giving statistically independent
+    repetitions of one diagnosis.
     """
 
     ring = None
@@ -153,7 +150,6 @@ class DiagnosisToolBase:
         "scheme": "reactive",
         "toggling": True,
         "executor": None,
-        "obs": None,
         "seed": 0,
     }
 
@@ -167,8 +163,7 @@ class DiagnosisToolBase:
         self.scheme = scheme
         self.toggling = options["toggling"]
         self.lcr_selector = options.get("lcr_selector", 2)
-        self.executor = options["executor"]
-        self.obs = options["obs"]
+        self.executor = options["executor"] or CampaignExecutor()
         self.seed = options["seed"]
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         #: stop reason when the active CampaignBudget cut a stream short
@@ -206,8 +201,8 @@ class DiagnosisToolBase:
         """
         return stream_runs(
             program, self.workload, plan_fn, self.machine_config,
-            (self.tool_name, stream), key=(self.seed,), start=self.seed,
-            executor=self.executor, stopped=self._stopped)
+            (self.tool_name, stream), self.executor, key=(self.seed,),
+            start=self.seed, stopped=self._stopped)
 
     def _collect_failures(self, program, n_failures, max_attempts):
         statuses = []
@@ -267,18 +262,17 @@ class DiagnosisToolBase:
                       max_attempts=None):
         """Run the full campaign and return a :class:`Diagnosis`.
 
-        Runs under this tool's ``obs`` when one was given, the
-        currently installed one otherwise, tagging the phases
-        ``diagnose.<tool>`` → ``collect.failures`` / ``collect.successes``
-        / ``rank``.  The finished diagnosis is recorded in the current
-        run ledger (:mod:`repro.obs.ledger`; a no-op unless one is
-        installed).
+        Spans go to the current :class:`~repro.obs.Observability`,
+        tagging the phases ``diagnose.<tool>`` → ``collect.failures`` /
+        ``collect.successes`` / ``rank``.  The diagnosis and its
+        campaign's executor activity are recorded in the current run
+        ledger (:mod:`repro.obs.ledger`; a no-op unless installed).
         """
-        obs = self.obs if self.obs is not None else get_obs()
+        obs = get_obs()
+        mark = self.executor.stats.mark()
         started = time.perf_counter()
-        with use(obs), obs.span("diagnose." + self.tool_name,
-                                workload=self.workload.name,
-                                scheme=self.scheme):
+        with obs.span("diagnose." + self.tool_name,
+                      workload=self.workload.name, scheme=self.scheme):
             diagnosis = self._run_diagnosis(obs, n_failures, n_successes,
                                             max_attempts)
         get_ledger().record_diagnosis(
@@ -289,7 +283,7 @@ class DiagnosisToolBase:
             params={"scheme": self.scheme, "toggling": self.toggling,
                     "n_failures": n_failures, "n_successes": n_successes},
             wall_seconds=time.perf_counter() - started,
-            executor=self.executor,
+            executor=self.executor.stats.to_dict(since=mark),
             backend=self.machine_config.backend,
         )
         return diagnosis
@@ -389,9 +383,8 @@ class DiagnosisToolBase:
         attempt budget runs out), so workloads whose failing plans
         rotate through several bugs are handled naturally.
         """
-        obs = self.obs if self.obs is not None else get_obs()
-        with use(obs), obs.span("diagnose_all." + self.tool_name,
-                                workload=self.workload.name):
+        with get_obs().span("diagnose_all." + self.tool_name,
+                            workload=self.workload.name):
             return self._diagnose_all(n_failures_per_site, n_successes,
                                       max_attempts)
 

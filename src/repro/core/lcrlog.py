@@ -63,11 +63,11 @@ class LcrLogTool(LogToolBase):
     def __init__(self, workload, toggling=True,
                  selector=CONF2_SPACE_CONSUMING,
                  register_segv_handler=True, ring_capacity=16,
-                 executor=None, obs=None):
+                 executor=None):
         super().__init__(
             workload, toggling=toggling, lcr_selector=selector,
             register_segv_handler=register_segv_handler,
-            ring_capacity=ring_capacity, executor=executor, obs=obs,
+            ring_capacity=ring_capacity, executor=executor,
         )
         self.selector = selector
 

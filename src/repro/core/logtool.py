@@ -5,8 +5,7 @@ from dataclasses import dataclass
 from repro.compiler.frontend import compile_module
 from repro.lang.transform import enhance_logging
 from repro.machine.cpu import MachineConfig
-from repro.obs import get_obs, use
-from repro.runtime.process import run_program
+from repro.runtime.executor import CampaignExecutor
 from repro.core.profiles import (
     FAILURE_SITE_KINDS,
     extract_profile,
@@ -42,15 +41,12 @@ class LogToolBase:
 
     def __init__(self, workload, toggling=True, lcr_selector=2,
                  register_segv_handler=True, ring_capacity=16,
-                 executor=None, obs=None):
+                 executor=None):
         self.workload = workload
         self.toggling = toggling
-        #: optional CampaignExecutor; runs then use its pool/run cache
-        #: (results are identical — see repro.runtime.executor)
-        self.executor = executor
-        #: optional Observability installed around run_plan (default:
-        #: whatever bundle is current at run time)
-        self.obs = obs
+        #: the CampaignExecutor runs go through (default: in process,
+        #: no cache; results are identical — see repro.runtime.executor)
+        self.executor = executor or CampaignExecutor()
         module = workload.build_module()
         enhanced = enhance_logging(
             module,
@@ -72,19 +68,8 @@ class LogToolBase:
 
     def run_plan(self, plan):
         """Execute one :class:`RunPlan` against the enhanced program."""
-        with use(self.obs if self.obs is not None else get_obs()):
-            if self.executor is not None:
-                return self.executor.run_one(
-                    self.program, plan, self.machine_config
-                ).status
-            return run_program(
-                self.program,
-                args=plan.args,
-                scheduler=plan.make_scheduler(),
-                config=self.machine_config,
-                max_steps=plan.max_steps,
-                globals_setup=plan.globals_setup,
-            )
+        return self.executor.run_one(self.program, plan,
+                                     self.machine_config).status
 
     def run_failing(self, k=0):
         """Execute the workload's k-th failing run plan."""

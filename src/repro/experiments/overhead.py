@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.compiler.frontend import compile_module
 from repro.lang.transform import enhance_logging
 from repro.machine.cpu import MachineConfig
-from repro.runtime.process import execute_plan
+from repro.runtime.executor import CampaignExecutor
 
 #: Modeled extra instruction-equivalents per hardware-monitoring op.
 HWOP_IOCTL_COST = 2.0
@@ -25,34 +25,23 @@ HWOP_IOCTL_COST = 2.0
 DEFAULT_RUNS = 10
 
 
-def _iter_outcomes(program, workload, plans, executor):
-    """Yield (status, hwops, broadcast) per plan, executor-optionally."""
-    config = MachineConfig(num_cores=workload.num_cores)
-    if executor is None:
-        for plan in plans:
-            outcome = execute_plan(program, plan, config)
-            yield (outcome.status, outcome.hwops_total,
-                   outcome.hwop_broadcast)
-    else:
-        for _plan, result in executor.iter_runs(program, plans, config):
-            yield (result.status, sum(result.hwop_counts.values()),
-                   result.hwop_broadcast)
-
-
 def measure_cost(program, workload, runs=DEFAULT_RUNS, executor=None):
-    """Mean modeled cost of *program* over the workload's passing plans.
+    """Mean modeled cost of *program* over the workload's passing plans,
+    run on *executor* (default: a fresh ``CampaignExecutor()``).
 
     One-time monitoring setup (the broadcast enable sequence at the
     entry of ``main``) is excluded: production runs amortize it to
     nothing, whereas the miniatures run for only thousands of
     instructions.
     """
-    total = 0.0
+    executor = executor or CampaignExecutor()
+    config = MachineConfig(num_cores=workload.num_cores)
     plans = [workload.passing_run_plan(k) for k in range(runs)]
-    for status, hwops, broadcast in _iter_outcomes(
-            program, workload, plans, executor):
-        steady_hwops = hwops - broadcast
-        total += (status.retired - broadcast) \
+    total = 0.0
+    for _plan, result in executor.iter_runs(program, plans, config):
+        broadcast = result.hwop_broadcast
+        steady_hwops = sum(result.hwop_counts.values()) - broadcast
+        total += (result.status.retired - broadcast) \
             + HWOP_IOCTL_COST * steady_hwops
     return total / runs
 

@@ -98,14 +98,8 @@ class ExperimentResult:
 
 
 def executor_stats_result(executor):
-    """Render one executor's activity as an :class:`ExperimentResult`.
-
-    Accepts a :class:`~repro.runtime.executor.CampaignExecutor` (or
-    ``None``, returning ``None`` so callers can pass the stats straight
-    through whether or not an executor was in play).
-    """
-    if executor is None:
-        return None
+    """Render one :class:`~repro.runtime.executor.CampaignExecutor`'s
+    activity as an :class:`ExperimentResult`."""
     return ExperimentResult(
         name="executor-stats",
         headers=["metric", "value"],

@@ -45,6 +45,7 @@ from repro.obs import get_obs
 from repro.obs.ledger import get_ledger
 from repro.obs.timeseries import build_snapshot, publish_snapshot
 from repro.obs.watch import DEFAULT_INTERVAL
+from repro.runtime.executor import CampaignExecutor
 
 #: ring kind -> registered diagnosis tool dispatched for its clusters.
 RING_TOOLS = {"lbr": "lbra", "lcr": "lcra"}
@@ -285,8 +286,9 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
     """Triage *reports*: cluster by signature, diagnose each cluster.
 
     *runs* is the per-cluster campaign size (failure and success runs
-    each); *executor* is shared across all clusters so their campaigns
-    draw from one run cache.  Returns a :class:`TriageResult`.
+    each); *executor* (default: a fresh ``CampaignExecutor()``) is
+    shared across all clusters so their campaigns draw from one run
+    cache.  Returns a :class:`TriageResult`.
 
     When *snapshot_path* is given, a telemetry snapshot is published
     atomically there once up front, after a diagnosed cluster when at
@@ -297,6 +299,7 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
     ``TriageResult.snapshot_published`` says whether the final,
     complete snapshot landed.
     """
+    executor = executor or CampaignExecutor()
     obs = get_obs()
     metrics = obs.metrics
     reports = list(reports)
@@ -335,8 +338,7 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
             fleet={"reports": result.n_reports,
                    "clusters": result.n_clusters,
                    "diagnosed": done},
-            executor=(executor.stats.to_dict() if executor is not None
-                      else None),
+            executor=executor.stats.to_dict(),
             wall={"elapsed_seconds": round(now - started, 6)},
             complete=complete,
         ))

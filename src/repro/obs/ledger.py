@@ -317,6 +317,7 @@ class Ledger:
         ``BaselineDiagnosis``); quality is the dense rank of the
         workload's ground-truth root cause (``None`` when the workload
         has no registered root cause, or the diagnosis missed it).
+        *executor* is the campaign's venue record, or ``None``.
         """
         from repro.core.api import _normalize_ranked
 
@@ -348,12 +349,13 @@ class Ledger:
             provenance_digest=provenance_digest(ranked),
             backend=backend,
             timings={"wall_seconds": wall_seconds},
-            executor=(executor.stats.to_dict() if executor is not None
-                      else None),
+            executor=executor,
         )
 
-    def record_campaign(self, *, workload, result, backend=None):
-        """Record one :func:`~repro.runtime.harness.run_campaign` call."""
+    def record_campaign(self, *, workload, result, backend=None,
+                        executor=None):
+        """Record one :func:`~repro.runtime.harness.run_campaign` call;
+        *executor* is its venue record, as in :meth:`record_diagnosis`."""
         runs = {
             "failures": len(result.failures),
             "successes": len(result.successes),
@@ -367,8 +369,7 @@ class Ledger:
             workload=getattr(workload, "name", str(workload)),
             runs=runs,
             backend=backend,
-            executor=(result.executor_stats.to_dict()
-                      if result.executor_stats is not None else None),
+            executor=executor,
         )
 
     def record_experiment(self, name, result, wall_seconds,

@@ -29,7 +29,6 @@ from repro.runtime.executor import (
     CampaignExecutor,
     ExecutorStats,
     RunCache,
-    build_executor,
 )
 from repro.runtime.resilience import (
     FaultError,
@@ -79,7 +78,6 @@ __all__ = [
     "RunRecord",
     "ShortfallInfo",
     "Workload",
-    "build_executor",
     "execute_plan",
     "fault_point",
     "run_campaign",

@@ -10,8 +10,8 @@ This module exploits both:
 
 * :class:`CampaignExecutor` fans run attempts out across a
   ``concurrent.futures.ProcessPoolExecutor`` while *yielding results in
-  plan order*, so consumers replay exactly the decision sequence the
-  sequential code path takes.  Determinism contract: **the same plan
+  plan order*, so consumers replay exactly the decision sequence of a
+  one-run-at-a-time pass.  Determinism contract: **the same plan
   stream produces the same outcomes regardless of worker count** — a
   campaign driven through ``jobs=8`` is bit-identical to ``jobs=1``,
   because each attempt's result depends only on its (program, plan,
@@ -55,11 +55,11 @@ import sys
 import tempfile
 import time
 import traceback as traceback_module
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.machine.cpu import MachineConfig
 from repro.obs import Observability, get_obs, use
@@ -473,7 +473,7 @@ class ExecutorStats:
     ``busy_seconds`` sums the execution time of fresh runs;
     ``saved_seconds`` sums the recorded execution time of cache
     replays; their sum estimates what a cold sequential pass would
-    have cost.
+    have cost.  ``worker_pids`` counts pool runs per worker process.
     """
 
     jobs: int = 1
@@ -486,7 +486,7 @@ class ExecutorStats:
     cache_corrupt_dropped: int = 0
     unpicklable_tasks: int = 0
     speculation_discarded: int = 0
-    worker_pids: set = field(default_factory=set)
+    worker_pids: Counter = field(default_factory=Counter)
     busy_seconds: float = 0.0
     saved_seconds: float = 0.0
     started_at: float = field(default_factory=time.perf_counter)
@@ -515,18 +515,24 @@ class ExecutorStats:
     def sequential_estimate(self):
         return self.busy_seconds + self.saved_seconds
 
-    def to_dict(self):
-        """The venue record: where runs executed, for the ledger entry's
-        ``executor`` bucket, a triage snapshot's ``executor`` section and
-        ``DiagnosisReport.campaign["executor"]``."""
+    def mark(self):
+        """These stats as they stand now, for :meth:`to_dict`'s *since*."""
+        return replace(self, worker_pids=Counter(self.worker_pids))
+
+    def to_dict(self, since=None):
+        """The venue record: where runs executed — only the runs made
+        after the :meth:`mark` *since*, when given (a ledger entry's
+        ``executor`` bucket, ``DiagnosisReport.campaign["executor"]``).
+        Its ``resilience`` part always describes the whole executor."""
+        base = since or ExecutorStats()
         record = {
             "jobs": self.jobs,
-            "attempts": self.attempts,
-            "pool_runs": self.pool_runs,
-            "inline_runs": self.inline_runs,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "workers_used": self.workers_used,
+            "attempts": self.attempts - base.attempts,
+            "pool_runs": self.pool_runs - base.pool_runs,
+            "inline_runs": self.inline_runs - base.inline_runs,
+            "cache_hits": self.cache_hits - base.cache_hits,
+            "cache_misses": self.cache_misses - base.cache_misses,
+            "workers_used": len(self.worker_pids - base.worker_pids),
         }
         if self.resilience.activity:
             record["resilience"] = self.resilience.to_dict()
@@ -641,11 +647,12 @@ BATCH = 16
 class CampaignExecutor:
     """Runs campaign attempts in parallel, in plan order, with caching.
 
-    ``jobs`` is the worker-process count (1 = in-process execution, the
-    cache still applies).  ``cache`` enables the run cache; ``cache_dir``
-    selects the on-disk layer (``None`` with ``cache=True`` keeps a
-    memory-only cache; pass :data:`DEFAULT_CACHE_DIR` — the CLI default
-    — for cross-invocation reuse).
+    Every campaign run goes through one.  ``jobs`` is the worker-process
+    count (1 = in-process execution).  ``cache`` enables the run cache;
+    ``cache_dir`` selects the on-disk layer (``None`` with ``cache=True``
+    keeps a memory-only cache; pass :data:`DEFAULT_CACHE_DIR` — the CLI
+    default — for cross-invocation reuse).  So ``CampaignExecutor()``
+    runs each attempt in process, when it is pulled, and caches nothing.
 
     The executor is a context manager; :meth:`shutdown` releases the
     worker pool.  One executor can be shared across every tool and
@@ -658,7 +665,7 @@ class CampaignExecutor:
     ``jobs`` require real CPU cores; the cache helps regardless.
     """
 
-    def __init__(self, jobs=1, cache=True, cache_dir=None,
+    def __init__(self, jobs=1, cache=False, cache_dir=None,
                  resilience_policy=None):
         self.jobs = max(1, int(jobs))
         self.cache = None
@@ -848,10 +855,9 @@ class CampaignExecutor:
     # -- task construction ---------------------------------------------
 
     def _run_task(self, program, plan, config):
-        program_fp = fingerprint_program(program)
         key = None
         if self.cache is not None:
-            key = _run_key(program_fp, plan, config)
+            key = _run_key(fingerprint_program(program), plan, config)
 
         def result(value, **run):
             return plan, RunResult(status=value.status,
@@ -859,16 +865,16 @@ class CampaignExecutor:
                                    hwop_broadcast=value.hwop_broadcast,
                                    **run)
 
-        return self._task("run", key, execute_plan, program, program_fp,
-                          (plan, config), result, config.backend)
+        return self._task("run", key, execute_plan, program,
+                          fingerprint_program, (plan, config), result,
+                          config.backend)
 
     def _baseline_task(self, tool, plan, run_seed):
-        tool_fp = fingerprint_tool(tool)
         key = None
         if self.cache is not None:
-            key = _baseline_key(tool_fp, plan, run_seed)
+            key = _baseline_key(fingerprint_tool(tool), plan, run_seed)
         return self._task(
-            "baseline", key, _baseline_execute, tool, tool_fp,
+            "baseline", key, _baseline_execute, tool, fingerprint_tool,
             (plan, run_seed),
             lambda value, **run: (run_seed,
                                   BaselineRunResult.of(value, **run)),
@@ -879,15 +885,17 @@ class CampaignExecutor:
         """A task running ``fn(subject, *args)``, pool-eligible when it
         pickles.
 
-        The subject's blob is memoized on the subject, so a campaign
-        pickles its program (or tool, as its clone) once.  A task that
-        cannot be pickled still executes in process and its outcome
-        stands; the error and traceback ride along on its result and in
+        Only with ``jobs > 1`` is the subject fingerprinted and pickled,
+        for the batch header; its blob is memoized on it, so a campaign
+        pickles its program (or tool, as its clone) once.  A task that cannot be
+        pickled still executes in process and its outcome stands; the
+        error and traceback ride along on its result and in
         ``ResilienceStats.task_errors`` under stage ``pickle:<kind>``.
         """
         task = _Task(fn, subject, args, result, backend, key)
         if self.jobs > 1:
             try:
+                subject_fp = fingerprint(subject)
                 blob = subject.__dict__.get("_pickle_blob")
                 if blob is None:
                     blob = pickle.dumps(subject,
@@ -895,7 +903,7 @@ class CampaignExecutor:
                     subject.__dict__["_pickle_blob"] = blob
                 task.item = pickle.dumps(args,
                                          protocol=pickle.HIGHEST_PROTOCOL)
-                task.header = (fn, fingerprint, blob, get_obs().enabled)
+                task.header = (fn, subject_fp, blob, get_obs().enabled)
             except Exception as exc:
                 self.stats.unpicklable_tasks += 1
                 task.error = "%s: %s" % (type(exc).__name__, exc)
@@ -1042,7 +1050,7 @@ class CampaignExecutor:
             pid, results = self._batch_result(payload)
             duration, value, obs_payload = results[index]
             self.stats.pool_runs += 1
-            self.stats.worker_pids.add(pid)
+            self.stats.worker_pids[pid] += 1
             obs.merge_payload(obs_payload)
         else:
             started = time.perf_counter()
@@ -1071,20 +1079,6 @@ class CampaignExecutor:
         self.stats.cache_corrupt_dropped = self.cache.corrupt_dropped
 
 
-def build_executor(jobs=1, cache=False, cache_dir=DEFAULT_CACHE_DIR):
-    """CLI-facing factory: an executor, or ``None`` for the legacy path.
-
-    Returns ``None`` when neither parallelism nor caching is requested,
-    so callers keep the zero-overhead sequential code path by default.
-    """
-    if jobs <= 1 and not cache:
-        return None
-    return CampaignExecutor(
-        jobs=jobs, cache=cache,
-        cache_dir=cache_dir if cache else None,
-    )
-
-
 __all__ = [
     "BaselineRunResult",
     "CampaignExecutor",
@@ -1093,7 +1087,6 @@ __all__ = [
     "ExecutorStats",
     "RunCache",
     "RunResult",
-    "build_executor",
     "fingerprint_config",
     "fingerprint_plan",
     "fingerprint_program",

@@ -18,13 +18,13 @@ failing attempt always executes ``workload.failing_run_plan(k)``, and any
 randomness lives inside the plan (schedulers seeded by k).  Each run's
 outcome depends only on its (program, plan, config) triple.  Campaign
 results are therefore **bit-identical no matter how runs are executed**:
-sequentially in this process, fanned out across a worker pool, or
-replayed from the run cache.  Passing a
-:class:`~repro.runtime.executor.CampaignExecutor` via ``executor=``
-changes wall-clock time, never results — parallel workers only
-*speculate ahead* in the deterministic plan stream, and results are
-consumed strictly in plan order so the stopping decisions replay the
-sequential logic exactly.
+one at a time in this process, fanned out across a worker pool, or
+replayed from the run cache.  Every campaign runs through a
+:class:`~repro.runtime.executor.CampaignExecutor`, whose ``jobs`` and
+``cache`` settings change wall-clock time, never results — parallel
+workers only *speculate ahead* in the deterministic plan stream, and
+results are consumed strictly in plan order so the stopping decisions
+replay the same logic exactly.
 
 Shortfall handling
 ------------------
@@ -42,16 +42,14 @@ import warnings
 from dataclasses import dataclass
 
 from repro.machine.cpu import MachineConfig
-from repro.obs import get_obs, use
+from repro.obs import get_obs
 from repro.obs.ledger import get_ledger
 from repro.runtime import checkpoint as _checkpoint
 from repro.runtime.executor import (
-    BaselineRunResult,
-    _baseline_execute,
+    CampaignExecutor,
     fingerprint_program,
     fingerprint_tool,
 )
-from repro.runtime.process import run_program
 
 
 @dataclass
@@ -93,11 +91,9 @@ class CampaignResult:
 
     Besides the collected runs, carries everything observable about how
     the campaign unfolded: ``shortfall`` (a :class:`ShortfallInfo`, or
-    ``None`` when both quotas were met), ``executor_stats`` (the
-    :class:`~repro.runtime.executor.ExecutorStats` of the executor in
-    play, or ``None`` on the sequential path), and ``obs`` (the
-    :class:`~repro.obs.Observability` whose span/metric buffers the
-    campaign wrote into; the shared NULL bundle when disabled).
+    ``None`` when both quotas were met) and ``executor_stats`` (the
+    :class:`~repro.runtime.executor.ExecutorStats` of the executor that
+    ran it).
     """
 
     failures: list
@@ -105,7 +101,6 @@ class CampaignResult:
     attempts: int
     shortfall: ShortfallInfo = None
     executor_stats: object = None
-    obs: object = None
     #: stop reason ("run-budget"/"deadline") when the campaign was cut
     #: short by the active CampaignBudget, None otherwise (see
     #: repro.runtime.checkpoint); budget stops are expected, so they
@@ -161,7 +156,7 @@ class CampaignShortfallWarning(_CampaignShortfall, UserWarning):
 
 def run_campaign(program, workload, *, want_failures, want_successes,
                  config=None, max_attempts=None, executor=None,
-                 on_shortfall="warn", obs=None):
+                 on_shortfall="warn"):
     """Execute *program* until the requested outcome counts are reached.
 
     Everything after ``workload`` is keyword-only; the old positional
@@ -173,25 +168,24 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     under their actual outcome (a "failing" plan that survives is a
     success run, exactly as in production).
 
-    ``executor`` optionally supplies a
-    :class:`~repro.runtime.executor.CampaignExecutor` that runs attempts
-    on a worker pool and/or replays them from the run cache; results are
-    identical to the sequential path (see the module docstring).
+    ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
+    that runs the attempts — on a worker pool and/or from its run cache;
+    by default, a fresh ``CampaignExecutor()`` runs them in process.
+    Results are the same either way (see the module docstring).
 
     ``on_shortfall`` — ``"warn"`` (default), ``"raise"``, or ``"ignore"``
     — controls what happens when the attempt cap is reached before the
     requested counts are (see the module docstring).
 
-    ``obs`` — an :class:`~repro.obs.Observability` to record spans and
-    metrics into for the duration of the campaign; defaults to whatever
-    bundle is already current (the shared no-op one unless tracing was
-    enabled), so instrumentation costs nothing when unused.
+    Spans and metrics go to the current :class:`~repro.obs.Observability`
+    (the shared no-op one unless tracing was enabled).
     """
     if on_shortfall not in ("warn", "raise", "ignore"):
         raise ValueError("on_shortfall must be 'warn', 'raise', or "
                          "'ignore', not %r" % (on_shortfall,))
-    if obs is None:
-        obs = get_obs()
+    executor = executor or CampaignExecutor()
+    mark = executor.stats.mark()
+    obs = get_obs()
     config = config or MachineConfig(num_cores=workload.num_cores)
     failures = []
     successes = []
@@ -203,8 +197,7 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     def consume(phase, plan_fn, quota_reached):
         nonlocal attempts
         runs = stream_runs(program, workload, plan_fn, config,
-                           ("campaign", phase), executor=executor,
-                           stopped=stopped)
+                           ("campaign", phase), executor, stopped=stopped)
         try:
             while not quota_reached() and attempts < limit:
                 record = next(runs, None)
@@ -216,9 +209,7 @@ def run_campaign(program, workload, *, want_failures, want_successes,
         finally:
             runs.close()
 
-    # The whole campaign runs with *obs* installed so both execution
-    # paths record into the campaign's buffers.
-    with use(obs), obs.span("campaign", workload=workload.name):
+    with obs.span("campaign", workload=workload.name):
         with obs.span("campaign.failing"):
             consume("failing", workload.failing_run_plan,
                     lambda: len(failures) >= want_failures)
@@ -257,12 +248,12 @@ def run_campaign(program, workload, *, want_failures, want_successes,
         else successes,
         attempts=attempts,
         shortfall=shortfall,
-        executor_stats=getattr(executor, "stats", None),
-        obs=obs,
+        executor_stats=executor.stats,
         partial=stopped["reason"],
     )
-    get_ledger().record_campaign(workload=workload, result=result,
-                                 backend=config.backend)
+    get_ledger().record_campaign(
+        workload=workload, result=result, backend=config.backend,
+        executor=executor.stats.to_dict(since=mark))
     return result
 
 
@@ -279,9 +270,8 @@ def _executor_detail(executor):
     infrastructure, not workload behaviour — say so and show the last
     preserved error so nobody has to rerun with a debugger attached.
     """
-    stats = getattr(executor, "stats", None)
-    resilience = getattr(stats, "resilience", None)
-    if resilience is None or not resilience.task_errors:
+    resilience = executor.stats.resilience
+    if not resilience.task_errors:
         return None
     last = resilience.task_errors[-1]
     return ("%d executor task error(s) recorded; last (%s): %s"
@@ -350,33 +340,21 @@ def durable_stream(stream, fingerprint, fresh, *, stopped, start=0):
             journal.close()
 
 
-def stream_runs(program, workload, plan_fn, config, stream, *, stopped,
-                key=(), start=0, executor=None):
+def stream_runs(program, workload, plan_fn, config, stream, executor, *,
+                stopped, key=(), start=0):
     """Yield RunRecords for ``plan_fn(start), plan_fn(start+1), ...``.
 
-    :func:`durable_stream` over plan runs, for :func:`run_campaign` and
-    the LBRA/LCRA tools.  The sequential path executes one plan per pull
-    through :func:`~repro.runtime.process.run_program`; the executor
-    path speculates ahead on the pool but still yields in plan order.
-    The journal fingerprint covers (owner, phase, program fingerprint,
+    :func:`durable_stream` over plan runs on *executor*, for
+    :func:`run_campaign` and the LBRA/LCRA tools; a pool speculates
+    ahead, but records still come in plan order.  The journal
+    fingerprint covers (owner, phase, program fingerprint,
     ``repr(config)``, workload token, ``*key``).
     """
     def fresh(cursor):
-        if executor is None:
-            for k in itertools.count(cursor):
-                plan = plan_fn(k)
-                status = run_program(
-                    program, args=plan.args,
-                    scheduler=plan.make_scheduler(), config=config,
-                    max_steps=plan.max_steps,
-                    globals_setup=plan.globals_setup)
-                yield k, workload.is_failure(status), status
-        else:
-            plans = (plan_fn(k) for k in itertools.count(cursor))
-            for k, (_plan, result) in enumerate(
-                    executor.iter_runs(program, plans, config),
-                    start=cursor):
-                yield k, workload.is_failure(result.status), result.status
+        plans = (plan_fn(k) for k in itertools.count(cursor))
+        for k, (_plan, result) in enumerate(
+                executor.iter_runs(program, plans, config), start=cursor):
+            yield k, workload.is_failure(result.status), result.status
 
     def fingerprint():
         return _checkpoint.stream_fingerprint(
@@ -393,24 +371,18 @@ def stream_baseline_runs(tool, plan_fn, phase, *, stopped, start):
     """Yield ``(k, failed, BaselineRunResult)`` for a baseline campaign.
 
     :func:`durable_stream` over a CBI-family *tool*: attempt k runs
-    ``plan_fn(k)`` with run seed k, in process or on ``tool.executor``,
-    and leaves *tool* as it was found.  The journal is keyed by phase,
-    tool fingerprint, seed and *start*, because a passing phase starts
-    where its failing phase stopped.
+    ``plan_fn(k)`` with run seed k on ``tool.executor``, and leaves
+    *tool* as it was found.  The journal is keyed by phase, tool
+    fingerprint, seed and *start*, because a passing phase starts where
+    its failing phase stopped.
     """
     name = tool.tool_name.lower()
-    executor = tool.executor
 
     def fresh(cursor):
-        if executor is None:
-            for k in itertools.count(cursor):
-                result = BaselineRunResult.of(
-                    _baseline_execute(tool, plan_fn(k), k))
-                yield k, result.failed, result
-        else:
-            plan_seeds = ((plan_fn(k), k) for k in itertools.count(cursor))
-            for k, result in executor.iter_baseline_runs(tool, plan_seeds):
-                yield k, result.failed, result
+        plan_seeds = ((plan_fn(k), k) for k in itertools.count(cursor))
+        for k, result in tool.executor.iter_baseline_runs(tool,
+                                                          plan_seeds):
+            yield k, result.failed, result
 
     def fingerprint():
         return _checkpoint.stream_fingerprint(

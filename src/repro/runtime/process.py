@@ -29,10 +29,6 @@ class PlanOutcome:
     hwop_counts: dict = field(default_factory=dict)
     hwop_broadcast: int = 0
 
-    @property
-    def hwops_total(self):
-        return sum(self.hwop_counts.values())
-
 
 def execute_plan(program, plan, config=None, attach=None):
     """Execute one :class:`~repro.runtime.workload.RunPlan` and return a

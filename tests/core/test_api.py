@@ -122,6 +122,16 @@ def test_wrong_tool_keyword_fails_loudly():
         get_tool("pbi")(get_bug("sort"), sampling_rate=0.5)
 
 
+def test_tools_take_no_obs_option():
+    """Tools record into the installed Observability; a per-tool
+    ``obs=`` is an unknown option like any other."""
+    with pytest.raises(TypeError) as excinfo:
+        get_tool("lbra")(get_bug("sort"), obs=None)
+    message = str(excinfo.value)
+    assert "'obs'" in message
+    assert "accepted options: executor, scheme, seed, toggling" in message
+
+
 def test_validate_options_merges_defaults():
     merged = validate_options("T", {"a": 1, "b": 2}, {"b": 9})
     assert merged == {"a": 1, "b": 9}

@@ -21,7 +21,7 @@ from repro.obs.ledger import (
     set_ledger,
     use,
 )
-from repro.runtime.executor import build_executor
+from repro.runtime.executor import CampaignExecutor
 from repro.runtime.harness import run_campaign
 
 
@@ -326,14 +326,9 @@ def test_experiment_recorded(tmp_path):
 def _diagnose_with_jobs(tmp_path, jobs):
     bug = get_bug("apache1")
     ledger = Ledger(tmp_path / ("jobs%d" % jobs))
-    executor = build_executor(jobs=jobs)
-    try:
-        with use(ledger):
-            get_tool("lbra")(bug, executor=executor) \
-                .run_diagnosis(n_failures=4, n_successes=4)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    with use(ledger), CampaignExecutor(jobs=jobs) as executor:
+        get_tool("lbra")(bug, executor=executor) \
+            .run_diagnosis(n_failures=4, n_successes=4)
     (entry,) = ledger.entries(kind="diagnosis")
     return entry
 
@@ -351,6 +346,42 @@ def test_ledger_determinism_across_jobs(tmp_path):
     differing = {name for name in sequential
                  if sequential[name] != parallel[name]}
     assert differing <= set(TIMING_FIELDS)
+
+
+@pytest.mark.parametrize("flags", [(), ("--jobs", "2", "--no-cache")],
+                         ids=["default", "jobs2-no-cache"])
+def test_table7_entries_count_their_own_campaigns(tmp_path, flags):
+    """One executor serves the whole command, yet each LCRA entry's
+    ``executor`` bucket holds its own campaign's attempts, not the
+    executor's running total (which includes the LCRLOG runs)."""
+    import io
+
+    from repro.cli import main
+
+    ledger_dir = tmp_path / "ledger"
+    assert main(["experiment", "table7", "--ledger-dir", str(ledger_dir),
+                 *flags], out=io.StringIO()) == 0
+    attempts = {entry["workload"]: entry["executor"]["attempts"]
+                for entry in Ledger(ledger_dir).entries(kind="diagnosis")}
+    assert len(attempts) == 11
+    assert attempts == dict(dict.fromkeys(attempts, 20), mysql1=460)
+
+
+def test_campaign_entry_counts_its_own_runs(tmp_path):
+    from repro.core.lbrlog import LbrLogTool
+
+    bug = get_bug("sort")
+    program = LbrLogTool(bug).program
+    ledger = Ledger(tmp_path)
+    with use(ledger), CampaignExecutor() as executor:
+        first = run_campaign(program, bug, want_failures=2,
+                             want_successes=2, executor=executor)
+        second = run_campaign(program, bug, want_failures=1,
+                              want_successes=3, executor=executor)
+    assert [entry["executor"]["attempts"]
+            for entry in ledger.entries(kind="campaign")] \
+        == [first.attempts, second.attempts]
+    assert executor.stats.attempts == first.attempts + second.attempts
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,17 @@ def test_diagnose():
     assert "LBRA diagnosis" in text
 
 
+def test_diagnose_prints_statistics_only_with_a_pool_or_cache():
+    code, default = run_cli("diagnose", "sort", "--no-ledger")
+    assert code == 0
+    assert "Campaign executor statistics" not in default
+    code, pooled = run_cli("diagnose", "sort", "--no-ledger",
+                           "--jobs", "2")
+    assert code == 0
+    above, _block = pooled.split("\nCampaign executor statistics\n")
+    assert above == default
+
+
 def test_experiments_listing():
     code, text = run_cli("experiments")
     assert code == 0

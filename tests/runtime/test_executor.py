@@ -323,6 +323,40 @@ def test_run_one_matches_direct_execution():
     assert replay.status.exit_code == direct.status.exit_code
 
 
+def test_campaigns_without_an_executor_run_on_a_default_one():
+    """No executor given: every run goes through the tool's own
+    ``CampaignExecutor()``, in process, one attempt per run."""
+    from repro.baselines import CbiTool
+    from repro.core.lbrlog import LbrLogTool
+
+    def in_process(stats, attempts):
+        assert stats.jobs == 1
+        assert stats.inline_runs == stats.attempts == attempts
+        assert stats.pool_runs == stats.cache_misses == 0
+
+    result = run_campaign(compile_source(SOURCE), Thresholdy(),
+                          want_failures=2, want_successes=3)
+    in_process(result.executor_stats, result.attempts)
+
+    lbra = LbraTool(get_bug("sort"))
+    assert lbra.executor.cache is None
+    diagnosis = lbra.run_diagnosis(4, 4)
+    in_process(lbra.executor.stats, len(diagnosis.failing_statuses)
+               + len(diagnosis.passing_statuses))
+
+    cbi = CbiTool(get_bug("sort"))
+    assert cbi.executor.cache is None
+    baseline = cbi.run_diagnosis(n_failures=5, n_successes=5)
+    in_process(cbi.executor.stats,
+               baseline.n_failures + baseline.n_successes)
+
+    lbrlog = LbrLogTool(get_bug("sort"))
+    assert lbrlog.executor.cache is None
+    lbrlog.run_failing(0)
+    lbrlog.run_failing(1)
+    in_process(lbrlog.executor.stats, 2)
+
+
 def test_stats_rows_render_through_report():
     from repro.experiments.report import executor_stats_result
 
@@ -334,41 +368,42 @@ def test_stats_rows_render_through_report():
     text = result.format()
     assert "cache misses" in text
     assert "wall clock" in text
-    assert executor_stats_result(None) is None
 
 
-def test_build_executor_returns_none_for_defaults():
-    from repro.runtime.executor import build_executor
-
-    assert build_executor(jobs=1, cache=False) is None
-    executor = build_executor(jobs=2, cache=False)
-    try:
-        assert executor is not None
-        assert executor.cache is None
-    finally:
-        executor.shutdown()
-
-
-@pytest.mark.parametrize("tool_class, bug", [("CbiTool", "sort"),
-                                             ("CciTool", "mysql1")])
-def test_pickled_baseline_tool_is_a_fresh_clone(tool_class, bug):
-    """Pool workers receive a tool as its clone: same fingerprint, and
-    none of the sender's counters, predicates or executor."""
+@pytest.mark.parametrize("tool_class, bug, options", [
+    pytest.param("CbiTool", "sort", {}, id="CbiTool-sort"),
+    pytest.param("CciTool", "mysql1", {}, id="CciTool-mysql1"),
+    pytest.param("PbiTool", "apache4", {}, id="PbiTool-apache4"),
+    pytest.param("CbiTool", "sort", {"sampling_rate": 0.5},
+                 id="CbiTool-sort-rate"),
+    pytest.param("CciTool", "mysql1", {"sampling_rate": 0.5, "seed": 3},
+                 id="CciTool-mysql1-rate-seed"),
+    pytest.param("PbiTool", "apache4", {"sample_period": 40},
+                 id="PbiTool-apache4-period"),
+])
+def test_pickled_baseline_tool_is_a_fresh_clone(tool_class, bug, options):
+    """Pool workers receive a tool as its clone: every option but the
+    executor, the same fingerprint, and none of the sender's counters,
+    predicates or executor."""
     from repro import baselines
     from repro.runtime.executor import fingerprint_tool
 
     with CampaignExecutor(jobs=1, cache=True) as executor:
         tool = getattr(baselines, tool_class)(get_bug(bug),
-                                              executor=executor)
+                                              executor=executor,
+                                              **options)
         tool.run_diagnosis(n_failures=5, n_successes=5)
     assert tool.events_observed and tool.retired_total
     clone = pickle.loads(pickle.dumps(tool))
     assert type(clone) is type(tool)
+    assert clone.options == dict(tool.options, executor=None)
     assert fingerprint_tool(clone) == fingerprint_tool(tool)
     assert (clone.events_observed, clone.samples_taken,
             clone.retired_total) == (0, 0, 0)
     assert getattr(clone, "_predicates", {}) == {}
-    assert clone.executor is None
+    assert clone.executor is not executor
+    assert clone.executor.cache is None
+    assert clone.executor.stats.attempts == 0
 
 
 def test_every_artifact_carries_the_executor_venue_record(tmp_path):

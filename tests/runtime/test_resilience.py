@@ -458,15 +458,20 @@ def test_shortfall_warning_carries_executor_detail():
 # End-to-end through the CLI
 # ----------------------------------------------------------------------
 
-def test_cli_rejects_bad_fault_spec(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", [
+    pytest.param(("experiment", "table5"), id="experiment-table5"),
+    pytest.param(("obs", "conformance", "table5"),
+                 id="obs-conformance-table5"),
+])
+def test_cli_rejects_bad_fault_spec(command, tmp_path, monkeypatch):
     temp = tmp_path / "tmp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
-    code, text = run_cli("experiment", "table5", "--inject-faults",
+    code, text = run_cli(*command, "--inject-faults",
                          "definitely-not-a-site:1",
                          "--ledger-dir", str(tmp_path / "ledger"))
     assert code == 2
-    assert "bad --inject-faults spec" in text
+    assert text.startswith("bad --inject-faults spec: ")
     # The rejected spec left no fault state directory behind.
     assert list(temp.iterdir()) == []
 
