@@ -103,7 +103,8 @@ class BaselineToolBase:
         self.workload = workload
         self.seed = self.options["seed"]
         #: the CampaignExecutor campaign runs go through (default: in
-        #: process, no cache) — on worker-side reconstructions of this
+        #: process; baseline runs are cached only with cache=True) — on
+        #: worker-side reconstructions of this
         #: tool (see _clone_spec) or on this tool, flowing back as
         #: counter/predicate deltas; results are identical either way.
         self.executor = self.options.get("executor") or CampaignExecutor()

@@ -53,9 +53,11 @@ threaded one is simply faster; see ``docs/performance.md`` for the
 performance model and :mod:`repro.machine.backends` for the contract.
 
 ``diagnose``, ``triage``, and ``experiment`` accept ``--jobs N`` (fan campaign runs
-out over N worker processes), ``--cache``/``--no-cache`` (content-
-addressed run cache under ``--cache-dir``, default ``.repro-cache/``),
-and print the executor's statistics report when either is active.
+out over N worker processes), ``--cache``/``--no-cache`` (the
+invocation always replays repeated plan runs from memory; ``--cache``
+also caches baseline runs and keeps every run on disk under
+``--cache-dir``, default ``.repro-cache/``), and print the executor's
+statistics report when either is active.
 Results are identical at any ``--jobs`` value and any cache state —
 parallelism and caching change wall-clock time only.
 
@@ -202,7 +204,7 @@ def _write_stats(executor, out):
     """Append the statistics block if ``--jobs`` > 1 or ``--cache``."""
     from repro.experiments.report import executor_stats_result
 
-    if executor.jobs > 1 or executor.cache is not None:
+    if executor.jobs > 1 or executor.cache_all:
         out.write("\n" + executor_stats_result(executor).format() + "\n")
 
 
@@ -828,7 +830,9 @@ def _executor_flags():
     )
     parent.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
-        help="reuse finished runs via the content-addressed run cache",
+        help="also cache baseline runs, and keep every run in the "
+             "on-disk run cache under --cache-dir for later invocations "
+             "(repeated plan runs replay from memory either way)",
     )
     parent.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",

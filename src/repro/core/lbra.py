@@ -135,11 +135,12 @@ class DiagnosisToolBase:
     ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
     campaign runs go through — on its worker pool and/or from its run
     cache; by default, a fresh ``CampaignExecutor()`` runs them in
-    process.  Results are bit-identical either way — runs are consumed
-    strictly in plan order, so the stopping logic below replays the same
-    decisions regardless of worker count.  ``seed`` offsets the
-    campaign's plan streams, giving statistically independent
-    repetitions of one diagnosis.
+    process, executing each distinct plan once and replaying its
+    repeats from memory.  Results are bit-identical either way — runs
+    are consumed strictly in plan order, so the stopping logic below
+    replays the same decisions regardless of worker count.  ``seed``
+    offsets the campaign's plan streams, giving statistically
+    independent repetitions of one diagnosis.
     """
 
     ring = None

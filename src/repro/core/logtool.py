@@ -45,7 +45,9 @@ class LogToolBase:
         self.workload = workload
         self.toggling = toggling
         #: the CampaignExecutor runs go through (default: in process,
-        #: no cache; results are identical — see repro.runtime.executor)
+        #: each distinct plan executed once and its repeats replayed
+        #: from memory; results are identical — see
+        #: repro.runtime.executor)
         self.executor = executor or CampaignExecutor()
         module = workload.build_module()
         enhanced = enhance_logging(

@@ -18,18 +18,20 @@ This module exploits both:
   config) triple, never on which worker ran it or in which order
   attempts finished.  Parallelism only *speculates ahead* in the plan
   stream; speculative attempts past a campaign's stopping point are
-  discarded (their results still warm the cache).
+  discarded — only consumed attempts are stored and counted.
 * :class:`RunCache` memoizes finished runs under a content-addressed
   key — ``sha256(program fingerprint | plan fingerprint | machine
   config fingerprint | format version)``, where the program fingerprint
   covers the linked machine text (instructions, string table, global
   layout and initializers, entry point) and the plan fingerprint covers
   the arguments, step budget, globals setup, and scheduler identity.
-  A bounded in-memory LRU layer serves repeats within a process; an
-  optional on-disk layer under ``.repro-cache/`` serves repeats across
-  invocations (a warm second ``python -m repro experiment table6``
-  replays runs instead of re-executing them).  Corrupt disk entries are
-  discarded, never trusted.
+  Every executor owns one.  Its bounded in-memory LRU layer serves
+  repeated plan runs within the executor — campaigns repeat plans, so
+  each distinct triple executes once; ``cache=True`` also keys baseline
+  runs and adds an on-disk layer under ``.repro-cache/`` that serves
+  repeats across invocations (a warm second ``python -m repro
+  experiment table6 --cache`` replays runs instead of re-executing
+  them).  Corrupt disk entries are discarded, never trusted.
 
 Plans whose scheduler factory cannot be fingerprinted (an arbitrary
 closure) bypass the cache, and tasks that cannot be pickled fall back
@@ -265,9 +267,9 @@ class RunCache:
         self.directory = directory
         self.memory_capacity = memory_capacity
         self._memory = OrderedDict()
-        self.hits_memory = 0
+        #: lookups the disk layer served (how the executor tells a
+        #: disk hit from a memory hit)
         self.hits_disk = 0
-        self.misses = 0
         self.stores = 0
         self.corrupt_dropped = 0
         self.write_errors = 0
@@ -280,15 +282,12 @@ class RunCache:
         entry = self._memory.get(key, _MISS)
         if entry is not _MISS:
             self._memory.move_to_end(key)
-            self.hits_memory += 1
             return entry
         entry = self._disk_get(key)
         if entry is not _MISS:
             self.hits_disk += 1
             self._memory_put(key, entry)
-            return entry
-        self.misses += 1
-        return _MISS
+        return entry
 
     def put(self, key, entry):
         self._memory_put(key, entry)
@@ -648,11 +647,16 @@ class CampaignExecutor:
     """Runs campaign attempts in parallel, in plan order, with caching.
 
     Every campaign run goes through one.  ``jobs`` is the worker-process
-    count (1 = in-process execution).  ``cache`` enables the run cache;
-    ``cache_dir`` selects the on-disk layer (``None`` with ``cache=True``
-    keeps a memory-only cache; pass :data:`DEFAULT_CACHE_DIR` — the CLI
-    default — for cross-invocation reuse).  So ``CampaignExecutor()``
-    runs each attempt in process, when it is pulled, and caches nothing.
+    count (1 = in-process execution).  Every executor keys plan runs and
+    replays repeats from its run cache's memory layer, so each distinct
+    (program, plan, config) triple executes once per executor.
+    ``cache=True`` keys baseline runs too, and ``cache_dir`` then adds
+    the on-disk layer (``None`` keeps the cache memory-only; pass
+    :data:`DEFAULT_CACHE_DIR` — the CLI default — for cross-invocation
+    reuse).  So ``CampaignExecutor()`` runs each attempt in process,
+    when it is pulled, unless an earlier attempt already ran its plan.
+    Baseline runs stay unkeyed by default: their key carries the
+    attempt's run seed, so no two attempts of a campaign share one.
 
     The executor is a context manager; :meth:`shutdown` releases the
     worker pool.  One executor can be shared across every tool and
@@ -668,12 +672,13 @@ class CampaignExecutor:
     def __init__(self, jobs=1, cache=False, cache_dir=None,
                  resilience_policy=None):
         self.jobs = max(1, int(jobs))
-        self.cache = None
-        if cache:
-            directory = None
-            if cache_dir is not None:
-                directory = os.fspath(cache_dir)
-            self.cache = RunCache(directory=directory)
+        #: ``cache=True``: baseline runs are keyed too, and the run
+        #: cache has its disk layer when ``cache_dir`` is given.
+        self.cache_all = bool(cache)
+        directory = None
+        if cache and cache_dir is not None:
+            directory = os.fspath(cache_dir)
+        self.cache = RunCache(directory=directory)
         self.resilience = resilience_policy if resilience_policy \
             is not None else ResiliencePolicy.from_env()
         self.stats = ExecutorStats(jobs=self.jobs)
@@ -855,9 +860,7 @@ class CampaignExecutor:
     # -- task construction ---------------------------------------------
 
     def _run_task(self, program, plan, config):
-        key = None
-        if self.cache is not None:
-            key = _run_key(fingerprint_program(program), plan, config)
+        key = _run_key(fingerprint_program(program), plan, config)
 
         def result(value, **run):
             return plan, RunResult(status=value.status,
@@ -871,7 +874,7 @@ class CampaignExecutor:
 
     def _baseline_task(self, tool, plan, run_seed):
         key = None
-        if self.cache is not None:
+        if self.cache_all:
             key = _baseline_key(fingerprint_tool(tool), plan, run_seed)
         return self._task(
             "baseline", key, _baseline_execute, tool, fingerprint_tool,
@@ -980,14 +983,15 @@ class CampaignExecutor:
         task was dispatched but not yet consumed — campaigns often
         repeat one plan) is not executed again: it resolves from the
         cache entry its predecessor stores on consumption, which always
-        happens first because results resolve in dispatch order.
+        happens first because results resolve in dispatch order.  A
+        hit's entry carries the layer that served it in its index slot.
         """
         if task.key is not None:
             if task.key in inflight:
                 return ("dup", task, None, None), open_batch
-            entry = self.cache.get(task.key)
+            entry, layer = self._lookup(task.key)
             if not RunCache.is_miss(entry):
-                return ("hit", task, entry, None), open_batch
+                return ("hit", task, entry, layer), open_batch
             inflight.add(task.key)
         if pool is not None and task.header is not None:
             if open_batch is not None and (
@@ -1022,7 +1026,21 @@ class CampaignExecutor:
             self._note_batch_error("submit", exc)
             self._recycle_pool(kill=False, only_if=pool)
 
+    def _lookup(self, key):
+        """``(entry, layer)``: the cache entry for *key* (or the miss
+        sentinel) and the layer, ``"memory"`` or ``"disk"``, that served
+        it."""
+        disk_hits = self.cache.hits_disk
+        entry = self.cache.get(key)
+        return entry, ("disk" if self.cache.hits_disk > disk_hits
+                       else "memory")
+
     def _resolve(self, entry, inflight=(), obs=None):
+        """Consume one dispatched *entry*: replay or execute it.
+
+        Hits and misses are counted here, when the consumer takes the
+        result, so speculative lookups that are discarded count nothing.
+        """
         if obs is None:
             obs = get_obs()
         # Liveness signal for the campaign supervisor: a stream that
@@ -1034,12 +1052,15 @@ class CampaignExecutor:
             # The identical in-flight predecessor resolved (and stored)
             # before us — dispatch order is resolution order.  Fall back
             # to inline execution if the entry was evicted meanwhile.
-            payload = self.cache.get(task.key)
+            payload, index = self._lookup(task.key)
             kind = "inline" if RunCache.is_miss(payload) else "hit"
         if kind == "hit":
+            if index == "disk":
+                self.stats.cache_hits_disk += 1
+            else:
+                self.stats.cache_hits_memory += 1
             duration = payload["duration"]
             self.stats.saved_seconds += duration
-            self._sync_cache_stats()
             # The cache stores no span buffer; synthesize the run span so
             # the trace keeps one per consumed run either way.
             obs.tracer.record_complete(
@@ -1062,19 +1083,17 @@ class CampaignExecutor:
             self.stats.inline_runs += 1
         self.stats.busy_seconds += duration
         if task.key is not None:
+            self.stats.cache_misses += 1
             self.cache.put(task.key, {"value": value,
                                       "duration": duration})
             if isinstance(inflight, set):
                 inflight.discard(task.key)
-        self._sync_cache_stats()
+            self._sync_cache_stats()
         return task.done(value, duration, pid, False)
 
     def _sync_cache_stats(self):
-        if self.cache is None:
-            return
-        self.stats.cache_hits_memory = self.cache.hits_memory
-        self.stats.cache_hits_disk = self.cache.hits_disk
-        self.stats.cache_misses = self.cache.misses
+        """Copy the cache's store and drop counts; the executor counts
+        hits and misses itself, per consumed attempt."""
         self.stats.cache_stores = self.cache.stores
         self.stats.cache_corrupt_dropped = self.cache.corrupt_dropped
 

@@ -170,7 +170,8 @@ def run_campaign(program, workload, *, want_failures, want_successes,
 
     ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
     that runs the attempts — on a worker pool and/or from its run cache;
-    by default, a fresh ``CampaignExecutor()`` runs them in process.
+    by default, a fresh ``CampaignExecutor()`` runs them in process,
+    each distinct plan once, replaying repeats from memory.
     Results are the same either way (see the module docstring).
 
     ``on_shortfall`` — ``"warn"`` (default), ``"raise"``, or ``"ignore"``
@@ -345,7 +346,8 @@ def stream_runs(program, workload, plan_fn, config, stream, executor, *,
     """Yield RunRecords for ``plan_fn(start), plan_fn(start+1), ...``.
 
     :func:`durable_stream` over plan runs on *executor*, for
-    :func:`run_campaign` and the LBRA/LCRA tools; a pool speculates
+    :func:`run_campaign` and the LBRA/LCRA tools; a repeated plan
+    replays from the executor's run cache, and a pool speculates
     ahead, but records still come in plan order.  The journal
     fingerprint covers (owner, phase, program fingerprint,
     ``repr(config)``, workload token, ``*key``).

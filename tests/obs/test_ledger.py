@@ -348,17 +348,21 @@ def test_ledger_determinism_across_jobs(tmp_path):
     assert differing <= set(TIMING_FIELDS)
 
 
-@pytest.mark.parametrize("flags", [(), ("--jobs", "2", "--no-cache")],
-                         ids=["default", "jobs2-no-cache"])
+@pytest.mark.parametrize("flags", [
+    (), ("--jobs", "2", "--no-cache"),
+    ("--jobs", "2", "--cache", "--cache-dir", "{tmp_path}/cache"),
+], ids=["default", "jobs2-no-cache", "jobs2-cold-cache"])
 def test_table7_entries_count_their_own_campaigns(tmp_path, flags):
     """One executor serves the whole command, yet each LCRA entry's
     ``executor`` bucket holds its own campaign's attempts, not the
-    executor's running total (which includes the LCRLOG runs)."""
+    executor's running total (which includes the LCRLOG runs) — nor
+    the cache lookups of speculative runs the campaign never took."""
     import io
 
     from repro.cli import main
 
     ledger_dir = tmp_path / "ledger"
+    flags = [flag.format(tmp_path=tmp_path) for flag in flags]
     assert main(["experiment", "table7", "--ledger-dir", str(ledger_dir),
                  *flags], out=io.StringIO()) == 0
     attempts = {entry["workload"]: entry["executor"]["attempts"]

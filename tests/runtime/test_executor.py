@@ -134,7 +134,10 @@ def test_program_that_ran_in_process_still_ships_to_the_pool():
     bug = get_bug("sort")
     program = compile_module(bug.build_module())
     config = MachineConfig(num_cores=bug.num_cores, backend="threaded")
-    plans = [bug.failing_run_plan(k) for k in range(8)]
+    # Eight distinct plans (step budgets differ, outcomes do not), so no
+    # run replays an earlier one and each still ships to a worker.
+    plans = [RunPlan(args=bug.failing_args,
+                     max_steps=bug.run_max_steps + k) for k in range(8)]
     expected = execute_plan(program, plans[0], config).status
     with CampaignExecutor(jobs=2, cache=False) as executor:
         results = [result for _plan, result
@@ -186,6 +189,44 @@ def test_repeated_plans_hit_within_one_campaign():
         assert result.attempts == 3
         assert executor.stats.cache_misses == 1
         assert executor.stats.cache_hits == 2
+
+
+def _log_tool(name):
+    from repro.core.api import get_log_tool
+
+    bug = get_bug(name)
+    kind = "lbrlog" if bug.category == "sequential" else "lcrlog"
+    return bug, get_log_tool(kind)(bug)
+
+
+def _population():
+    from repro.bugs import synth
+    from repro.bugs.registry import bug_names
+
+    return sorted(bug_names()) + list(synth.population_names(8, seed=0))
+
+
+@pytest.mark.parametrize("name", _population())
+def test_default_executor_replays_repeats_as_fresh_runs(name):
+    """Cache-hit ≡ fresh on every corpus bug and a generated population:
+    the default executor yields, for each plan, the status a fresh run
+    of that plan returns, and executes each distinct plan once."""
+    from repro.runtime.process import execute_plan
+
+    bug, tool = _log_tool(name)
+    plans = ([bug.failing_run_plan(k) for k in range(4)]
+             + [bug.passing_run_plan(k)
+                for k in range(len(bug.passing_args) + 2)])
+    executor = CampaignExecutor()
+    statuses = [result.status for _plan, result in executor.iter_runs(
+        tool.program, plans, tool.machine_config)]
+    assert statuses == [
+        execute_plan(tool.program, plan, tool.machine_config).status
+        for plan in plans]
+    assert executor.stats.inline_runs \
+        == len({fingerprint_plan(plan) for plan in plans})
+    assert executor.stats.cache_hits \
+        == len(plans) - executor.stats.inline_runs
 
 
 def test_disk_cache_survives_across_executors(tmp_path):
@@ -325,36 +366,48 @@ def test_run_one_matches_direct_execution():
 
 def test_campaigns_without_an_executor_run_on_a_default_one():
     """No executor given: every run goes through the tool's own
-    ``CampaignExecutor()``, in process, one attempt per run."""
+    ``CampaignExecutor()``, in process.  Each distinct plan executes
+    once and its repeats replay from memory; baseline runs are not
+    keyed, so each of their attempts executes."""
     from repro.baselines import CbiTool
     from repro.core.lbrlog import LbrLogTool
 
-    def in_process(stats, attempts):
+    def in_process(stats, attempts, distinct):
         assert stats.jobs == 1
-        assert stats.inline_runs == stats.attempts == attempts
-        assert stats.pool_runs == stats.cache_misses == 0
+        assert stats.attempts == attempts
+        assert stats.pool_runs == 0
+        assert stats.inline_runs == stats.cache_misses == distinct
+        assert stats.cache_hits == attempts - distinct
+
+    def distinct_plans(workload, n_failing, n_passing):
+        return len({fingerprint_plan(workload.failing_run_plan(k))
+                    for k in range(n_failing)}
+                   | {fingerprint_plan(workload.passing_run_plan(k))
+                      for k in range(n_passing)})
 
     result = run_campaign(compile_source(SOURCE), Thresholdy(),
                           want_failures=2, want_successes=3)
-    in_process(result.executor_stats, result.attempts)
+    in_process(result.executor_stats, result.attempts,
+               distinct_plans(Thresholdy(), 2, 3))
 
-    lbra = LbraTool(get_bug("sort"))
-    assert lbra.executor.cache is None
+    bug = get_bug("sort")
+    lbra = LbraTool(bug)
     diagnosis = lbra.run_diagnosis(4, 4)
-    in_process(lbra.executor.stats, len(diagnosis.failing_statuses)
-               + len(diagnosis.passing_statuses))
+    assert (len(diagnosis.failing_statuses),
+            len(diagnosis.passing_statuses)) == (4, 4)
+    in_process(lbra.executor.stats, 8, distinct_plans(bug, 4, 4))
 
-    cbi = CbiTool(get_bug("sort"))
-    assert cbi.executor.cache is None
+    cbi = CbiTool(bug)
     baseline = cbi.run_diagnosis(n_failures=5, n_successes=5)
-    in_process(cbi.executor.stats,
-               baseline.n_failures + baseline.n_successes)
+    stats = cbi.executor.stats
+    assert stats.inline_runs == stats.attempts \
+        == baseline.n_failures + baseline.n_successes
+    assert stats.pool_runs == stats.cache_hits == stats.cache_misses == 0
 
-    lbrlog = LbrLogTool(get_bug("sort"))
-    assert lbrlog.executor.cache is None
+    lbrlog = LbrLogTool(bug)
     lbrlog.run_failing(0)
     lbrlog.run_failing(1)
-    in_process(lbrlog.executor.stats, 2)
+    in_process(lbrlog.executor.stats, 2, distinct_plans(bug, 2, 0))
 
 
 def test_stats_rows_render_through_report():
@@ -402,7 +455,9 @@ def test_pickled_baseline_tool_is_a_fresh_clone(tool_class, bug, options):
             clone.retired_total) == (0, 0, 0)
     assert getattr(clone, "_predicates", {}) == {}
     assert clone.executor is not executor
-    assert clone.executor.cache is None
+    assert not clone.executor.cache_all
+    assert clone.executor.cache.directory is None
+    assert clone.executor.cache.stores == 0
     assert clone.executor.stats.attempts == 0
 
 
