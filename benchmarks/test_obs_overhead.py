@@ -12,6 +12,7 @@ contract, an allocation-free disabled path, is a tier-1 test
 (``tests/obs/test_timeseries.py``).
 """
 
+import gc
 import os
 import time
 
@@ -39,10 +40,15 @@ def test_disabled_obs_overhead_is_noise(benchmark):
 
     # Interleave the two variants so clock drift (cache warmth, cpu
     # frequency, background load) hits both equally; compare bests.
+    # Collect before each sample, so the full collections the previous
+    # sample's garbage triggers are not timed in the next one; the
+    # collector stays on during the sample itself.
     disabled = enabled = None
     for _ in range(7):
+        gc.collect()
         sample = _timed(lambda: table5.run())
         disabled = sample if disabled is None else min(disabled, sample)
+        gc.collect()
         sample = _timed(_enabled_run)
         enabled = sample if enabled is None else min(enabled, sample)
     run_once(benchmark, table5.run)                # report wall-clock

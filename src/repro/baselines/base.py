@@ -1,21 +1,22 @@
 """Shared campaign machinery for the CBI-family baselines."""
 
-import time
 from dataclasses import dataclass, field
 
-from repro.baselines.scoring import liblit_rank, rank_of_line
+from repro.baselines.scoring import RunObservation, liblit_rank, rank_of_line
 from repro.compiler.frontend import compile_module
-from repro.core.api import confidence_summary, validate_options
+from repro.core.api import (
+    DiagnosisResult,
+    recorded_diagnosis,
+    validate_options,
+)
 from repro.machine.cpu import MachineConfig
-from repro.obs import get_obs
-from repro.obs.ledger import get_ledger
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.harness import stream_baseline_runs
 from repro.runtime.process import execute_plan
 
 
 @dataclass
-class BaselineDiagnosis:
+class BaselineDiagnosis(DiagnosisResult):
     """Result of one baseline diagnosis campaign."""
 
     ranked: list
@@ -34,21 +35,15 @@ class BaselineDiagnosis:
     n_failures_requested: int = 0
     n_successes_requested: int = 0
 
-    def confidence(self):
-        """Evidence-quality summary (see :func:`confidence_summary`)."""
-        return confidence_summary(
-            self.n_failures,
-            self.n_failures_requested or self.n_failures,
-            self.n_successes,
-            self.n_successes_requested or self.n_successes,
-            self.ranked,
-        )
+    @property
+    def runs_used(self):
+        return {"failures": self.n_failures, "successes": self.n_successes}
 
-    def best(self):
-        return self.ranked[0] if self.ranked else None
-
-    def top(self, n=5):
-        return self.ranked[:n]
+    @property
+    def campaign_detail(self):
+        return {"events_observed": self.events_observed,
+                "samples_taken": self.samples_taken,
+                "retired_total": self.retired_total}
 
     def rank_of_line(self, lines, detail_suffix=None):
         """Dense rank of the best predicate on one of *lines*."""
@@ -73,6 +68,23 @@ class BaselineDiagnosis:
         return "\n".join(lines)
 
 
+def run_record(failed, true_predicates, observed_sites, events=0,
+               samples=0, predicates=None):
+    """What a baseline run's ``finish(failed)`` returns: its
+    :class:`~repro.baselines.scoring.RunObservation`, the instrumented
+    events and samples it counted, and the predicates it registered."""
+    return {
+        "observation": RunObservation(
+            failed=failed,
+            true_predicates=frozenset(true_predicates),
+            observed_sites=frozenset(observed_sites),
+        ),
+        "events": events,
+        "samples": samples,
+        "predicates": predicates if predicates is not None else {},
+    }
+
+
 def _rebuild_tool(tool_class, workload, kwargs):
     return tool_class(workload, **kwargs)
 
@@ -80,8 +92,14 @@ def _rebuild_tool(tool_class, workload, kwargs):
 class BaselineToolBase:
     """Runs campaigns over an uninstrumented (plain) program build.
 
-    Subclasses implement :meth:`attach` (install observers for one run,
-    returning a callable that yields the run's RunObservation) and
+    Subclasses implement :meth:`attach`: install observers for one run
+    and return ``finish(failed)``, which hands back the run's evidence
+    as :func:`run_record` builds it.  Observers count into closure
+    locals and register predicates in a run-local dict; no ``attach``,
+    observer or ``finish`` writes to the tool.  So :meth:`_run_once` is
+    a pure function of (tool, plan, run seed), and :meth:`_absorb` is
+    the one place a run's record touches the tool.  Subclasses whose
+    predicates are not discovered during runs override
     :meth:`predicate_info`.
 
     Constructor keywords are validated against the class's ``OPTIONS``
@@ -103,27 +121,29 @@ class BaselineToolBase:
         self.workload = workload
         self.seed = self.options["seed"]
         #: the CampaignExecutor campaign runs go through (default: in
-        #: process; baseline runs are cached only with cache=True) — on
-        #: worker-side reconstructions of this
-        #: tool (see _clone_spec) or on this tool, flowing back as
-        #: counter/predicate deltas; results are identical either way.
-        self.executor = self.options.get("executor") or CampaignExecutor()
+        #: process; baseline runs are cached only with cache=True), or
+        #: None for a tool whose OPTIONS take none
+        self.executor = ((self.options["executor"] or CampaignExecutor())
+                         if "executor" in self.OPTIONS else None)
         self.program = compile_module(workload.build_module(),
                                       toggling=False)
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         self.events_observed = 0
         self.samples_taken = 0
         self.retired_total = 0
+        self._predicates = {}
 
     # -- subclass hooks --------------------------------------------------
 
     def attach(self, machine, run_seed):
-        """Install observers on *machine*; return finish(failed) -> obs."""
+        """Install observers on *machine*; return finish(failed) -> the
+        :func:`run_record` of the run."""
         raise NotImplementedError
 
     def predicate_info(self):
-        """Return predicate id -> (site, function, line, detail)."""
-        raise NotImplementedError
+        """Return predicate id -> (site, function, line, detail): by
+        default, the predicates the consumed runs registered."""
+        return dict(self._predicates)
 
     def _clone_spec(self):
         """``(class, workload, kwargs)`` rebuilding an equivalent tool:
@@ -145,28 +165,35 @@ class BaselineToolBase:
     # -- campaign ---------------------------------------------------------
 
     def _run_once(self, plan, run_seed):
+        """Run *plan* with run seed *run_seed* and return its record:
+        the :func:`run_record` plus ``failed`` and ``retired``.
+
+        Writes nothing to the tool, so the executor calls it on this
+        tool or on a worker's clone alike.
+        """
         finishers = []
         status = execute_plan(
             self.program, plan, self.machine_config,
             attach=lambda machine: finishers.append(
                 self.attach(machine, run_seed)),
         ).status
-        self.retired_total += status.retired
         failed = self.workload.is_failure(status)
-        return failed, finishers[0](failed)
+        return dict(finishers[0](failed), failed=failed,
+                    retired=status.retired)
 
-    def _absorb(self, result):
-        """Apply one consumed run's counter/predicate deltas.
+    def _absorb(self, record):
+        """Fold one consumed run's *record* into this tool: add its
+        counters and merge its predicates in consumption order.
 
-        Fresh, pooled, cached and journal-replayed runs all land here.
+        Fresh, pooled, cached and journal-replayed records all land
+        here, so the registry's contents and order match a sequential
+        campaign's.
         """
-        self.events_observed += result.events_observed
-        self.samples_taken += result.samples_taken
-        self.retired_total += result.retired
-        predicates = getattr(self, "_predicates", None)
-        if predicates is not None:
-            for key, value in result.new_predicates.items():
-                predicates.setdefault(key, value)
+        self.events_observed += record["events"]
+        self.samples_taken += record["samples"]
+        self.retired_total += record["retired"]
+        for key, value in record["predicates"].items():
+            self._predicates.setdefault(key, value)
 
     def run_diagnosis(self, n_failures=1000, n_successes=1000,
                       max_attempts=None):
@@ -177,31 +204,18 @@ class BaselineToolBase:
         tool's executor: attempts may fan out across its worker pool
         (and replay from its run cache) but are consumed strictly in
         attempt order, so counts, observations, and the predicate
-        registry are the same at any worker count.  The diagnosis and
-        its campaign's executor activity are recorded in the current
-        run ledger (:mod:`repro.obs.ledger`; a no-op unless installed).
+        registry are the same at any worker count.  The campaign runs in
+        the envelope every tool shares
+        (:func:`repro.core.api.recorded_diagnosis`), which records it in
+        the current run ledger.
         """
-        obs = get_obs()
-        mark = self.executor.stats.mark()
-        started = time.perf_counter()
-        with obs.span("diagnose." + self.tool_name.lower(),
-                      workload=self.workload.name):
-            diagnosis = self._run_diagnosis(obs, n_failures, n_successes,
-                                            max_attempts)
         params = {name: value for name, value in self.options.items()
                   if name not in ("executor", "seed")}
         params.update(n_failures=n_failures, n_successes=n_successes)
-        get_ledger().record_diagnosis(
-            tool=self.tool_name.lower(),
-            workload=self.workload,
-            raw=diagnosis,
-            seed=self.seed,
-            params=params,
-            wall_seconds=time.perf_counter() - started,
-            executor=self.executor.stats.to_dict(since=mark),
-            backend=self.machine_config.backend,
-        )
-        return diagnosis
+        return recorded_diagnosis(
+            self, self.tool_name.lower(), params,
+            lambda obs: self._run_diagnosis(obs, n_failures, n_successes,
+                                            max_attempts))
 
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \
@@ -220,9 +234,9 @@ class BaselineToolBase:
                     item = next(runs, None)
                     if item is None:
                         break
-                    _k, failed, result = item
-                    self._absorb(result)
-                    observations.append(result.observation)
+                    _k, failed, record = item
+                    self._absorb(record)
+                    observations.append(record["observation"])
                     if failed:
                         failures += 1
             finally:

@@ -14,7 +14,7 @@ Two fidelity notes from the paper's evaluation:
   :func:`estimated_overhead` (the paper measures ≈15% mean, up to 43%).
 """
 
-from repro.baselines.base import BaselineToolBase
+from repro.baselines.base import BaselineToolBase, run_record
 from repro.baselines.sampling import DEFAULT_SAMPLING_RATE, GeometricSampler
 from repro.isa.instructions import Opcode
 
@@ -58,19 +58,19 @@ class CbiTool(BaselineToolBase):
         }
 
     def attach(self, machine, run_seed):
-        from repro.baselines.scoring import RunObservation
-
         sampler = GeometricSampler(rate=self.sampling_rate,
                                    seed=(self.seed, run_seed).__hash__())
         true_predicates = set()
         observed_sites = set()
         tags = self._conditional_tags
+        events = 0
 
         def observer(thread, instr, taken, target):
+            nonlocal events
             tag = tags.get(instr.address)
             if tag is None:
                 return
-            self.events_observed += 1
+            events += 1
             if not sampler.should_sample():
                 return
             outcome = tag.outcome if taken else (not tag.outcome)
@@ -81,12 +81,8 @@ class CbiTool(BaselineToolBase):
         machine.branch_observers.append(observer)
 
         def finish(failed):
-            self.samples_taken += sampler.samples
-            return RunObservation(
-                failed=failed,
-                true_predicates=frozenset(true_predicates),
-                observed_sites=frozenset(observed_sites),
-            )
+            return run_record(failed, true_predicates, observed_sites,
+                              events=events, samples=sampler.samples)
 
         return finish
 

@@ -20,8 +20,8 @@ so no iterative search is needed at all.
 
 from dataclasses import dataclass, field
 
-from repro.baselines.base import BaselineToolBase
-from repro.baselines.scoring import RunObservation, liblit_rank, rank_of_line
+from repro.baselines.base import BaselineToolBase, run_record
+from repro.baselines.scoring import liblit_rank, rank_of_line
 from repro.isa.instructions import Opcode
 from repro.runtime.process import execute_plan
 
@@ -55,10 +55,11 @@ class AdaptiveOutcome:
 class CbiAdaptiveTool(BaselineToolBase):
     """Adaptive predicate selection over one workload.
 
-    Accepts no ``executor`` option: iterations are inherently
-    sequential — each wave's predicate set depends on the previous
-    wave's diagnosis, so runs cannot be speculated ahead — and run in
-    process through :meth:`_run_once`.
+    Accepts no ``executor`` option, and builds none (``executor`` is
+    ``None``): iterations are inherently sequential — each wave's
+    predicate set depends on the previous wave's diagnosis, so runs
+    cannot be speculated ahead — and run in process through
+    :meth:`_run_once`.
     """
 
     tool_name = "CBI-adaptive"
@@ -150,7 +151,6 @@ class CbiAdaptiveTool(BaselineToolBase):
             tag = tags.get(instr.address)
             if tag is None or tag.branch_id not in active:
                 return
-            self.events_observed += 1
             outcome = tag.outcome if taken else (not tag.outcome)
             true_predicates.add(tag.branch_id
                                 + ("=T" if outcome else "=F"))
@@ -159,11 +159,7 @@ class CbiAdaptiveTool(BaselineToolBase):
         machine.branch_observers.append(observer)
 
         def finish(failed):
-            return RunObservation(
-                failed=failed,
-                true_predicates=frozenset(true_predicates),
-                observed_sites=frozenset(observed_sites),
-            )
+            return run_record(failed, true_predicates, observed_sites)
 
         return finish
 
@@ -225,14 +221,10 @@ class CbiAdaptiveTool(BaselineToolBase):
             # current predicate set fully instrumented.
             with obs.span("iteration", n=iterations, function=function):
                 for k in range(self.runs_per_iteration):
-                    failed, observation = self._run_once(
-                        self.workload.failing_run_plan(k), k
-                    )
-                    observations.append(observation)
-                    failed, observation = self._run_once(
-                        self.workload.passing_run_plan(k), k
-                    )
-                    observations.append(observation)
+                    for plan_of in (self.workload.failing_run_plan,
+                                    self.workload.passing_run_plan):
+                        observations.append(
+                            self._run_once(plan_of(k), k)["observation"])
                 ranked = liblit_rank(observations,
                                      self.predicate_info())
             if self._is_conclusive(ranked, observations):

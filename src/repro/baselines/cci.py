@@ -8,9 +8,8 @@ what makes software CCI so expensive — the paper cites up to 10x
 slowdowns; :func:`estimated_overhead` models that cost.
 """
 
-from repro.baselines.base import BaselineToolBase
+from repro.baselines.base import BaselineToolBase, run_record
 from repro.baselines.sampling import DEFAULT_SAMPLING_RATE, GeometricSampler
-from repro.baselines.scoring import RunObservation
 from repro.isa.layout import STACK_REGION_BASE
 
 #: Modeled cost, in retired instructions, of maintaining the
@@ -32,7 +31,6 @@ class CciTool(BaselineToolBase):
     def __init__(self, workload, **options):
         super().__init__(workload, **options)
         self.sampling_rate = self.options["sampling_rate"]
-        self._predicates = {}
 
     def attach(self, machine, run_seed):
         sampler = GeometricSampler(rate=self.sampling_rate,
@@ -41,14 +39,16 @@ class CciTool(BaselineToolBase):
         observed_sites = set()
         last_accessor = {}
         debug = self.program.debug_info
-        predicates = self._predicates
+        predicates = {}
+        events = 0
 
         def observer(thread, pc, access, state, address):
+            nonlocal events
             # CCI instruments potentially shared memory only (stack
             # locations are thread-private).
             if address >= STACK_REGION_BASE:
                 return
-            self.events_observed += 1
+            events += 1
             previous = last_accessor.get(address)
             last_accessor[address] = thread.tid
             if not sampler.should_sample():
@@ -70,17 +70,11 @@ class CciTool(BaselineToolBase):
         machine.coherence_observers.append(observer)
 
         def finish(failed):
-            self.samples_taken += sampler.samples
-            return RunObservation(
-                failed=failed,
-                true_predicates=frozenset(true_predicates),
-                observed_sites=frozenset(observed_sites),
-            )
+            return run_record(failed, true_predicates, observed_sites,
+                              events=events, samples=sampler.samples,
+                              predicates=predicates)
 
         return finish
-
-    def predicate_info(self):
-        return dict(self._predicates)
 
     def estimated_overhead(self):
         """Modeled run-time overhead fraction of CCI's instrumentation."""

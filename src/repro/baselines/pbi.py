@@ -10,8 +10,7 @@ MySQL1 WRW violation that LCR, read only from the failure thread, cannot)
 — at the price of needing failures to occur hundreds of times.
 """
 
-from repro.baselines.base import BaselineToolBase
-from repro.baselines.scoring import RunObservation
+from repro.baselines.base import BaselineToolBase, run_record
 
 #: Default counter-overflow sampling period, in coherence events.
 DEFAULT_SAMPLE_PERIOD = 100
@@ -34,16 +33,17 @@ class PbiTool(BaselineToolBase):
     def __init__(self, workload, **options):
         super().__init__(workload, **options)
         self.sample_period = self.options["sample_period"]
-        self._predicates = {}
 
     def attach(self, machine, run_seed):
         true_predicates = set()
         observed_sites = set()
         debug = self.program.debug_info
-        predicates = self._predicates
+        predicates = {}
+        samples = 0
 
         def hook(pc, access, state):
-            self.samples_taken += 1
+            nonlocal samples
+            samples += 1
             location = debug.location_at(pc)
             if location is None:
                 return
@@ -65,18 +65,12 @@ class PbiTool(BaselineToolBase):
             )
 
         def finish(failed):
-            for core in machine.cores:
-                self.events_observed += core.counters.total()
-            return RunObservation(
-                failed=failed,
-                true_predicates=frozenset(true_predicates),
-                observed_sites=frozenset(observed_sites),
-            )
+            return run_record(
+                failed, true_predicates, observed_sites,
+                events=sum(core.counters.total() for core in machine.cores),
+                samples=samples, predicates=predicates)
 
         return finish
-
-    def predicate_info(self):
-        return dict(self._predicates)
 
     def estimated_overhead(self):
         """Modeled overhead: counting is free; interrupts cost."""

@@ -19,7 +19,8 @@ from repro.core.statistics import HitSpectrum, dense_ranks
 
 @dataclass(frozen=True)
 class ScoredPredicate:
-    """One ranked predicate."""
+    """One ranked predicate, with the ranked-row surface (``key``,
+    ``score``, :meth:`to_row`) of LBRA/LCRA's ``PredictorScore``."""
 
     predicate_id: str
     site_id: str
@@ -34,6 +35,32 @@ class ScoredPredicate:
     importance: float
     rank: int = 0
     provenance: object = None     # EventProvenance (or None)
+
+    @property
+    def key(self):
+        return self.predicate_id
+
+    @property
+    def score(self):
+        return self.importance
+
+    def to_row(self):
+        """This predicate as the plain dict a ``DiagnosisReport``
+        carries."""
+        return {
+            "rank": self.rank,
+            "predicate_id": self.predicate_id,
+            "site": self.site_id,
+            "function": self.function,
+            "line": self.line,
+            "detail": self.detail,
+            "importance": self.importance,
+            "increase": self.increase,
+            "failure_true": self.failure_true,
+            "success_true": self.success_true,
+            "provenance": self.provenance.to_dict()
+            if self.provenance is not None else None,
+        }
 
     def __str__(self):
         return "#%d %s (Imp=%.3f Inc=%.3f F=%d S=%d)" % (

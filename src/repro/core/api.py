@@ -10,12 +10,18 @@ own constructor signature and result type.  This module unifies them:
   else raises a :class:`TypeError` listing the accepted set, so e.g.
   passing ``lcr_selector`` to the LBR-based tool fails loudly instead
   of being silently ignored.
+* :class:`DiagnosisResult` — the one result surface: a
+  :class:`~repro.core.lbra.Diagnosis` and a
+  :class:`~repro.baselines.base.BaselineDiagnosis` both answer
+  ``runs_used``, ``confidence()``, ``top()`` and ``best()``, and their
+  ranked rows ``key``, ``score`` and ``to_row()``.
+* :func:`recorded_diagnosis` — the one campaign envelope (span,
+  executor mark, wall time, ledger entry) around every LBRA, LCRA,
+  CBI, CCI and PBI campaign.
 * :class:`DiagnosisReport` — one serializable result shape: ranked
   events as plain dicts, run counts, campaign stats, and timings, with
-  ``to_dict()`` / ``to_json()``.  The native result object (a
-  :class:`~repro.core.lbra.Diagnosis` or
-  :class:`~repro.baselines.base.BaselineDiagnosis`) stays reachable as
-  ``report.raw`` and its convenience accessors delegate.
+  ``to_dict()`` / ``to_json()``.  The native result object stays
+  reachable as ``report.raw`` and its convenience accessors delegate.
 * :class:`DiagnosisTool` — the protocol adapter: uniform constructor
   ``Tool(workload, *, executor=None, seed=0, **options)`` and
   a ``run_diagnosis(...) -> DiagnosisReport`` method.
@@ -46,6 +52,9 @@ import importlib
 import json
 import time
 from dataclasses import dataclass, field
+
+from repro.obs import get_obs
+from repro.obs.ledger import get_ledger
 
 
 # ----------------------------------------------------------------------
@@ -85,7 +94,8 @@ def confidence_summary(got_failures, want_failures, got_successes,
     :mod:`repro.runtime.checkpoint`); this summary makes the resulting
     trust level explicit.  ``evidence`` is the fraction of requested
     profiles actually collected (failure/success sides averaged);
-    ``separation`` is the best event's F-score — how cleanly the top
+    ``separation`` is the best row's ``score`` (the F-score for
+    LBRA/LCRA, the Importance for the baselines) — how cleanly the top
     predictor separates failing from passing runs with the evidence at
     hand.  ``level`` buckets the product: "high" (≥0.75), "medium"
     (≥0.4), "low" (>0), "none" (no ranked events at all).
@@ -97,13 +107,9 @@ def confidence_summary(got_failures, want_failures, got_successes,
 
     evidence = (fraction(got_failures, want_failures)
                 + fraction(got_successes, want_successes)) / 2.0
-    best = ranked[0] if ranked else None
-    separation = getattr(best, "f_score", None) if best is not None \
-        else None
-    if separation is None and best is not None:
-        separation = getattr(best, "importance", 0.0)
-    score = evidence * (separation if separation is not None else 0.0)
-    if best is None:
+    separation = ranked[0].score if ranked else None
+    score = evidence * (separation or 0.0)
+    if not ranked:
         level = "none"
     elif score >= 0.75:
         level = "high"
@@ -124,52 +130,86 @@ def confidence_summary(got_failures, want_failures, got_successes,
 
 
 # ----------------------------------------------------------------------
-# The unified report
+# The result surface and the campaign envelope
 # ----------------------------------------------------------------------
 
-def _normalize_ranked(ranked):
-    """Ranked rows (PredictorScore or ScoredPredicate) as plain dicts.
+class DiagnosisResult:
+    """What every diagnosis tool's result answers.
 
-    Every row carries its ``provenance`` dict (supporting/opposing run
-    ids and the precision/recall component pairs, see
-    :mod:`repro.obs.provenance`) when the scorer recorded one.
+    A subclass is a dataclass with ``ranked`` (rows with ``rank``,
+    ``key``, ``score`` and ``to_row()``), ``partial``, ``stop_reason``
+    and the two requested counts.  It adds ``runs_used`` (``{"failures":
+    n, "successes": n}``), ``campaign_detail`` (what
+    ``DiagnosisReport.campaign`` copies) and ``rank_of_line``, and
+    overrides :meth:`rank_of_cause` where its ground-truth accessor
+    differs.  :func:`recorded_diagnosis` sets ``venue`` and
+    ``wall_seconds``.
     """
-    rows = []
-    for score in ranked:
-        event = getattr(score, "event", None)
-        provenance = getattr(score, "provenance", None)
-        if event is not None:            # core PredictorScore
-            row = {
-                "rank": score.rank,
-                "event_id": event.event_id,
-                "kind": event.kind,
-                "function": event.function,
-                "line": event.line,
-                "detail": event.detail,
-                "precision": score.precision,
-                "recall": score.recall,
-                "f_score": score.f_score,
-                "failure_hits": score.failure_hits,
-                "success_hits": score.success_hits,
-            }
-        else:                            # baseline ScoredPredicate
-            row = {
-                "rank": score.rank,
-                "predicate_id": score.predicate_id,
-                "site": score.site_id,
-                "function": score.function,
-                "line": score.line,
-                "detail": score.detail,
-                "importance": score.importance,
-                "increase": score.increase,
-                "failure_true": score.failure_true,
-                "success_true": score.success_true,
-            }
-        row["provenance"] = provenance.to_dict() if provenance is not None \
-            else None
-        rows.append(row)
-    return rows
 
+    #: the campaign's venue record (``ExecutorStats.to_dict(since=…)``)
+    venue = None
+    wall_seconds = 0.0
+
+    def confidence(self):
+        """Evidence-quality summary (see :func:`confidence_summary`)."""
+        runs = self.runs_used
+        return confidence_summary(
+            runs["failures"], self.n_failures_requested or runs["failures"],
+            runs["successes"],
+            self.n_successes_requested or runs["successes"],
+            self.ranked,
+        )
+
+    def top(self, n=5):
+        """Return the best *n* ranked rows."""
+        return self.ranked[:n]
+
+    def best(self):
+        """Return the single best ranked row, or ``None``."""
+        return self.ranked[0] if self.ranked else None
+
+    def rank_of_cause(self, lines, workload):
+        """Dense rank of the best row on one of *lines*, or ``None``:
+        the ground-truth accessor of the run ledger."""
+        return self.rank_of_line(lines)
+
+
+def recorded_diagnosis(tool, name, params, run, **span_attrs):
+    """Run one diagnosis campaign in the envelope every tool shares.
+
+    ``run(obs)`` runs the campaign inside the ``diagnose.<name>`` span
+    (tagged with the workload and *span_attrs*) and returns its
+    :class:`DiagnosisResult`.  The result keeps the campaign's venue
+    record — *tool*'s executor activity since the campaign began — and
+    its wall seconds, and the current run ledger
+    (:mod:`repro.obs.ledger`; a no-op unless installed) records it under
+    *name* with *params*.
+    """
+    obs = get_obs()
+    stats = tool.executor.stats
+    mark = stats.mark()
+    started = time.perf_counter()
+    with obs.span("diagnose." + name, workload=tool.workload.name,
+                  **span_attrs):
+        result = run(obs)
+    result.wall_seconds = time.perf_counter() - started
+    result.venue = stats.to_dict(since=mark)
+    get_ledger().record_diagnosis(
+        tool=name,
+        workload=tool.workload,
+        raw=result,
+        seed=tool.seed,
+        params=params,
+        wall_seconds=result.wall_seconds,
+        executor=result.venue,
+        backend=tool.machine_config.backend,
+    )
+    return result
+
+
+# ----------------------------------------------------------------------
+# The unified report
+# ----------------------------------------------------------------------
 
 @dataclass
 class DiagnosisReport:
@@ -260,53 +300,36 @@ class DiagnosisTool:
     def run_diagnosis(self, n_failures=None, n_successes=None,
                       max_attempts=None):
         """Run the campaign; returns a :class:`DiagnosisReport` whose
-        ``campaign["executor"]`` describes this campaign's runs alone."""
+        ``campaign["executor"]`` describes this campaign's runs alone
+        (the venue :func:`recorded_diagnosis` kept on the result)."""
         n_failures = n_failures if n_failures is not None \
             else self.default_runs
         n_successes = n_successes if n_successes is not None \
             else self.default_runs
-        stats = self.tool.executor.stats
-        mark = stats.mark()
-        started = time.perf_counter()
         raw = self.tool.run_diagnosis(
             n_failures=n_failures, n_successes=n_successes,
             max_attempts=max_attempts,
         )
-        elapsed = time.perf_counter() - started
-        return self._report(raw, elapsed, stats.to_dict(since=mark))
+        return self._report(raw)
 
-    def _report(self, raw, elapsed, venue):
-        runs_used = {
-            "failures": getattr(raw, "n_failure_profiles",
-                                getattr(raw, "n_failures", 0)),
-            "successes": getattr(raw, "n_success_profiles",
-                                 getattr(raw, "n_successes", 0)),
-        }
-        campaign = {}
-        for attr in ("scheme", "ring", "events_observed",
-                     "samples_taken", "retired_total"):
-            value = getattr(raw, attr, None)
-            if value is not None:
-                campaign[attr] = value
-        machine_config = getattr(self.tool, "machine_config", None)
-        if machine_config is not None:
-            # Which VM execution backend ran the campaign (see
-            # repro.machine.backends).  Informational: the ranked rows
-            # are backend-invariant by the equivalence contract.
-            campaign["backend"] = machine_config.backend
-        campaign["executor"] = venue
-        confidence = getattr(raw, "confidence", None)
+    def _report(self, raw):
+        campaign = dict(raw.campaign_detail)
+        # Which VM execution backend ran the campaign (see
+        # repro.machine.backends).  Informational: the ranked rows are
+        # backend-invariant by the equivalence contract.
+        campaign["backend"] = self.tool.machine_config.backend
+        campaign["executor"] = raw.venue
         return DiagnosisReport(
             tool=self.name,
             workload=self.workload.name,
-            ranked=_normalize_ranked(raw.ranked),
-            runs_used=runs_used,
+            ranked=[row.to_row() for row in raw.ranked],
+            runs_used=raw.runs_used,
             campaign=campaign,
-            timings={"diagnose_seconds": elapsed},
+            timings={"diagnose_seconds": raw.wall_seconds},
             params=self.params,
-            partial=bool(getattr(raw, "partial", False)),
-            stop_reason=getattr(raw, "stop_reason", None),
-            confidence=confidence() if callable(confidence) else confidence,
+            partial=raw.partial,
+            stop_reason=raw.stop_reason,
+            confidence=raw.confidence(),
             raw=raw,
         )
 
@@ -429,6 +452,7 @@ __all__ = [
     "CbiDiagnosisTool",
     "CciDiagnosisTool",
     "DiagnosisReport",
+    "DiagnosisResult",
     "DiagnosisTool",
     "LbraDiagnosisTool",
     "LcraDiagnosisTool",
@@ -437,6 +461,7 @@ __all__ = [
     "confidence_summary",
     "get_log_tool",
     "get_tool",
+    "recorded_diagnosis",
     "register_tool",
     "unregister_tool",
     "validate_options",

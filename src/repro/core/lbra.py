@@ -14,17 +14,19 @@ precision and recall.  Both success-profiling schemes are implemented:
   locations (segfaults), exactly as the paper notes.
 """
 
-import time
 from dataclasses import dataclass, field
 
 from repro.compiler.frontend import compile_module
 from repro.lang.transform import ReactiveTarget, enhance_logging
 from repro.machine.cpu import MachineConfig
 from repro.obs import get_obs
-from repro.obs.ledger import get_ledger
 from repro.runtime.executor import CampaignExecutor
 from repro.runtime.harness import stream_runs
-from repro.core.api import confidence_summary, validate_options
+from repro.core.api import (
+    DiagnosisResult,
+    recorded_diagnosis,
+    validate_options,
+)
 from repro.core.profiles import (
     SUCCESS_SITE_KINDS,
     dominant_failure_site,
@@ -45,7 +47,7 @@ class DiagnosisError(Exception):
 
 
 @dataclass
-class Diagnosis:
+class Diagnosis(DiagnosisResult):
     """Result of one LBRA/LCRA diagnosis."""
 
     ranked: list                    # PredictorScore, best first
@@ -72,23 +74,14 @@ class Diagnosis:
     n_failures_requested: int = 0
     n_successes_requested: int = 0
 
-    def confidence(self):
-        """Evidence-quality summary (see :func:`confidence_summary`)."""
-        return confidence_summary(
-            self.n_failure_profiles,
-            self.n_failures_requested or self.n_failure_profiles,
-            self.n_success_profiles,
-            self.n_successes_requested or self.n_success_profiles,
-            self.ranked,
-        )
+    @property
+    def runs_used(self):
+        return {"failures": self.n_failure_profiles,
+                "successes": self.n_success_profiles}
 
-    def top(self, n=5):
-        """Return the best *n* predictor scores."""
-        return self.ranked[:n]
-
-    def best(self):
-        """Return the single best predictor, or ``None``."""
-        return self.ranked[0] if self.ranked else None
+    @property
+    def campaign_detail(self):
+        return {"scheme": self.scheme, "ring": self.ring}
 
     def rank_of(self, predicate):
         """Dense rank of the best event satisfying *predicate*, or None."""
@@ -102,6 +95,14 @@ class Diagnosis:
         """Dense rank of the best coherence event on one of *lines*;
         empty or ``None`` *state_tags* match every coherence state."""
         return self.rank_of(coherence_on_lines(lines, state_tags))
+
+    def rank_of_cause(self, lines, workload):
+        """The Table 6/7 accessor: a coherence event in the workload's
+        ``fpe_state_tags`` for a concurrency bug, else a branch."""
+        if getattr(workload, "category", "sequential") == "concurrency":
+            return self.rank_of_coherence(
+                lines, getattr(workload, "fpe_state_tags", None))
+        return self.rank_of_line(lines)
 
     def describe(self, n=5):
         lines = ["%s diagnosis (%s scheme) @ %s" % (
@@ -263,31 +264,21 @@ class DiagnosisToolBase:
                       max_attempts=None):
         """Run the full campaign and return a :class:`Diagnosis`.
 
-        Spans go to the current :class:`~repro.obs.Observability`,
-        tagging the phases ``diagnose.<tool>`` → ``collect.failures`` /
-        ``collect.successes`` / ``rank``.  The diagnosis and its
+        Runs in the shared envelope,
+        :func:`~repro.core.api.recorded_diagnosis`: spans go to the
+        current :class:`~repro.obs.Observability`, tagging the phases
+        ``diagnose.<tool>`` → ``collect.failures`` /
+        ``collect.successes`` / ``rank``, and the diagnosis and its
         campaign's executor activity are recorded in the current run
-        ledger (:mod:`repro.obs.ledger`; a no-op unless installed).
+        ledger.
         """
-        obs = get_obs()
-        mark = self.executor.stats.mark()
-        started = time.perf_counter()
-        with obs.span("diagnose." + self.tool_name,
-                      workload=self.workload.name, scheme=self.scheme):
-            diagnosis = self._run_diagnosis(obs, n_failures, n_successes,
-                                            max_attempts)
-        get_ledger().record_diagnosis(
-            tool=self.tool_name,
-            workload=self.workload,
-            raw=diagnosis,
-            seed=self.seed,
-            params={"scheme": self.scheme, "toggling": self.toggling,
-                    "n_failures": n_failures, "n_successes": n_successes},
-            wall_seconds=time.perf_counter() - started,
-            executor=self.executor.stats.to_dict(since=mark),
-            backend=self.machine_config.backend,
-        )
-        return diagnosis
+        return recorded_diagnosis(
+            self, self.tool_name,
+            {"scheme": self.scheme, "toggling": self.toggling,
+             "n_failures": n_failures, "n_successes": n_successes},
+            lambda obs: self._run_diagnosis(obs, n_failures, n_successes,
+                                            max_attempts),
+            scheme=self.scheme)
 
     def _run_diagnosis(self, obs, n_failures, n_successes, max_attempts):
         cap = max_attempts if max_attempts is not None else \

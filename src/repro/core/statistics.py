@@ -33,7 +33,11 @@ from repro.obs.provenance import EventProvenance
 
 @dataclass(frozen=True)
 class PredictorScore:
-    """Ranking result for one event."""
+    """Ranking result for one event.
+
+    ``key``, ``score`` and :meth:`to_row` are the ranked-row surface it
+    shares with the baselines' ``ScoredPredicate``.
+    """
 
     event: object
     precision: float
@@ -43,6 +47,33 @@ class PredictorScore:
     success_hits: int
     rank: int = 0        # dense rank, 1 = best
     provenance: object = None     # EventProvenance (or None)
+
+    @property
+    def key(self):
+        return self.event.event_id
+
+    @property
+    def score(self):
+        return self.f_score
+
+    def to_row(self):
+        """This score as the plain dict a ``DiagnosisReport`` carries."""
+        event = self.event
+        return {
+            "rank": self.rank,
+            "event_id": event.event_id,
+            "kind": event.kind,
+            "function": event.function,
+            "line": event.line,
+            "detail": event.detail,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f_score": self.f_score,
+            "failure_hits": self.failure_hits,
+            "success_hits": self.success_hits,
+            "provenance": self.provenance.to_dict()
+            if self.provenance is not None else None,
+        }
 
     def __str__(self):
         return "#%d %s (f=%.3f p=%.3f r=%.3f F=%d S=%d)" % (

@@ -313,26 +313,22 @@ class Ledger:
                          backend=None):
         """Record one finished diagnosis campaign.
 
-        *raw* is the tool's native result (a core ``Diagnosis`` or a
-        ``BaselineDiagnosis``); quality is the dense rank of the
-        workload's ground-truth root cause (``None`` when the workload
-        has no registered root cause, or the diagnosis missed it).
-        *executor* is the campaign's venue record, or ``None``.
+        *raw* is the tool's native result (a
+        :class:`~repro.core.api.DiagnosisResult`); quality is the dense
+        rank of the workload's ground-truth root cause (``None`` when
+        the workload has no registered root cause, or the diagnosis
+        missed it).  *executor* is the campaign's venue record, or
+        ``None``.
         """
-        from repro.core.api import _normalize_ranked
-
-        ranked = _normalize_ranked(raw.ranked)
         quality = diagnosis_quality(raw, workload)
-        if getattr(raw, "partial", False):
+        if raw.partial:
             # A budget/deadline-bounded campaign: record that the
             # evidence is partial (deterministic fields — part of the
             # content key, so a partial run never collides with a full
             # one) and how confident the truncated ranking is.
             quality["partial"] = True
-            quality["stop_reason"] = getattr(raw, "stop_reason", None)
-            confidence = getattr(raw, "confidence", None)
-            if callable(confidence):
-                quality["confidence"] = confidence()
+            quality["stop_reason"] = raw.stop_reason
+            quality["confidence"] = raw.confidence()
         return self.append(
             kind="diagnosis",
             tool=tool,
@@ -340,13 +336,9 @@ class Ledger:
             seed=seed,
             params=params,
             quality=quality,
-            runs={
-                "failures": getattr(raw, "n_failure_profiles",
-                                    getattr(raw, "n_failures", 0)),
-                "successes": getattr(raw, "n_success_profiles",
-                                     getattr(raw, "n_successes", 0)),
-            },
-            provenance_digest=provenance_digest(ranked),
+            runs=raw.runs_used,
+            provenance_digest=provenance_digest(
+                [row.to_row() for row in raw.ranked]),
             backend=backend,
             timings={"wall_seconds": wall_seconds},
             executor=executor,
@@ -411,39 +403,26 @@ def diagnosis_quality(raw, workload):
     """Ground-truth quality of one diagnosis, from the bug registry.
 
     The rank is the dense rank of the workload's registered root-cause
-    event — a branch on ``root_cause_lines`` for the LBR-based tools
-    and baselines, a coherence event filtered by ``fpe_state_tags`` for
-    LCRA (exactly the Table 6/7 accessors).
+    event (``DiagnosisResult.rank_of_cause``) — a branch on
+    ``root_cause_lines`` for the LBR-based tools and baselines, a
+    coherence event filtered by ``fpe_state_tags`` for LCRA (exactly
+    the Table 6/7 accessors).
     """
     lines = tuple(getattr(workload, "root_cause_lines", ()) or ())
     related = tuple(getattr(workload, "related_lines", ()) or ())
     rank = related_rank = None
     if lines:
-        if (getattr(workload, "category", "sequential") == "concurrency"
-                and hasattr(raw, "rank_of_coherence")):
-            tags = getattr(workload, "fpe_state_tags", None)
-            rank = raw.rank_of_coherence(lines, tags)
-            if related:
-                related_rank = raw.rank_of_coherence(related, tags)
-        else:
-            rank = raw.rank_of_line(lines)
-            if related:
-                related_rank = raw.rank_of_line(related)
+        rank = raw.rank_of_cause(lines, workload)
+        if related:
+            related_rank = raw.rank_of_cause(related, workload)
     best = raw.ranked[0] if raw.ranked else None
-    quality = {
+    return {
         "root_cause_rank": rank,
         "related_rank": related_rank,
         "n_ranked": len(raw.ranked),
-        "best_event": None,
-        "best_score": None,
+        "best_event": best.key if best is not None else None,
+        "best_score": best.score if best is not None else None,
     }
-    if best is not None:
-        event = getattr(best, "event", None)
-        quality["best_event"] = event.event_id if event is not None \
-            else best.predicate_id
-        quality["best_score"] = getattr(best, "f_score",
-                                        getattr(best, "importance", None))
-    return quality
 
 
 # ----------------------------------------------------------------------

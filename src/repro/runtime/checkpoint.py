@@ -8,9 +8,10 @@ campaigns survive all three, with three cooperating pieces:
   :class:`CheckpointSession`).  Campaign plan streams are pure
   functions of the workload (see :mod:`repro.runtime.harness`), so the
   whole progress of a campaign is captured by the sequence of run
-  outcomes consumed so far: for a baseline run, its observation plus
-  its counter and predicate deltas.  Every quota campaign journals
-  through :func:`repro.runtime.harness.durable_stream`.  A journal is an
+  outcomes consumed so far: for a baseline run, the record it returned
+  (its observation, counters and the predicates it registered).  Every
+  quota campaign journals through
+  :func:`repro.runtime.harness.durable_stream`.  A journal is an
   append-only JSONL file — one fingerprint header plus one
   group-committed batch line per ``CheckpointJournal.FLUSH_EVERY``
   consumed runs — written with the same torn-tail quarantine
@@ -63,7 +64,9 @@ from repro.obs import get_obs
 from repro.runtime import resilience
 
 #: Journal/manifest schema version (part of every stream fingerprint).
-CHECKPOINT_FORMAT_VERSION = 1
+#: (2: a baseline record is the run's record dict, not a pickled
+#: result object, so a version-1 journal is ignored and overwritten.)
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Default root for checkpoint sessions, next to the run ledger.
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
@@ -180,7 +183,7 @@ class CheckpointJournal:
     followed by one JSON line per group commit —
     ``{"k0": <first cursor>, "n": <count>, "batch": <base64 pickle>}``
     where the batch payload is the committed ``(k, failed, status)``
-    triples (a baseline run's status is its ``BaselineRunResult``).
+    triples (a baseline run's status is its record dict).
     Appends are buffered and group-committed: encoded and
     flushed every ``FLUSH_EVERY`` records and on close, so a crash
     loses at most the last uncommitted batch — which the resume simply

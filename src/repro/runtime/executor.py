@@ -4,8 +4,10 @@ The diagnosis tools and the paper's evaluation drivers all reduce to
 *run campaigns*: execute the same program over a deterministic stream of
 run plans until some outcome quota is met (10+10 runs for LBRA/LCRA,
 1000+1000 for the CBI-style baselines).  Every run is independent — a
-fresh machine, a fresh scheduler seeded by the plan index — which makes
-campaigns embarrassingly parallel and their results content-addressable.
+fresh machine, a fresh scheduler seeded by the plan index, and for a
+baseline run a record it returns instead of writing to its tool — which
+makes campaigns embarrassingly parallel and their results
+content-addressable.
 This module exploits both:
 
 * :class:`CampaignExecutor` fans run attempts out across a
@@ -215,39 +217,6 @@ class RunResult:
     traceback: str = None
 
 
-@dataclass
-class BaselineRunResult:
-    """One baseline-instrumented run: outcome plus counter deltas.
-
-    The CBI-family tools accumulate instrumentation-cost counters and
-    discover predicate sites during runs; parallel execution returns
-    those as per-run *deltas* so the consuming tool can apply exactly
-    the contributions of the runs its campaign actually consumed.
-    """
-
-    failed: bool = False
-    observation: object = None     # RunObservation
-    events_observed: int = 0
-    samples_taken: int = 0
-    retired: int = 0
-    new_predicates: dict = field(default_factory=dict)
-    duration: float = 0.0
-    worker_pid: int = None
-    cached: bool = False
-    error: str = None
-    traceback: str = None
-
-    @classmethod
-    def of(cls, value, **run):
-        """The result of one :func:`_baseline_execute` *value*."""
-        return cls(failed=value["failed"],
-                   observation=value["observation"],
-                   events_observed=value["events"],
-                   samples_taken=value["samples"],
-                   retired=value["retired"],
-                   new_predicates=value["predicates"], **run)
-
-
 # ----------------------------------------------------------------------
 # The run cache
 # ----------------------------------------------------------------------
@@ -410,8 +379,9 @@ def _worker_run(fn, subject_fp, subject_blob, collect_obs, arg_blobs):
     subject blob and paying one future round-trip — over many short
     runs; per-run results keep their own durations (and, when
     *collect_obs* is set, their own span/metric payloads).  Safe to
-    batch because each ``fn`` leaves its subject as it found it, so an
-    attempt's result is independent of its batch-mates.
+    batch because a run never writes to its subject — a plan run builds
+    a fresh machine, and a baseline run returns its whole record — so
+    an attempt's result is independent of its batch-mates.
     """
     resilience.worker_entry_faults()
     subject = _WORKER_SUBJECTS.get(subject_fp)
@@ -422,43 +392,6 @@ def _worker_run(fn, subject_fp, subject_blob, collect_obs, arg_blobs):
         args = pickle.loads(blob)
         results.append(_collected(lambda: fn(subject, *args), collect_obs))
     return os.getpid(), results
-
-
-def _baseline_execute(tool, plan, run_seed):
-    """Run one baseline attempt on *tool*; return value with deltas.
-
-    The tool is left exactly as it was found.  Counter contributions
-    are measured as before/after deltas and the counters restored;
-    the run registers its predicates into an empty registry swapped in
-    for its duration.  So every run reports the *full* predicate set it
-    observed, whatever ran on this tool before, and a result replayed
-    from the cache or the journal into another tool applies the same
-    way — the consumer's in-order ``setdefault`` merge reproduces the
-    sequential registry exactly, contents and insertion order both.
-    """
-    events0 = tool.events_observed
-    samples0 = tool.samples_taken
-    retired0 = tool.retired_total
-    registry = getattr(tool, "_predicates", None)
-    observed = {}
-    if registry is not None:
-        tool._predicates = observed
-    try:
-        failed, observation = tool._run_once(plan, run_seed)
-        return {
-            "failed": failed,
-            "observation": observation,
-            "events": tool.events_observed - events0,
-            "samples": tool.samples_taken - samples0,
-            "retired": tool.retired_total - retired0,
-            "predicates": observed,
-        }
-    finally:
-        tool.events_observed = events0
-        tool.samples_taken = samples0
-        tool.retired_total = retired0
-        if registry is not None:
-            tool._predicates = registry
 
 
 # ----------------------------------------------------------------------
@@ -840,13 +773,13 @@ class CampaignExecutor:
         return self._pipeline(tasks)
 
     def iter_baseline_runs(self, tool, plan_seeds):
-        """Yield ``(run_seed, BaselineRunResult)`` for a baseline tool.
+        """Yield ``(run_seed, record)`` for a baseline tool.
 
         *plan_seeds* is an iterable of ``(plan, run_seed)`` pairs, in
-        campaign order.  The passed *tool* is left as it was found:
-        fresh runs execute on per-worker reconstructions, or in process
-        on *tool* itself through :func:`_baseline_execute`, and return
-        counter/predicate deltas for the caller to apply.
+        campaign order.  Each record is what the tool's ``_run_once``
+        returns — on a worker's reconstruction of *tool*, or in process
+        on *tool* itself, which a run never writes to — for the caller
+        to fold into the tool.
         """
         tasks = (self._baseline_task(tool, plan, run_seed)
                  for plan, run_seed in plan_seeds)
@@ -876,11 +809,11 @@ class CampaignExecutor:
         key = None
         if self.cache_all:
             key = _baseline_key(fingerprint_tool(tool), plan, run_seed)
+        # The unbound method pickles by reference, so a pool batch's
+        # header ships the tool (as its clone) once.
         return self._task(
-            "baseline", key, _baseline_execute, tool, fingerprint_tool,
-            (plan, run_seed),
-            lambda value, **run: (run_seed,
-                                  BaselineRunResult.of(value, **run)),
+            "baseline", key, type(tool)._run_once, tool, fingerprint_tool,
+            (plan, run_seed), lambda record, **_run: (run_seed, record),
             tool.machine_config.backend)
 
     def _task(self, kind, key, fn, subject, fingerprint, args, result,
@@ -1099,7 +1032,6 @@ class CampaignExecutor:
 
 
 __all__ = [
-    "BaselineRunResult",
     "CampaignExecutor",
     "CACHE_FORMAT_VERSION",
     "DEFAULT_CACHE_DIR",

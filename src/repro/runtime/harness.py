@@ -370,21 +370,22 @@ def stream_runs(program, workload, plan_fn, config, stream, executor, *,
 
 
 def stream_baseline_runs(tool, plan_fn, phase, *, stopped, start):
-    """Yield ``(k, failed, BaselineRunResult)`` for a baseline campaign.
+    """Yield ``(k, failed, record)`` for a baseline campaign.
 
     :func:`durable_stream` over a CBI-family *tool*: attempt k runs
-    ``plan_fn(k)`` with run seed k on ``tool.executor``, and leaves
-    *tool* as it was found.  The journal is keyed by phase, tool
-    fingerprint, seed and *start*, because a passing phase starts where
-    its failing phase stopped.
+    ``plan_fn(k)`` with run seed k on ``tool.executor``, and its record
+    (see ``BaselineToolBase._run_once``) is left for the caller to fold
+    into *tool*.  The journal is keyed by phase, tool fingerprint, seed
+    and *start*, because a passing phase starts where its failing phase
+    stopped.
     """
     name = tool.tool_name.lower()
 
     def fresh(cursor):
         plan_seeds = ((plan_fn(k), k) for k in itertools.count(cursor))
-        for k, result in tool.executor.iter_baseline_runs(tool,
+        for k, record in tool.executor.iter_baseline_runs(tool,
                                                           plan_seeds):
-            yield k, result.failed, result
+            yield k, record["failed"], record
 
     def fingerprint():
         return _checkpoint.stream_fingerprint(

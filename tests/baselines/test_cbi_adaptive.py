@@ -6,6 +6,24 @@ from repro.bugs.registry import get_bug
 from repro.runtime.workload import RunPlan, Workload
 
 
+def test_adaptive_tool_builds_no_executor(monkeypatch):
+    """Its OPTIONS take no executor (the waves run in process through
+    ``_run_once``), so constructing the tool builds none."""
+    from repro.baselines import base
+
+    built = []
+    executor_class = base.CampaignExecutor
+
+    def counting_executor(*args, **kwargs):
+        built.append(args)
+        return executor_class(*args, **kwargs)
+
+    monkeypatch.setattr(base, "CampaignExecutor", counting_executor)
+    tool = CbiAdaptiveTool(get_bug("sort"))
+    assert tool.executor is None
+    assert built == []
+
+
 def test_adaptive_converges_on_sort():
     tool = CbiAdaptiveTool(get_bug("sort"), runs_per_iteration=15)
     outcome = tool.run_diagnosis()
@@ -65,5 +83,4 @@ def test_array_globals_fail_for_adaptive_and_cbi_alike():
     workload = _TableWorkload()
     plan = workload.failing_run_plan(0)
     for tool in (CbiTool(workload), CbiAdaptiveTool(workload)):
-        failed, _observation = tool._run_once(plan, 0)
-        assert failed, type(tool).__name__
+        assert tool._run_once(plan, 0)["failed"], type(tool).__name__

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.baselines.cbi import BaselineUnsupportedError, CbiTool
+from repro.baselines.cbi_adaptive import CbiAdaptiveTool
 from repro.baselines.cci import CciTool
 from repro.baselines.pbi import PbiTool
 from repro.bugs.base import line_of
+from repro.bugs.registry import get_bug
 from repro.runtime.workload import RunPlan, Workload
 
 
@@ -150,3 +152,32 @@ def test_baseline_diagnosis_describe():
     tool = CbiTool(BranchBug())
     diagnosis = tool.run_diagnosis(n_failures=50, n_successes=50)
     assert "CBI" in diagnosis.describe()
+
+
+@pytest.mark.parametrize("tool_class, bug", [
+    pytest.param(CbiTool, "sort", id="CbiTool-sort"),
+    pytest.param(CciTool, "mysql1", id="CciTool-mysql1"),
+    pytest.param(PbiTool, "apache4", id="PbiTool-apache4"),
+    pytest.param(CbiAdaptiveTool, "sort", id="CbiAdaptiveTool-sort"),
+])
+def test_a_baseline_run_leaves_its_tool_untouched(tool_class, bug):
+    """A run is a pure function of (tool, plan, run seed): it returns
+    its whole record and writes nothing to the tool, so running it
+    again returns an equal record."""
+    tool = tool_class(get_bug(bug))
+    if tool_class is CbiAdaptiveTool:
+        # Instrument every site, as the widest wave would.
+        tool._active_sites = set().union(
+            *tool._sites_by_function.values())
+    plan = tool.workload.failing_run_plan(0)
+
+    def state():
+        return (tool.events_observed, tool.samples_taken,
+                tool.retired_total, list(tool.predicate_info().items()))
+
+    before = state()
+    first = tool._run_once(plan, 7)
+    second = tool._run_once(plan, 7)
+    assert state() == before
+    assert first == second
+    assert first["retired"] > 0

@@ -519,6 +519,7 @@ def test_baseline_campaigns_of_different_quotas_in_one_session(tmp_path):
 
 class _FakeDiagnosis:
     ranked = ()
+    runs_used = {"failures": 0, "successes": 0}
 
     def __init__(self, partial):
         self.ranked = []
