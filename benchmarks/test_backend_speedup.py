@@ -106,9 +106,10 @@ def _execute_seconds(backend, workloads, reps=3):
 
 def test_table5_workload_speedup(benchmark):
     workloads = _table5_workloads()
-    # Warm both engines once (closure tables compile lazily per
-    # program), then time reference directly and threaded under the
-    # benchmark fixture.
+    # Run the threaded engine once first, so each closure it times is
+    # already compiled (a closure is built on its pc's first dispatch),
+    # then time reference directly and threaded under the benchmark
+    # fixture.
     _execute_seconds("threaded", workloads, reps=1)
     reference_seconds = _execute_seconds("reference", workloads)
     threaded_seconds = run_once(

@@ -7,10 +7,12 @@ Two backends exist:
 * ``reference`` — the original interpreter loop: one scheduler pick, one
   :meth:`Machine.step`, one watchdog check per instruction.  It is the
   semantic ground truth; nothing here may ever change its behaviour.
-* ``threaded`` — a threaded-code fast path: the program's instructions
-  are pre-compiled once per :class:`~repro.isa.program.Program` into
-  specialized per-opcode Python closures with operands, fall-through
-  addresses, branch targets, and LBR filter masks bound at compile time.
+* ``threaded`` — a threaded-code fast path: each instruction of a
+  :class:`~repro.isa.program.Program` is compiled, on the first dispatch
+  of its pc, into a specialized per-opcode Python closure with operands,
+  fall-through address, branch target, and LBR filter mask bound at
+  compile time, and the closure is kept in a pc-keyed table cached on
+  the program.  Instructions no run reaches are never compiled.
   Execution proceeds in *slices* — runs of consecutive instructions on
   one thread, bounded by the scheduler's quantum lease, the step budget,
   and the profiling-hook boundary — and LBR/LCR ring writes are deferred
@@ -69,8 +71,8 @@ Observers
 Software observers (``machine.branch_observers`` /
 ``machine.coherence_observers``, used by the execution tracer, the
 CBI/CCI baselines, and the BTS simulation) get a synchronous callback
-per event.  A program therefore has two closure tables, each compiled
-on first use: the plain one, whose closures never look at the observer
+per event.  A program therefore has two closure tables, each filled
+on dispatch: the plain one, whose closures never look at the observer
 lists, and the observed one, whose LOAD/STORE/PUSH/POP, branch,
 CALL/CALLR and RET closures call the observers exactly where
 ``Machine.data_access`` and ``Machine.retire_branch`` do.
@@ -454,18 +456,13 @@ _BREAK_USER = 2
 _BREAK_KERNEL = 3
 
 
-def _address_check(program):
-    """:meth:`Program.has_instruction` without a reference to *program*.
+def _compile_instruction(instr, addresses, strings):
+    """Return the specialized closure ``fn(machine, thread) -> code``.
 
-    Closures hold this instead of the bound method, which would close a
-    reference cycle through the program's cached tables (see
-    :func:`compiled_table`).
+    *addresses* holds the program's instruction addresses (``in`` is
+    all a closure asks of it) and *strings* is its string table; no
+    closure refers to the :class:`~repro.isa.program.Program` itself.
     """
-    return program._index_by_address.__contains__
-
-
-def _compile_instruction(instr, program):
-    """Return the specialized closure ``fn(machine, thread) -> code``."""
     opcode = instr.opcode
     ring = instr.ring
     ring_user = ring is Ring.USER
@@ -587,7 +584,7 @@ def _compile_instruction(instr, program):
 
     if opcode is Opcode.CALL:
         target = instr.target
-        if not program.has_instruction(target):
+        if target not in addresses:
             def op_bad_call(machine, thread):
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
@@ -613,14 +610,13 @@ def _compile_instruction(instr, program):
 
     if opcode is Opcode.CALLR:
         rs = instr.rs
-        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_IND_CALL]))
 
         def op_callr(machine, thread):
             regs = thread.regs
             target = regs[rs]
-            if not has_instruction(target):
+            if target not in addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=target,
@@ -638,7 +634,6 @@ def _compile_instruction(instr, program):
         return op_callr
 
     if opcode is Opcode.RET:
-        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
 
@@ -658,7 +653,7 @@ def _compile_instruction(instr, program):
             if return_address == SIGNAL_RETURN_ADDR:
                 machine.signal_handler_returned(thread)
                 return brk
-            if not has_instruction(return_address):
+            if return_address not in addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=return_address,
@@ -721,8 +716,8 @@ def _compile_instruction(instr, program):
     if opcode is Opcode.OUTS:
         if instr.rs is None:
             imm = instr.imm
-            if 0 <= imm < len(program.string_table):
-                text = program.string(imm)
+            if 0 <= imm < len(strings):
+                text = strings[imm]
 
                 def op_outs_const(machine, thread):
                     machine.output.append(text)
@@ -840,7 +835,7 @@ def _compile_instruction(instr, program):
     raise AssertionError(opcode)  # pragma: no cover - exhaustive
 
 
-def _compile_observed(instr, program):
+def _compile_observed(instr, addresses, strings):
     """Return the observer-calling closure for *instr*, or ``None``.
 
     Only instructions that reach ``Machine.data_access`` or
@@ -911,7 +906,7 @@ def _compile_observed(instr, program):
     if opcode in (Opcode.JZ, Opcode.JNZ, Opcode.JMP):
         # Nothing happens between the branch event and the plain
         # closure's LBR append and pc update: notify, then run it.
-        plain = _compile_instruction(instr, program)
+        plain = _compile_instruction(instr, addresses, strings)
         rs, target = instr.rs, instr.target
         taken_on_zero = opcode is Opcode.JZ
         always = opcode is Opcode.JMP
@@ -926,14 +921,13 @@ def _compile_observed(instr, program):
     if opcode is Opcode.CALL or opcode is Opcode.CALLR:
         rs, fixed = instr.rs, instr.target
         direct = opcode is Opcode.CALL
-        has_instruction = _address_check(program)
         kind = instr.branch_kind()
         select_test = _RING_SUPPRESS_BIT[ring] | int(_KIND_TO_BIT[kind])
 
         def op_call(machine, thread):
             regs = thread.regs
             target = fixed if direct else regs[rs]
-            if not has_instruction(target):
+            if target not in addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=target,
@@ -952,7 +946,6 @@ def _compile_observed(instr, program):
         return op_call
 
     if opcode is Opcode.RET:
-        has_instruction = _address_check(program)
         select_test = (_RING_SUPPRESS_BIT[ring]
                        | int(_KIND_TO_BIT[BranchKind.NEAR_RET]))
 
@@ -971,7 +964,7 @@ def _compile_observed(instr, program):
             if return_address == SIGNAL_RETURN_ADDR:
                 machine.signal_handler_returned(thread)
                 return brk
-            if not has_instruction(return_address):
+            if return_address not in addresses:
                 raise MachineFault(FaultInfo(
                     kind=FaultKind.SEGMENTATION_FAULT, pc=pc,
                     thread_id=thread.tid, address=return_address,
@@ -1001,28 +994,58 @@ class _TableCache(dict):
         return _TableCache, ()
 
 
+class _ClosureTable(dict):
+    """One closure table of a program: pc -> closure, filled on dispatch.
+
+    ``table[pc]`` compiles the closure of the instruction at *pc* the
+    first time it is asked for and keeps it, so a program pays only for
+    the instructions its runs execute.  A pc outside the code returns
+    ``None`` and stores nothing.  ``get`` and ``in`` see only the
+    closures compiled so far.  The table holds the program's
+    instruction list, address index and string table, never the program
+    itself, so caching it on the program closes no reference cycle.
+    """
+
+    __slots__ = ("_instructions", "_addresses", "_strings", "_observed")
+
+    def __init__(self, program, observed):
+        self._instructions = program.instructions
+        self._addresses = program._index_by_address
+        self._strings = program.string_table
+        self._observed = observed
+
+    def __missing__(self, pc):
+        index = self._addresses.get(pc)
+        if index is None:
+            return None
+        instr = self._instructions[index]
+        op = None
+        if self._observed:
+            op = _compile_observed(instr, self._addresses, self._strings)
+        op = self[pc] = op or _compile_instruction(instr, self._addresses,
+                                                   self._strings)
+        return op
+
+
 def compiled_table(program, observed=False):
-    """Return (building once) the pc -> closure table for *program*.
+    """Return the pc -> closure table for *program* (see
+    :class:`_ClosureTable`).
 
     *observed* selects the table whose closures call the machine's
     branch and coherence observers (see the module docstring); the
     plain table never looks at them.  Both are cached on the program
     instance: programs are immutable after construction while machines
-    are created fresh per run, so caching per program amortizes
-    compilation across a whole campaign.  No closure in either table
-    refers to the program, so the cache forms no reference cycle and
-    the program is freed with its last reference.
+    are created fresh per run, so a closure compiled by one run serves
+    every later run of the same program in the process.  No closure in
+    either table refers to the program, so the cache forms no reference
+    cycle and the program is freed with its last reference.
     """
     tables = program.__dict__.get("_threaded_code")
     if tables is None:
         tables = program.__dict__["_threaded_code"] = _TableCache()
     table = tables.get(observed)
     if table is None:
-        table = tables[observed] = {}
-        for instr in program.instructions:
-            op = _compile_observed(instr, program) if observed else None
-            table[instr.address] = op or _compile_instruction(instr,
-                                                              program)
+        table = tables[observed] = _ClosureTable(program, observed)
     return table
 
 
@@ -1037,13 +1060,14 @@ def _run_slice(machine, thread, table, cap):
     Returns ``(executed, retired_user, retired_kernel)``.  ``executed``
     counts scheduler picks consumed (faulting instructions included,
     matching the reference loop); the retired counts exclude faults.
+    *table* is indexed, never read with ``get``: indexing is what
+    compiles a closure on its first dispatch.
     """
     executed = 0
     user = 0
     kernel = 0
-    table_get = table.get
     while executed < cap:
-        op = table_get(thread.pc)
+        op = table[thread.pc]
         if op is None:
             machine._deliver_fault(thread, FaultInfo(
                 kind=FaultKind.ILLEGAL_INSTRUCTION, pc=thread.pc,

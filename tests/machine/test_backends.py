@@ -2,11 +2,12 @@
 
 The contract of :mod:`repro.machine.backends` is that backend choice
 changes wall-clock time and nothing else.  These tests pin that over
-the whole bug registry: every workload's failing and passing plans must
-produce identical failures, identical hardware-ring contents, identical
-counter readings, and identical diagnosis reports under ``reference``
-and ``threaded`` execution — plus a chaos spot check showing fault
-injection does not tell the backends apart either.
+the whole bug registry and a generated population: every workload's
+failing and passing plans must produce identical failures, identical
+hardware-ring contents, identical counter readings, and identical
+diagnosis reports under ``reference`` and ``threaded`` execution — plus
+a chaos spot check showing fault injection does not tell the backends
+apart either.
 """
 
 import gc
@@ -14,12 +15,14 @@ import weakref
 
 import pytest
 
+from repro.bugs import synth
 from repro.bugs.registry import all_bugs, get_bug
 from repro.compiler.frontend import compile_module
 from repro.core.api import get_tool
 from repro.machine.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
+    compiled_table,
     get_backend,
     get_default_backend,
     use_backend,
@@ -27,10 +30,15 @@ from repro.machine.backends import (
 from repro.isa.asm import Assembler
 from repro.isa.instructions import BinaryOperator, HwOp, Opcode
 from repro.machine.cpu import Machine, MachineConfig
+from repro.machine.faults import FaultKind
 from repro.runtime.process import execute_plan
 
 
 _BUGS = sorted(all_bugs(), key=lambda bug: bug.name)
+#: The corpus plus generated program shapes, whose closure tables their
+#: runs fill only in part.
+_POPULATION = _BUGS + [get_bug(name)
+                       for name in synth.population_names(8, seed=0)]
 _PROGRAMS = {}
 
 
@@ -133,7 +141,7 @@ def test_backend_lands_in_config_repr():
 # Whole-registry equivalence
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("bug", _BUGS, ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", _POPULATION, ids=lambda bug: bug.name)
 def test_backends_equivalent(bug):
     """Failure sites, ring contents, and counters match per workload."""
     program = _program(bug)
@@ -168,7 +176,7 @@ def test_diagnosis_rows_identical(bug_name, tool_name):
     assert reference == threaded
 
 
-@pytest.mark.parametrize("bug", _BUGS, ids=lambda bug: bug.name)
+@pytest.mark.parametrize("bug", _POPULATION, ids=lambda bug: bug.name)
 def test_observer_streams_equivalent(bug):
     """Observed runs: the same events in the same order, and the same
     run, on both backends."""
@@ -284,7 +292,55 @@ def test_observed_runs_stay_on_the_threaded_engine(monkeypatch):
             assert report.campaign["events_observed"] > 0
 
 
-@pytest.mark.parametrize("bug", _BUGS, ids=lambda bug: bug.name)
+def test_closure_tables_fill_on_first_dispatch():
+    """Each closure table holds only the instructions a run dispatched,
+    and an identical second run compiles nothing more."""
+    bug = get_bug("sort")
+    program = compile_module(bug.build_module())
+    plan = bug.failing_run_plan(0)
+    config = MachineConfig(num_cores=bug.num_cores, backend="threaded")
+    for observe in (False, True):
+        filled = []
+        for _ in range(2):
+            events = []
+            execute_plan(program, plan, config,
+                         attach=(lambda machine: _observe(machine, events))
+                         if observe else None)
+            filled.append(dict(compiled_table(program, observe)))
+        first, second = filled
+        assert 0 < len(first) < len(program.instructions), observe
+        assert second == first, observe
+
+
+def _jump_outside_code():
+    a = Assembler()
+    a.function("main")
+    a.op(Opcode.JMP, target=0xDEAD00)
+    a.op(Opcode.HALT, imm=0)
+    return a.link()
+
+
+def test_pc_outside_code_faults_and_compiles_nothing():
+    """A jump out of the code faults the same way on both backends, plain
+    and observed, and leaves no entry in either closure table."""
+    program = _jump_outside_code()
+    faults = set()
+    for backend in BACKEND_NAMES:
+        for observe in (False, True):
+            machine = Machine(program, MachineConfig(backend=backend))
+            if observe:
+                _observe(machine, [])
+            machine.load()
+            fault = machine.run().fault
+            faults.add((fault.kind, fault.pc, str(fault)))
+    assert len(faults) == 1
+    kind, pc, _message = faults.pop()
+    assert (kind, pc) == (FaultKind.ILLEGAL_INSTRUCTION, 0xDEAD00)
+    for observe in (False, True):
+        assert 0xDEAD00 not in compiled_table(program, observe)
+
+
+@pytest.mark.parametrize("bug", _POPULATION, ids=lambda bug: bug.name)
 def test_runs_leave_no_cyclic_garbage(bug):
     """A compiled program, its cached closure tables and the machines
     that ran it are freed by reference counting alone: a run leaves
