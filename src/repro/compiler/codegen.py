@@ -15,7 +15,17 @@ Two properties matter for fidelity to the paper:
   core-local LBR/LCR disable/enable operations — the wrapper-function
   technique the paper uses to keep glibc branches from polluting the
   precious 16 ring entries.
+
+Library code can also be generated once, as relocatable
+:class:`FunctionTemplate`\\ s (:meth:`Compiler.template`), and linked into
+any number of programs as fresh copies (``compile(prebuilt=...)``) — how
+the stdlib is linked, like the prebuilt glibc the paper's applications
+link.
 """
+
+import dataclasses
+import operator
+from typing import NamedTuple
 
 from repro.isa.asm import Assembler
 from repro.isa.instructions import (
@@ -25,7 +35,7 @@ from repro.isa.instructions import (
     Opcode,
     UnaryOperator,
 )
-from repro.isa.layout import WORD_SIZE
+from repro.isa.layout import CODE_BASE, INSTRUCTION_SIZE, WORD_SIZE
 from repro.isa.registers import ARG_REGISTERS, FP, RV, SP
 from repro.isa.program import SourceBranch, SourceLocation
 from repro.lang import ast_nodes as ast
@@ -60,6 +70,16 @@ _HW_BUILTINS["__pmc_read"] = (HwOp.PMC_READ, False, True, True)
 #: Scratch registers used by the stack-machine expression discipline.
 _R0, _R1, _R2 = 7, 8, 9
 
+#: The Instruction fields a template stores, in constructor order (the
+#: address is left to the linker).
+_FIELDS = tuple(f.name for f in dataclasses.fields(Instruction)
+                if f.name != "address")
+_TARGET, _IMM = _FIELDS.index("target"), _FIELDS.index("imm")
+_field_values = operator.attrgetter(*_FIELDS)
+
+#: Branch opcodes whose target is a function, not a label of its own code.
+_CALL_OPCODES = frozenset({Opcode.CALL, Opcode.SPAWN})
+
 
 class CompileError(Exception):
     """Raised for semantically invalid MiniC."""
@@ -67,6 +87,22 @@ class CompileError(Exception):
     def __init__(self, message, line=0):
         super().__init__("line %d: %s" % (line, message))
         self.line = line
+
+
+class FunctionTemplate(NamedTuple):
+    """One function's generated code, relocatable into any program.
+
+    Everything in it is independent of where the function lands and of
+    the program around it, except what the three relocation lists name;
+    :meth:`Compiler.compile` patches those in each copy.
+    """
+
+    decl: object        # the FunctionDecl the code was generated from
+    fields: tuple       # per instruction, its field values (_FIELDS)
+    jumps: tuple        # (index, target's byte offset from the entry)
+    global_refs: tuple  # (index, global name, is_array): an LI of its address
+    branches: tuple     # (index, SourceBranch), in emission order
+    locations: tuple    # the SourceLocation of each instruction
 
 
 class Compiler:
@@ -92,8 +128,14 @@ class Compiler:
     # Entry point
     # ------------------------------------------------------------------
 
-    def compile(self, entry="main"):
-        """Generate code for the whole module."""
+    def compile(self, entry="main", prebuilt=None):
+        """Generate code for the whole module.
+
+        *prebuilt* maps function names to :class:`FunctionTemplate`\\ s.
+        A function of the module that one of them was generated from is
+        linked as a relocated copy of it, not generated again; the
+        program is the same either way.
+        """
         if entry not in self._functions:
             raise CompileError("no entry function %r" % (entry,))
         for decl in self.module.globals:
@@ -103,7 +145,11 @@ class Compiler:
             self.globals.declare(decl.name, address, size=decl.size,
                                  is_array=decl.is_array)
         for function in self.module.functions:
-            self._gen_function(function)
+            template = prebuilt.get(function.name) if prebuilt else None
+            if template is not None and template.decl is function:
+                self._link_copy(template)
+            else:
+                self._gen_function(function)
         program = self.asm.link(entry=entry)
         for instr, branch in self._branch_records:
             program.debug_info.branches[instr.address] = branch
@@ -111,6 +157,85 @@ class Compiler:
             program.debug_info.locations[instr.address] = location
         program.metadata.update(self.module.metadata)
         return program
+
+    def template(self):
+        """Generate every function of the module as a relocatable
+        :class:`FunctionTemplate`; returns ``{name: template}``.
+
+        The code is what :meth:`compile` would generate for the same
+        functions inside any program, up to what the templates list for
+        relocation: the address of each local branch target and of each
+        global.  Calls keep their callee's name, so the linking program
+        resolves them, to its own definition where it shadows one.
+        Only library functions qualify: no call from library code is
+        toggled, so their code is the same with toggling on or off.
+        """
+        for decl in self.module.globals:
+            # The name stands in for the address: no address is a str.
+            self.globals.declare(decl.name, decl.name, size=decl.size,
+                                 is_array=decl.is_array)
+        for function in self.module.functions:
+            if not function.is_library:
+                raise CompileError("%r is not library code, so its code "
+                                   "depends on toggling" % function.name,
+                                   function.line)
+            self._gen_function(function)
+        program = self.asm.link(entry=None)
+        if program.string_table:
+            raise CompileError("string literals in a template are not "
+                               "relocated")
+        callees = {info.entry: name
+                   for name, info in program.functions.items()}
+        locations = {instr.address: location
+                     for instr, location in self._location_records}
+        templates = {}
+        for decl in self.module.functions:
+            info = program.functions[decl.name]
+            first = (info.entry - CODE_BASE) // INSTRUCTION_SIZE
+            code = program.instructions[
+                first:(info.end - CODE_BASE) // INSTRUCTION_SIZE]
+            fields, jumps, global_refs = [], [], []
+            for index, instr in enumerate(code):
+                values = list(_field_values(instr))
+                if instr.opcode in _CALL_OPCODES:
+                    values[_TARGET] = callees[instr.target]
+                elif instr.target is not None:
+                    jumps.append((index, instr.target - info.entry))
+                    values[_TARGET] = None
+                if isinstance(instr.imm, str):
+                    symbol = self.globals.lookup(instr.imm)
+                    global_refs.append((index, symbol.name, symbol.is_array))
+                    values[_IMM] = None
+                fields.append(tuple(values))
+            branches = tuple(
+                ((instr.address - info.entry) // INSTRUCTION_SIZE, branch)
+                for instr, branch in self._branch_records
+                if info.contains(instr.address))
+            templates[decl.name] = FunctionTemplate(
+                decl, tuple(fields), tuple(jumps), tuple(global_refs),
+                branches, tuple(locations[instr.address] for instr in code))
+        return templates
+
+    def _link_copy(self, template):
+        """Append fresh, relocated instructions of a prebuilt function."""
+        decl = template.decl
+        start = self.asm.function(decl.name, is_library=decl.is_library)
+        code = [Instruction(*fields) for fields in template.fields]
+        origin = CODE_BASE + start * INSTRUCTION_SIZE
+        for index, offset in template.jumps:
+            code[index].target = origin + offset
+        for index, name, is_array in template.global_refs:
+            symbol = self.globals.lookup(name)
+            if symbol.is_array != is_array:
+                raise CompileError(
+                    "%r was prebuilt for %s global %r" % (
+                        decl.name, "an array" if is_array else "a scalar",
+                        name), decl.line)
+            code[index].imm = symbol.address
+        self.asm.emit_all(code)
+        self._branch_records.extend(
+            (code[index], branch) for index, branch in template.branches)
+        self._location_records.extend(zip(code, template.locations))
 
     # ------------------------------------------------------------------
     # Emission helpers

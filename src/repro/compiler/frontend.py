@@ -1,9 +1,17 @@
-"""One-call compilation pipeline: MiniC source to executable Program."""
+"""One-call compilation pipeline: MiniC source to executable Program.
+
+A program is its module's functions followed by the stdlib's.  The
+stdlib is not generated again for each program: :func:`compile_module`
+links relocated copies of code generated once per process
+(:func:`~repro.compiler.stdlib.stdlib_template`), the way the paper's
+applications link a prebuilt glibc.  The program is byte for byte the
+one ``Compiler(link_with_stdlib(module)).compile()`` generates whole.
+"""
 
 from repro.lang.ast_nodes import Module
 from repro.lang.parser import parse
 from repro.compiler.codegen import Compiler
-from repro.compiler.stdlib import stdlib_module
+from repro.compiler.stdlib import stdlib_module, stdlib_template
 
 
 def link_with_stdlib(module):
@@ -34,10 +42,11 @@ def link_with_stdlib(module):
 
 def compile_module(module, toggling=False, include_stdlib=True,
                    entry="main"):
-    """Compile an AST module (optionally merged with the stdlib)."""
-    if include_stdlib:
-        module = link_with_stdlib(module)
-    return Compiler(module, toggling=toggling).compile(entry=entry)
+    """Compile an AST module (optionally linked with the stdlib)."""
+    if not include_stdlib:
+        return Compiler(module, toggling=toggling).compile(entry=entry)
+    return Compiler(link_with_stdlib(module), toggling=toggling).compile(
+        entry=entry, prebuilt=stdlib_template())
 
 
 def compile_source(source, source_name="<minic>", toggling=False,

@@ -8,8 +8,12 @@ from the 16-entry LBR — which is exactly the effect the paper's
 "w/ tog." vs "w/o tog." columns in Table 6 measure.
 
 All functions are marked ``library``, making them toggling targets.
+That also makes their code independent of toggling, so, like a
+prebuilt glibc, the stdlib is generated once per process
+(:func:`stdlib_template`) and every program links a relocated copy.
 """
 
+from repro.compiler.codegen import Compiler
 from repro.lang.parser import parse
 
 STDLIB_SOURCE = """
@@ -140,6 +144,7 @@ library int printf_d(int msg, int value) {
 """
 
 _CACHED_MODULE = None
+_CACHED_TEMPLATE = None
 
 
 def stdlib_module():
@@ -148,6 +153,16 @@ def stdlib_module():
     if _CACHED_MODULE is None:
         _CACHED_MODULE = parse(STDLIB_SOURCE, source_name="<stdlib>")
     return _CACHED_MODULE
+
+
+def stdlib_template():
+    """Return the stdlib's generated code (cached): a relocatable
+    :class:`~repro.compiler.codegen.FunctionTemplate` per function name,
+    generated from :func:`stdlib_module`'s functions on first use."""
+    global _CACHED_TEMPLATE
+    if _CACHED_TEMPLATE is None:
+        _CACHED_TEMPLATE = Compiler(stdlib_module()).template()
+    return _CACHED_TEMPLATE
 
 
 def stdlib_function_names():

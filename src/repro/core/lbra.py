@@ -14,6 +14,7 @@ precision and recall.  Both success-profiling schemes are implemented:
   locations (segfaults), exactly as the paper notes.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.compiler.frontend import compile_module
@@ -171,13 +172,24 @@ class DiagnosisToolBase:
         #: stop reason when the active CampaignBudget cut a stream short
         self._stopped = {"reason": None}
         self._module = workload.build_module()
-        self.failure_program = self._build_program(
-            success_scheme="proactive" if scheme == "proactive" else "none",
-        )
 
     # ------------------------------------------------------------------
     # Program construction
     # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def failure_program(self):
+        """The program failure runs execute, compiled on first use.
+
+        A caller that already holds this very program assigns it here
+        instead: fleet triage holds the one its reports ran, which the
+        workload's LBRLOG/LCRLOG tool built with the options a
+        default reactive-scheme tool uses.
+        """
+        return self._build_program(
+            success_scheme="proactive" if self.scheme == "proactive"
+            else "none",
+        )
 
     def _build_program(self, success_scheme, reactive_target=None):
         enhanced = enhance_logging(

@@ -237,6 +237,8 @@ def _diagnose_cluster(cluster, runs, executor, obs):
     adapter = get_tool(tool_name)(
         workload, executor=executor, scheme="reactive", seed=0,
     )
+    # The reports ran the tool's reactive failure program: reuse it.
+    adapter.tool.failure_program = cluster.reports[0].program
     try:
         with obs.timer("stage.campaign.seconds"):
             cluster.diagnosis = adapter.run_diagnosis(runs, runs)

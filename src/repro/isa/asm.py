@@ -39,13 +39,15 @@ class Assembler:
     # ------------------------------------------------------------------
 
     def function(self, name, is_library=False):
-        """Start a new function at the current position."""
+        """Start a new function at the current position; return that
+        position (the index of the function's first instruction)."""
         self._close_function()
+        start = len(self._instructions)
         self._functions.append(
-            (FunctionInfo(name=name, is_library=is_library),
-             len(self._instructions))
+            (FunctionInfo(name=name, is_library=is_library), start)
         )
         self.label(name)
+        return start
 
     def label(self, name):
         """Define *name* at the current position."""
@@ -57,6 +59,10 @@ class Assembler:
         """Append one instruction."""
         self._instructions.append(instruction)
         return instruction
+
+    def emit_all(self, instructions):
+        """Append a sequence of instructions."""
+        self._instructions.extend(instructions)
 
     def op(self, opcode, **fields):
         """Append ``Instruction(opcode, **fields)`` (convenience)."""

@@ -235,3 +235,37 @@ def test_snapshot_publishes_every_cluster_once_an_interval_passes(
 
     assert _publications(monkeypatch, tmp_path, DEFAULT_INTERVAL) \
         == [(0, False), (1, False), (2, False), (2, True)]
+
+
+def test_triage_compiles_each_program_once(monkeypatch):
+    """The stream compiles each application's failure-logging program;
+    each cluster's campaign reuses it and compiles only its reactive
+    success program."""
+    import sys
+
+    from repro.compiler.frontend import compile_module
+    from repro.runtime.executor import fingerprint_program
+
+    built = []
+
+    def recording(*args, **kwargs):
+        program = compile_module(*args, **kwargs)
+        built.append(fingerprint_program(program))
+        return program
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") \
+                and getattr(module, "compile_module", None) is compile_module:
+            monkeypatch.setattr(module, "compile_module", recording)
+    population = ["sort", "tac", "pbzip2"]
+    reports = FleetStream(population=population, seed=0).generate(9)
+    result = triage_reports(reports, runs=4, seed=0)
+    assert all(cluster.diagnosis for cluster in result.clusters)
+    assert len(built) == len(population) + result.n_clusters
+    assert len(set(built)) == len(built)
+    # The reused program is the one the tool would have compiled.
+    for cluster in result.clusters:
+        tool = get_tool(cluster.tool)(get_bug(cluster.app),
+                                      scheme="reactive").tool
+        assert fingerprint_program(tool.failure_program) \
+            == fingerprint_program(cluster.reports[0].program)
