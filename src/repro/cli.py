@@ -33,13 +33,10 @@ Commands:
 * ``obs explain <report.json>``  — per-event provenance of a diagnosis;
 * ``obs trends``                 — quality/latency deltas per ledger
   series (non-zero exit on regression); ``--view convergence`` shows
-  per-signature rank convergence; ``--slo FILE`` evaluates declarative
-  SLOs against the telemetry and gates on violation;
+  per-signature rank convergence;
 * ``obs watch <snapshot.json>``  — self-refreshing terminal dashboard
   over the live telemetry snapshot ``repro triage --snapshot-out``
   publishes;
-* ``obs export``                 — OpenMetrics/Prometheus text
-  exposition of a telemetry snapshot (or the ledger's telemetry);
 * ``obs compare <A> <B>``        — structured diff of two ledger
   entries (``@N`` sequence refs or entry-id prefixes);
 * ``obs conformance [table...]`` — re-run experiment drivers and check
@@ -70,9 +67,8 @@ snapshot are written on exit (see :mod:`repro.obs`; render traces with
 (:mod:`repro.obs.timeseries`) live: up front, after a diagnosed cluster
 at most once per ``repro obs watch`` poll interval, and complete at
 the end.
-Either file feeds ``repro obs watch``, ``repro obs export`` and
-``repro obs trends --slo``; a final snapshot that cannot be written is
-reported in one line, with exit status 1.
+Either file feeds ``repro obs watch``; a final snapshot that cannot
+be written is reported in one line, with exit status 1.
 
 ``diagnose`` and ``experiment`` also append to the persistent run
 ledger (:mod:`repro.obs.ledger`) under ``--ledger-dir`` (default
@@ -152,6 +148,19 @@ def _synth_name(value):
     except synth.SynthSpecError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     return value
+
+
+def _poll_interval(value):
+    """argparse type: a poll interval, finite seconds greater than 0."""
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = float("nan")            # fails the range test below
+    if not 0 < seconds < float("inf"):
+        raise argparse.ArgumentTypeError(
+            "poll interval must be finite seconds greater than 0, "
+            "not %s" % value)
+    return seconds
 
 
 def _experiment_registry():
@@ -482,8 +491,7 @@ def _cmd_triage(args, out):
         if not result.snapshot_published:
             raise SnapshotNotWritten(args.snapshot_out)
         out.write("telemetry snapshot published to %s (render with "
-                  "`repro obs watch` / `repro obs export`)\n"
-                  % args.snapshot_out)
+                  "`repro obs watch`)\n" % args.snapshot_out)
     return 0
 
 
@@ -630,7 +638,6 @@ def _cmd_obs(args, out):
         "compare": _cmd_obs_compare,
         "conformance": _cmd_obs_conformance,
         "watch": _cmd_obs_watch,
-        "export": _cmd_obs_export,
     }
     return handlers[args.obs_command](args, out)
 
@@ -693,56 +700,9 @@ def _cmd_obs_explain(args, out):
     return 0
 
 
-def _resolve_snapshot(args, out):
-    """The telemetry snapshot named by --snapshot, or one rebuilt from
-    the ledger's triage entries.  Returns ``(snapshot, exit_code)``."""
-    from repro.obs.export import snapshot_from_ledger
-    from repro.obs.ledger import Ledger
-    from repro.obs.timeseries import NotASnapshot, read_snapshot
-
-    path = getattr(args, "snapshot", None)
-    if path:
-        try:
-            return read_snapshot(path), 0
-        except FileNotFoundError:
-            out.write("no such snapshot file: %s\n" % path)
-            return None, 1
-        except NotASnapshot as exc:
-            out.write("%s\n" % exc)
-            return None, 2
-    snapshot = snapshot_from_ledger(Ledger(args.ledger_dir))
-    if snapshot is None:
-        out.write("no telemetry in the ledger (run `repro triage` "
-                  "first, or pass --snapshot FILE)\n")
-        return None, 2
-    return snapshot, 0
-
-
 def _cmd_obs_trends(args, out):
     from repro.obs.ledger import Ledger, render_convergence, render_trends
 
-    if args.slo:
-        from repro.obs.slo import (
-            SLOError,
-            evaluate_slos,
-            load_slos,
-            render_slo_report,
-        )
-
-        try:
-            slos = load_slos(args.slo)
-        except FileNotFoundError:
-            out.write("no such SLO file: %s\n" % args.slo)
-            return 1
-        except SLOError as exc:
-            out.write("bad SLO file: %s\n" % exc)
-            return 2
-        snapshot, code = _resolve_snapshot(args, out)
-        if snapshot is None:
-            return code
-        text, code = render_slo_report(evaluate_slos(slos, snapshot))
-        out.write(text + "\n")
-        return code
     if args.view == "convergence":
         text, code = render_convergence(Ledger(args.ledger_dir))
     else:
@@ -761,23 +721,6 @@ def _cmd_obs_watch(args, out):
     return watch(args.snapshot_file, out, once=args.once,
                  interval=args.interval,
                  clear=False if args.once else None)
-
-
-def _cmd_obs_export(args, out):
-    from repro.obs.export import render_openmetrics
-
-    snapshot, code = _resolve_snapshot(args, out)
-    if snapshot is None:
-        return code
-    text = render_openmetrics(snapshot,
-                              include_timings=args.include_timings)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        out.write("OpenMetrics exposition written to %s\n" % args.out)
-    else:
-        out.write(text)
-    return 0
 
 
 def _cmd_obs_compare(args, out):
@@ -877,7 +820,7 @@ def _obs_flags():
     )
     parent.add_argument(
         "--metrics-out", metavar="FILE.json", default=None,
-        help="write the metrics snapshot `repro obs export` reads "
+        help="write the metrics snapshot `repro obs watch` reads "
              "(enables observability)",
     )
     return parent
@@ -1088,8 +1031,7 @@ def build_parser():
         help="publish a live telemetry snapshot here (atomically, "
              "after diagnosed clusters, at most once per `repro obs "
              "watch` poll interval, and complete at the end); tail it "
-             "with `repro obs watch`, render it with `repro obs "
-             "export` (enables observability)",
+             "with `repro obs watch` (enables observability)",
     )
 
     synth_parser = commands.add_parser(
@@ -1221,18 +1163,6 @@ def build_parser():
         help="also flag wall time grown by more than PCT%% "
              "(default: latency never gates)",
     )
-    trends_parser.add_argument(
-        "--slo", metavar="FILE.json", default=None,
-        help="gating mode: evaluate the declarative SLOs in FILE "
-             "against the telemetry (burn-rate accounting; non-zero "
-             "exit on violation; see docs/observability.md)",
-    )
-    trends_parser.add_argument(
-        "--snapshot", metavar="FILE.json", default=None,
-        help="with --slo: evaluate against this snapshot (from "
-             "--snapshot-out or --metrics-out) instead of rebuilding "
-             "one from the ledger",
-    )
 
     watch_parser = obs_commands.add_parser(
         "watch", help="self-refreshing terminal dashboard over a live "
@@ -1245,31 +1175,9 @@ def build_parser():
         help="render a single frame and exit (no live loop)",
     )
     watch_parser.add_argument(
-        "--interval", type=float, default=DEFAULT_INTERVAL,
+        "--interval", type=_poll_interval, default=DEFAULT_INTERVAL,
         metavar="SECONDS",
         help="refresh poll interval (default: %(default)s)",
-    )
-
-    export_parser = obs_commands.add_parser(
-        "export", help="OpenMetrics/Prometheus text exposition of a "
-                       "telemetry snapshot or the ledger's telemetry"
-    )
-    export_parser.add_argument(
-        "--snapshot", metavar="FILE.json", default=None,
-        help="snapshot file to export, from --snapshot-out or "
-             "--metrics-out (default: rebuild one from the ledger's "
-             "triage entries)",
-    )
-    export_parser.add_argument("--ledger-dir", default=None,
-                               metavar="DIR")
-    export_parser.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="write the exposition to FILE instead of stdout",
-    )
-    export_parser.add_argument(
-        "--include-timings", action="store_true",
-        help="also export wall-clock timing sketches (breaks the "
-             "cross-jobs byte-identity of the output)",
     )
 
     compare_parser = obs_commands.add_parser(

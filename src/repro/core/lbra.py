@@ -171,11 +171,20 @@ class DiagnosisToolBase:
         self.machine_config = MachineConfig(num_cores=workload.num_cores)
         #: stop reason when the active CampaignBudget cut a stream short
         self._stopped = {"reason": None}
-        self._module = workload.build_module()
 
     # ------------------------------------------------------------------
     # Program construction
     # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def module(self):
+        """The workload's parsed source, parsed on first use.
+
+        Fleet triage assigns the module its report stream parsed
+        instead: :func:`~repro.lang.transform.enhance_logging` copies
+        the module it rewrites, so one parse serves every program.
+        """
+        return self.workload.build_module()
 
     @functools.cached_property
     def failure_program(self):
@@ -193,7 +202,7 @@ class DiagnosisToolBase:
 
     def _build_program(self, success_scheme, reactive_target=None):
         enhanced = enhance_logging(
-            self._module,
+            self.module,
             log_functions=self.workload.log_functions,
             rings=(self.ring,),
             lcr_selector=self.lcr_selector,

@@ -49,9 +49,11 @@ class LogToolBase:
         #: from memory; results are identical — see
         #: repro.runtime.executor)
         self.executor = executor or CampaignExecutor()
-        module = workload.build_module()
+        #: the workload's parsed source, which ``enhance_logging`` leaves
+        #: untouched; fleet triage hands it on to each cluster's tool
+        self.module = workload.build_module()
         enhanced = enhance_logging(
-            module,
+            self.module,
             log_functions=workload.log_functions,
             rings=(self.ring,),
             lcr_selector=lcr_selector,

@@ -72,7 +72,8 @@ class FailureReport:
 
     ``program`` is the log-enhanced program the application runs — the
     fleet analogue of "binary + debug info", needed to decode ring
-    entries into source events.  It is shared across all reports of one
+    entries into source events — and ``module`` the parsed source it
+    was built from.  Both are shared across all reports of one
     application.
     """
 
@@ -82,6 +83,7 @@ class FailureReport:
     plan_index: int       # k of the failing_run_plan stream
     status: object        # ExitStatus with profile snapshots
     program: object = field(repr=False, default=None)
+    module: object = field(repr=False, default=None)
 
 
 def _report_id(app, plan_index):
@@ -195,6 +197,7 @@ class FleetStream:
                 plan_index=k,
                 status=status,
                 program=tool.program,
+                module=tool.module,
             )
         if produced < n:
             self.shortfall = StreamShortfall(

@@ -237,8 +237,10 @@ def _diagnose_cluster(cluster, runs, executor, obs):
     adapter = get_tool(tool_name)(
         workload, executor=executor, scheme="reactive", seed=0,
     )
-    # The reports ran the tool's reactive failure program: reuse it.
+    # The reports ran the tool's reactive failure program, built from
+    # the module the stream parsed: reuse both.
     adapter.tool.failure_program = cluster.reports[0].program
+    adapter.tool.module = cluster.reports[0].module
     try:
         with obs.timer("stage.campaign.seconds"):
             cluster.diagnosis = adapter.run_diagnosis(runs, runs)
@@ -296,10 +298,9 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
     atomically there once up front, after a diagnosed cluster when at
     least ``DEFAULT_INTERVAL`` seconds (``repro obs watch``'s default
     poll) have passed since the last publication, and marked
-    ``complete`` at the end — the live feed ``repro obs watch`` tails
-    and ``repro obs export`` renders.  Publication is best-effort;
-    ``TriageResult.snapshot_published`` says whether the final,
-    complete snapshot landed.
+    ``complete`` at the end — the live feed ``repro obs watch`` tails.
+    Publication is best-effort; ``TriageResult.snapshot_published``
+    says whether the final, complete snapshot landed.
     """
     executor = executor or CampaignExecutor()
     obs = get_obs()
@@ -368,9 +369,6 @@ def triage_reports(reports, runs=10, depth=DEFAULT_DEPTH,
         },
         runs={"campaigns": sum(1 for c in clusters if c.diagnosis)},
         timings={"triage_seconds": time.perf_counter() - started},
-        # The only entry that carries the metrics buffer: it is what
-        # `repro obs export --ledger-dir` rebuilds a snapshot from.
-        obs={"timeseries": metrics.to_dict()} if obs.enabled else None,
     )
     result.snapshot_published = publish(len(clusters), complete=True)
     return result

@@ -37,8 +37,8 @@ Design rules:
   is the single serialization used for worker round-trips; JSONL traces
   and the metrics snapshot (:func:`repro.obs.timeseries.publish_snapshot`)
   are the at-rest formats (``repro obs report`` renders the former,
-  ``repro obs export``/``watch`` the latter, ``repro obs flame``
-  collapses a trace into a folded-stack flame view).
+  ``repro obs watch`` the latter, ``repro obs flame`` collapses a
+  trace into a folded-stack flame view).
 
 Three sibling submodules extend the in-process buffers to at-rest
 history and evidence: :mod:`repro.obs.ledger` (the persistent,

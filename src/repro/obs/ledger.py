@@ -10,11 +10,10 @@ it costs the same however long the ledger has grown.
 Entries are **content-keyed like the run cache**: ``entry_id`` is the
 sha256 of the entry's deterministic fields — kind, tool, workload,
 seed, params, quality, run counts, and the provenance digest — and
-never of its timing fields (wall time, executor activity, metric
-totals, timestamp).  Two executions of one diagnosis therefore produce
-entries with the *same id* no matter the ``--jobs`` value or cache
-state, which is how ``tests/obs/test_ledger.py`` pins ledger
-determinism.
+never of its timing fields (wall time, executor activity, timestamp).
+Two executions of one diagnosis therefore produce entries with the
+*same id* no matter the ``--jobs`` value or cache state, which is how
+``tests/obs/test_ledger.py`` pins ledger determinism.
 
 Recording follows the observability pattern: a module-level *current
 ledger* starts as the no-op :data:`NULL_LEDGER`; install a real one
@@ -60,6 +59,8 @@ DEFAULT_LEDGER_DIR = ".repro-ledger"
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 
 #: Entry fields excluded from the content key (observational only).
+#: ``obs`` is no longer written, but older ledgers carry it, and `obs
+#: compare` must mark it observational (~), not a difference (!).
 TIMING_FIELDS = ("timings", "executor", "obs", "created_at", "seq",
                  "entry_id")
 
@@ -153,7 +154,7 @@ class Ledger:
     def append(self, *, kind, tool=None, workload=None, seed=None,
                params=None, quality=None, runs=None,
                provenance_digest=None, backend=None, timings=None,
-               executor=None, obs=None):
+               executor=None):
         """Append one entry; returns the full entry dict (with id/seq).
 
         Only the keyword surface is public — the entry layout is the
@@ -179,7 +180,6 @@ class Ledger:
         entry["entry_id"] = content_key(entry)
         entry["timings"] = _sanitize(timings or {})
         entry["executor"] = _sanitize(executor) if executor else None
-        entry["obs"] = _sanitize(obs) if obs else None
         entry["created_at"] = datetime.datetime.now(
             datetime.timezone.utc).isoformat()
         # Recording is best-effort: a full disk or an injected fault must

@@ -26,10 +26,10 @@ Three instrument families:
   geometric buckets, merges add bucket counts, so N workers' sketches
   merge to exactly the serial sketch regardless of merge order.
   Sketches tagged ``timing=True`` (every ``metrics.timer``) hold
-  wall-clock observations; they merge and render but are excluded from
-  the deterministic export surface (:mod:`repro.obs.export`), which is
-  what keeps exported OpenMetrics bodies byte-identical across worker
-  counts.
+  wall-clock observations; they merge and render, but only their
+  counts are jobs-invariant, so they sit outside the deterministic
+  series that ``tests/obs/test_merge_invariance.py`` compares across
+  worker counts.
 
 Pool workers never tick: a worker's buffer is merged at the tick where
 the consumer takes its run (:meth:`Metrics.merge`), so a count recorded
@@ -41,9 +41,8 @@ pinned by ``tests/obs/test_timeseries.py``.
 Snapshots: :func:`publish_snapshot` atomically writes a JSON snapshot
 file (temp file + ``os.replace``, the run cache's publication
 discipline).  It is the one at-rest format: ``--metrics-out`` and
-``repro triage --snapshot-out`` both write it, ``repro obs watch`` tails
-it, ``repro obs export`` renders it as OpenMetrics text exposition, and
-``repro obs trends --slo`` gates on it.
+``repro triage --snapshot-out`` both write it, and ``repro obs watch``
+tails it.
 """
 
 import json
@@ -291,8 +290,8 @@ class Metrics:
         """A context manager timing a stage into sketch *name*.
 
         Timer sketches are tagged ``timing=True`` — they hold wall
-        clock, so they merge and render but never enter the
-        deterministic export surface.
+        clock, so they merge and render, but only their counts are
+        deterministic.
         """
         return _Timer(self.sketch(name, timing=True))
 
@@ -422,12 +421,12 @@ NULL_METRICS = NullMetrics()
 
 def build_snapshot(metrics, fleet=None, executor=None, wall=None,
                    complete=False):
-    """Assemble the snapshot dict ``repro obs watch``/``export`` read.
+    """Assemble the snapshot dict ``repro obs watch`` reads.
 
     ``series`` holds the registry (deterministic series plus timing
     sketches, tagged); ``fleet``/``executor``/``wall`` are free-form
     sections for the dashboard — the executor and wall sections are
-    venue/timing data and never enter the deterministic export.
+    venue/timing data, outside the deterministic series.
     """
     return {
         "version": SNAPSHOT_FORMAT_VERSION,

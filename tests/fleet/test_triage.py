@@ -269,3 +269,34 @@ def test_triage_compiles_each_program_once(monkeypatch):
                                       scheme="reactive").tool
         assert fingerprint_program(tool.failure_program) \
             == fingerprint_program(cluster.reports[0].program)
+
+
+def test_triage_parses_each_source_once(monkeypatch):
+    """The stream parses each application's source; each cluster's
+    campaign builds its success program from that parsed module instead
+    of parsing the source again."""
+    import hashlib
+    import sys
+
+    from repro.lang.parser import parse
+
+    def digest(source):
+        return hashlib.sha256(source.encode()).hexdigest()
+
+    parsed = []
+
+    def recording(source, *args, **kwargs):
+        parsed.append(digest(source))
+        return parse(source, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") \
+                and getattr(module, "parse", None) is parse:
+            monkeypatch.setattr(module, "parse", recording)
+    population = ["sort", "tac", "pbzip2"]
+    reports = FleetStream(population=population, seed=0).generate(9)
+    result = triage_reports(reports, runs=4, seed=0)
+    assert all(cluster.diagnosis for cluster in result.clusters)
+    assert {digest(get_bug(name).source) for name in population} \
+        <= set(parsed)
+    assert len(set(parsed)) == len(parsed)

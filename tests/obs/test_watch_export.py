@@ -1,19 +1,17 @@
-"""End-to-end tests for `repro obs watch`, `obs export`, `obs trends
---slo`, the snapshot publication of `repro triage --snapshot-out`, and
-the torn-trace tolerance of `repro obs report`."""
+"""End-to-end tests for `repro obs watch`, the snapshot publication of
+`repro triage --snapshot-out` and `--metrics-out`, and the torn-trace
+tolerance of `repro obs report`."""
 
 import io
 import json
-import subprocess
-import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs import Observability, use
 from repro.obs.ledger import Ledger
 from repro.obs.timeseries import Metrics, build_snapshot, \
-    publish_snapshot
+    publish_snapshot, read_snapshot
 from repro.obs.watch import render_dashboard, sparkline, watch
 
 
@@ -102,6 +100,21 @@ def test_watch_rejects_non_snapshot(tmp_path):
     assert "not a telemetry snapshot" in text
 
 
+@pytest.mark.parametrize("interval", ["0", "-1", "nan", "inf", "soon"])
+def test_watch_rejects_a_non_positive_interval(interval, capsys):
+    """Caught at parse time: `watch` adds the interval to its wait and
+    sleeps it, so 0 would spin forever and a negative value raise."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["obs", "watch", "snap.json",
+                                   "--interval", interval])
+    assert exit_info.value.code == 2
+    assert "poll interval must be finite seconds greater than 0" \
+        in capsys.readouterr().err
+    assert build_parser().parse_args(
+        ["obs", "watch", "snap.json", "--interval", "0.25"]).interval \
+        == 0.25
+
+
 def test_watch_live_stops_on_complete(tmp_path):
     path = tmp_path / "live.json"
     metrics = Metrics()
@@ -113,86 +126,31 @@ def test_watch_live_stops_on_complete(tmp_path):
     assert "complete" in out.getvalue()
 
 
-# -- export -------------------------------------------------------------
+# -- snapshot files ----------------------------------------------------
 
-def test_export_from_snapshot_is_valid_openmetrics(published):
-    code, text = run_cli("obs", "export", "--snapshot",
-                         str(published["snapshot"]))
-    assert code == 0
-    assert text.rstrip().endswith("# EOF")
-    assert "# TYPE repro_logical_clock counter" in text
-    assert "repro_fleet_reports_total 8" in text
-    # Timing sketches stay out of the deterministic surface...
-    assert "stage_campaign_seconds" not in text
-    # ...unless explicitly asked for.
-    code, timed = run_cli("obs", "export", "--snapshot",
-                          str(published["snapshot"]),
-                          "--include-timings")
-    assert code == 0
-    assert "repro_stage_campaign_seconds" in timed
-    # Both pass the format self-check CI pipes through.
-    for body in (text, timed):
-        result = subprocess.run(
-            [sys.executable, "tools/check_openmetrics.py"],
-            input=body, capture_output=True, text=True)
-        assert result.returncode == 0, result.stdout
-
-
-def test_export_from_ledger_matches_snapshot_series(published):
-    code, from_snap = run_cli("obs", "export", "--snapshot",
-                              str(published["snapshot"]))
-    assert code == 0
-    code, from_ledger = run_cli("obs", "export", "--ledger-dir",
-                                str(published["ledger"]))
-    assert code == 0
-    assert from_snap == from_ledger
-
-
-def test_only_the_fleet_entry_carries_a_metrics_buffer(tmp_path):
-    """The buffer rides only on the entry `obs export --ledger-dir`
-    reads, not on the per-cluster diagnoses of the same invocation."""
-    ledger = tmp_path / "ledger"
-    code, _ = run_cli("triage", "--reports", "4", "--seed", "0",
-                      "--bugs", "sort", "tac", "--ledger-dir", str(ledger),
-                      "--snapshot-out", str(tmp_path / "snap.json"))
-    assert code == 0
-    entries = Ledger(ledger).entries()
+def test_no_ledger_entry_carries_a_metrics_buffer(published):
+    """The snapshot is the one at-rest form of the metrics registry:
+    with observability on, no ledger entry holds a copy of it."""
+    entries = Ledger(published["ledger"]).entries()
     assert {e["kind"] for e in entries} >= {"diagnosis", "triage"}
-    assert [(e["kind"], e["workload"]) for e in entries if e["obs"]] \
-        == [("triage", "fleet")]
+    assert ("triage", "fleet") in {(e["kind"], e["workload"])
+                                   for e in entries}
+    assert [e for e in entries if "obs" in e] == []
 
 
-def test_export_to_file(published, tmp_path):
-    out_path = tmp_path / "metrics.om"
-    code, text = run_cli("obs", "export", "--snapshot",
-                         str(published["snapshot"]), "--out",
-                         str(out_path))
-    assert code == 0
-    assert "written to" in text
-    assert out_path.read_text().rstrip().endswith("# EOF")
-
-
-def test_metrics_out_snapshot_feeds_export_watch_and_slo(tmp_path):
+def test_metrics_out_snapshot_feeds_watch(tmp_path):
     """`--metrics-out` writes the snapshot document, so every reader of
     `--snapshot-out` files reads it too."""
     path = tmp_path / "metrics.json"
     code, _ = run_cli("run", "sort", "--metrics-out", str(path))
     assert code == 0
-    code, body = run_cli("obs", "export", "--snapshot", str(path))
-    assert code == 0
-    assert "repro_machine_runs_total 1" in body
-    assert "repro_machine_run_retired_count 1" in body
-    assert "machine_run_seconds" not in body          # a timing sketch
+    series = read_snapshot(str(path))["series"]
+    assert series["windowed"]["machine.runs"]["total"] == 1
+    assert series["sketches"]["machine.run_retired"]["count"] == 1
+    assert series["sketches"]["machine.run_seconds"]["timing"]
     code, frame = run_cli("obs", "watch", str(path), "--once")
     assert code == 0
     assert "machine.runs" in frame
-    slo = _write_slo(tmp_path / "slo.json", [
-        {"name": "run-length", "metric": "machine.run_retired",
-         "quantile": 0.5, "min": 1},
-    ])
-    code, text = run_cli("obs", "trends", "--slo", slo, "--snapshot",
-                         str(path))
-    assert code == 0, text
 
 
 @pytest.mark.parametrize("flag", ["--snapshot-out", "--metrics-out"])
@@ -210,63 +168,6 @@ def test_unwritable_snapshot_is_reported_and_fails(tmp_path, flag):
     assert [line for line in text.splitlines() if target in line] \
         == ["could not write the snapshot to %s" % target]
     assert "published" not in text
-
-
-def test_export_without_telemetry_exits_2(tmp_path):
-    code, text = run_cli("obs", "export", "--ledger-dir",
-                         str(tmp_path / "empty"))
-    assert code == 2
-    assert "no telemetry" in text
-
-
-# -- trends --slo gating ------------------------------------------------
-
-def _write_slo(path, slos):
-    path.write_text(json.dumps({"slos": slos}))
-    return str(path)
-
-
-def test_trends_slo_gate_passes(published, tmp_path):
-    slo = _write_slo(tmp_path / "slo.json", [
-        {"name": "convergence", "metric": "fleet.runs_to_rank1",
-         "max": 6},
-        {"name": "ingest", "metric": "fleet.reports",
-         "min_per_window": 1, "budget": 0.25},
-    ])
-    code, text = run_cli("obs", "trends", "--slo", slo, "--snapshot",
-                         str(published["snapshot"]))
-    assert code == 0
-    assert "SLO evaluation" in text
-
-
-def test_trends_slo_gate_fails_nonzero(published, tmp_path):
-    slo = _write_slo(tmp_path / "slo.json", [
-        {"name": "impossible", "metric": "fleet.runs",
-         "min_per_window": 10000},
-    ])
-    code, text = run_cli("obs", "trends", "--slo", slo, "--snapshot",
-                         str(published["snapshot"]))
-    assert code == 1
-    assert "SLO VIOLATION" in text
-
-
-def test_trends_slo_from_ledger(published, tmp_path):
-    slo = _write_slo(tmp_path / "slo.json", [
-        {"name": "convergence", "metric": "fleet.runs_to_rank1",
-         "max": 6},
-    ])
-    code, text = run_cli("obs", "trends", "--slo", slo, "--ledger-dir",
-                         str(published["ledger"]))
-    assert code == 0
-
-
-def test_trends_slo_bad_file_exits_2(published, tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{\"slos\": [{\"name\": \"x\"}]}")
-    code, text = run_cli("obs", "trends", "--slo", str(path),
-                         "--snapshot", str(published["snapshot"]))
-    assert code == 2
-    assert "bad SLO file" in text
 
 
 # -- torn-trace tolerance of `repro obs report` -------------------------

@@ -1,9 +1,13 @@
 #!/usr/bin/env python
 """Fail the build when the docs drift from the code.
 
-Markdown rots in five predictable ways; this checker catches each:
+Markdown rots in six predictable ways; this checker catches each:
 
 * a ``--flag`` that the ``repro`` CLI no longer accepts (or never did);
+* a ``python -m repro <command>`` or backticked ```repro <command>``
+  whose command the CLI does not have, or, for a command with
+  subcommands (``obs``, ``ledger``, ``synth``), whose next word is not
+  one of them;
 * a dotted ``repro.*`` module/attribute path that no longer imports;
 * a backticked repo file path (``src/...``, ``docs/...``, ...) that no
   longer exists;
@@ -24,6 +28,7 @@ Usage: ``PYTHONPATH=src python tools/check_docs.py`` (exits non-zero
 listing every stale reference).
 """
 
+import argparse
 import dataclasses
 import importlib
 import pathlib
@@ -58,6 +63,9 @@ PATH_ROOTS = ("src/", "docs/", "tests/", "benchmarks/", "tools/",
               ".github/")
 
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+#: A command and the word after it; a backticked span may wrap a line.
+COMMAND_RE = re.compile(
+    r"(?:python -m repro|`repro)\s+([a-z][\w-]*)(?:\s+([a-z][\w-]*))?")
 MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PATH_RE = re.compile(r"`([^`\s]+/[^`\s]*)`")
 MEMBER_RE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
@@ -79,12 +87,38 @@ def cli_flags():
         parser = pending.pop()
         for action in parser._actions:
             flags.update(action.option_strings)
-            choices = getattr(action, "choices", None)
-            if isinstance(choices, dict):
-                pending.extend(
-                    child for child in choices.values()
-                    if hasattr(child, "_actions"))
+        pending.extend(subcommands(parser).values())
     return flags
+
+
+def subcommands(parser):
+    """Name -> parser of each subcommand *parser* takes ({} if none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def cli_commands():
+    """Every top-level command -> the names of its subcommands."""
+    from repro.cli import build_parser
+
+    return {name: set(subcommands(parser))
+            for name, parser in subcommands(build_parser()).items()}
+
+
+def command_errors(text, commands):
+    """``(lineno, message)`` for each stale command reference in *text*."""
+    errors = []
+    for match in COMMAND_RE.finditer(text):
+        command, word = match.groups()
+        lineno = text.count("\n", 0, match.start()) + 1
+        if command not in commands:
+            errors.append((lineno, "unknown command repro %s" % command))
+        elif commands[command] and word and word not in commands[command]:
+            errors.append((lineno, "unknown command repro %s %s"
+                           % (command, word)))
+    return errors
 
 
 def repro_classes():
@@ -152,13 +186,17 @@ def fault_table_errors(page="docs/resilience.md"):
 
 def main():
     known_flags = cli_flags() | FOREIGN_FLAGS
+    commands = cli_commands()
     classes = repro_classes()
     errors = ["missing required page %s" % page
               for page in REQUIRED_DOCS if not (REPO / page).exists()]
     errors += fault_table_errors()
     for path in doc_files():
         rel = path.relative_to(REPO)
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        text = path.read_text()
+        errors += ["%s:%d: %s" % (rel, lineno, message)
+                   for lineno, message in command_errors(text, commands)]
+        for lineno, line in enumerate(text.splitlines(), 1):
             for flag in FLAG_RE.findall(line):
                 if flag not in known_flags:
                     errors.append("%s:%d: unknown CLI flag %s"
@@ -187,8 +225,8 @@ def main():
         for error in errors:
             print("  " + error)
         return 1
-    print("doc check OK: %d files, no stale flags/modules/paths/members"
-          "/fault sites" % len(doc_files()))
+    print("doc check OK: %d files, no stale flags/commands/modules/paths"
+          "/members/fault sites" % len(doc_files()))
     return 0
 
 
