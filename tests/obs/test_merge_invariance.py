@@ -7,6 +7,7 @@ tests pin that contract on the snapshot documents of a 200-report
 triage stream and of the experiment drivers (table5, table7)."""
 
 import io
+import json
 
 import pytest
 
@@ -59,6 +60,19 @@ def triage_pair(tmp_path_factory):
         assert code == 0
         snapshots[jobs] = snapshot
     return snapshots
+
+
+def test_200_report_export_bodies_are_byte_identical(triage_pair):
+    """The headline check in bytes: the deterministic projection of a
+    200-report triage snapshot, encoded as ``publish_snapshot`` encodes
+    a snapshot (sorted-key JSON), is byte-identical under --jobs.  Bytes
+    also catch drift that equality forgives, such as a count written as
+    200.0 on one side and 200 on the other."""
+    bodies = {jobs: json.dumps(deterministic_projection(path), sort_keys=True)
+              for jobs, path in triage_pair.items()}
+    assert bodies["1"] == bodies["4"]
+    reports = json.loads(bodies["1"])["windowed"]["fleet.reports"]["total"]
+    assert reports == 200 and isinstance(reports, int)
 
 
 def test_200_report_deterministic_series_identical(triage_pair):
