@@ -10,10 +10,10 @@ Pins the two halves of the :mod:`repro.machine.backends` contract:
   workloads at least ``3x`` faster than the reference interpreter (at
   least ``2x`` under ``REPRO_BENCH_SMOKE=1``, the CI floor: shared
   runners time noisily);
-* **observed speedup** — with the CBI/CCI observers attached (CBI on
+* **observed speedup** — with the CBI/CCI recorders attached (CBI on
   the 15 C-language sequential bugs, CCI on the 11 concurrency bugs,
-  the ``baselines`` workload of ``perfbench``), the threaded backend
-  still runs at least ``2x`` faster (``1.5x`` under
+  the bugs of ``perfbench``'s ``baselines`` workload), the threaded
+  backend still runs at least ``2x`` faster (``1.5x`` under
   ``REPRO_BENCH_SMOKE=1``): observers are called from the threaded
   engine's own closures, not by handing the run to the reference loop.
 
@@ -80,14 +80,15 @@ def _table5_workloads():
 
 
 def _observed_workloads():
-    """(program, plan, num_cores, attach) for every CBI/CCI run of the
-    ``baselines`` workload: each failing plan with the tool's observer."""
+    """(program, plan, num_cores, attach) for the observed run a CBI/CCI
+    tool records of each ``baselines`` bug's failing plan: each with
+    the tool's recorder."""
     tools = [CbiTool(bug) for bug in sequential_bugs()
              if bug.language != "cpp"]
     tools += [CciTool(bug) for bug in concurrency_bugs()]
     return [(tool.program, tool.workload.failing_run_plan(0),
              tool.workload.num_cores,
-             lambda machine, tool=tool: tool.attach(machine, 0))
+             lambda machine, tool=tool: tool.record_events(machine, []))
             for tool in tools]
 
 

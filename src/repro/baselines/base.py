@@ -1,5 +1,6 @@
 """Shared campaign machinery for the CBI-family baselines."""
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro.baselines.scoring import RunObservation, liblit_rank, rank_of_line
@@ -68,20 +69,29 @@ class BaselineDiagnosis(DiagnosisResult):
         return "\n".join(lines)
 
 
-def run_record(failed, true_predicates, observed_sites, events=0,
+#: One recorded execution of a plan: its outcome, the instructions it
+#: retired, and the tool's event stream (see
+#: :meth:`BaselineToolBase.record_events`).
+Recording = namedtuple("Recording", "failed retired events")
+
+
+def run_record(recording, true_predicates, observed_sites, events=0,
                samples=0, predicates=None):
-    """What a baseline run's ``finish(failed)`` returns: its
-    :class:`~repro.baselines.scoring.RunObservation`, the instrumented
-    events and samples it counted, and the predicates it registered."""
+    """A baseline run's record, as :meth:`BaselineToolBase.derive`
+    returns it: the run's :class:`~repro.baselines.scoring.RunObservation`,
+    the instrumented events and samples it counted, the predicates it
+    registered, and ``failed`` and ``retired`` from *recording*."""
     return {
         "observation": RunObservation(
-            failed=failed,
+            failed=recording.failed,
             true_predicates=frozenset(true_predicates),
             observed_sites=frozenset(observed_sites),
         ),
         "events": events,
         "samples": samples,
         "predicates": predicates if predicates is not None else {},
+        "failed": recording.failed,
+        "retired": recording.retired,
     }
 
 
@@ -92,15 +102,19 @@ def _rebuild_tool(tool_class, workload, kwargs):
 class BaselineToolBase:
     """Runs campaigns over an uninstrumented (plain) program build.
 
-    Subclasses implement :meth:`attach`: install observers for one run
-    and return ``finish(failed)``, which hands back the run's evidence
-    as :func:`run_record` builds it.  Observers count into closure
-    locals and register predicates in a run-local dict; no ``attach``,
-    observer or ``finish`` writes to the tool.  So :meth:`_run_once` is
-    a pure function of (tool, plan, run seed), and :meth:`_absorb` is
-    the one place a run's record touches the tool.  Subclasses whose
-    predicates are not discovered during runs override
-    :meth:`predicate_info`.
+    The plan alone fixes a run; the run seed reaches only the sampling.
+    So a run is two steps.  :meth:`_record` executes a plan once with
+    the subclass's :meth:`record_events` observers installed and keeps
+    the whole event stream as a :data:`Recording`; the subclass's
+    :meth:`derive` then computes the record of the run with a given run
+    seed from that recording, as :func:`run_record` builds it.
+    Neither step writes to the tool, so a recording is a pure function
+    of (tool, plan) and a record of (tool, plan, run seed): the
+    executor keys recordings by (tool, plan) and derives each
+    attempt's record where the campaign consumes it, and
+    :meth:`_absorb` is the one place a record touches the tool.
+    Subclasses whose predicates are not discovered during runs
+    override :meth:`predicate_info`.
 
     Constructor keywords are validated against the class's ``OPTIONS``
     mapping (see :func:`repro.core.api.validate_options`); subclasses
@@ -121,8 +135,8 @@ class BaselineToolBase:
         self.workload = workload
         self.seed = self.options["seed"]
         #: the CampaignExecutor campaign runs go through (default: in
-        #: process; baseline runs are cached only with cache=True), or
-        #: None for a tool whose OPTIONS take none
+        #: process, each distinct plan recorded once), or None for a
+        #: tool whose OPTIONS take none
         self.executor = ((self.options["executor"] or CampaignExecutor())
                          if "executor" in self.OPTIONS else None)
         self.program = compile_module(workload.build_module(),
@@ -135,9 +149,14 @@ class BaselineToolBase:
 
     # -- subclass hooks --------------------------------------------------
 
-    def attach(self, machine, run_seed):
-        """Install observers on *machine*; return finish(failed) -> the
-        :func:`run_record` of the run."""
+    def record_events(self, machine, events):
+        """Install observers on *machine* that append this tool's events
+        to the list *events*, in the order the run produces them."""
+        raise NotImplementedError
+
+    def derive(self, recording, run_seed):
+        """The :func:`run_record` of the run with run seed *run_seed*
+        over the execution *recording* holds."""
         raise NotImplementedError
 
     def predicate_info(self):
@@ -164,22 +183,25 @@ class BaselineToolBase:
 
     # -- campaign ---------------------------------------------------------
 
-    def _run_once(self, plan, run_seed):
-        """Run *plan* with run seed *run_seed* and return its record:
-        the :func:`run_record` plus ``failed`` and ``retired``.
+    def _record(self, plan):
+        """Execute *plan* once with :meth:`record_events` installed and
+        return its :data:`Recording`.
 
         Writes nothing to the tool, so the executor calls it on this
         tool or on a worker's clone alike.
         """
-        finishers = []
+        events = []
         status = execute_plan(
             self.program, plan, self.machine_config,
-            attach=lambda machine: finishers.append(
-                self.attach(machine, run_seed)),
+            attach=lambda machine: self.record_events(machine, events),
         ).status
-        failed = self.workload.is_failure(status)
-        return dict(finishers[0](failed), failed=failed,
-                    retired=status.retired)
+        return Recording(self.workload.is_failure(status), status.retired,
+                         events)
+
+    def _run_once(self, plan, run_seed):
+        """The record of one run of *plan* with run seed *run_seed*,
+        recorded and derived in process."""
+        return self.derive(self._record(plan), run_seed)
 
     def _absorb(self, record):
         """Fold one consumed run's *record* into this tool: add its

@@ -28,6 +28,30 @@ CHECK_COST = 7.0
 SAMPLE_COST = 20.0
 
 
+def branch_events(tags):
+    """branch address -> the event a tagged conditional branch records
+    when taken and when not taken: ``(predicate id, site id)``, where
+    the predicate says which way the branch's source condition went."""
+    events = {}
+    for address, tag in tags.items():
+        true, false = tag.branch_id + "=T", tag.branch_id + "=F"
+        taken, fallthrough = (true, false) if tag.outcome else (false, true)
+        events[address] = ((taken, tag.branch_id),
+                           (fallthrough, tag.branch_id))
+    return events
+
+
+def record_branches(machine, table, events):
+    """Append to *events*, in order, the :func:`branch_events` entry of
+    each branch in *table* that *machine* executes."""
+    def observer(thread, instr, taken, target):
+        pair = table.get(instr.address)
+        if pair is not None:
+            events.append(pair[0] if taken else pair[1])
+
+    machine.branch_observers.append(observer)
+
+
 class BaselineUnsupportedError(Exception):
     """The baseline cannot be applied to this workload."""
 
@@ -56,35 +80,20 @@ class CbiTool(BaselineToolBase):
             and self.program.debug_info.branches[instr.address].outcome
             is not None
         }
+        self._branch_events = branch_events(self._conditional_tags)
 
-    def attach(self, machine, run_seed):
+    def record_events(self, machine, events):
+        record_branches(machine, self._branch_events, events)
+
+    def derive(self, recording, run_seed):
         sampler = GeometricSampler(rate=self.sampling_rate,
                                    seed=(self.seed, run_seed).__hash__())
-        true_predicates = set()
-        observed_sites = set()
-        tags = self._conditional_tags
-        events = 0
-
-        def observer(thread, instr, taken, target):
-            nonlocal events
-            tag = tags.get(instr.address)
-            if tag is None:
-                return
-            events += 1
-            if not sampler.should_sample():
-                return
-            outcome = tag.outcome if taken else (not tag.outcome)
-            suffix = "=T" if outcome else "=F"
-            true_predicates.add(tag.branch_id + suffix)
-            observed_sites.add(tag.branch_id)
-
-        machine.branch_observers.append(observer)
-
-        def finish(failed):
-            return run_record(failed, true_predicates, observed_sites,
-                              events=events, samples=sampler.samples)
-
-        return finish
+        events = recording.events
+        sampled = [events[i] for i in sampler.positions(len(events))]
+        return run_record(recording,
+                          [predicate for predicate, _site in sampled],
+                          [site for _predicate, site in sampled],
+                          events=len(events), samples=len(sampled))
 
     def predicate_info(self):
         info = {}

@@ -21,8 +21,10 @@ so no iterative search is needed at all.
 from dataclasses import dataclass, field
 
 from repro.baselines.base import BaselineToolBase, run_record
+from repro.baselines.cbi import branch_events, record_branches
 from repro.baselines.scoring import liblit_rank, rank_of_line
 from repro.isa.instructions import Opcode
+from repro.runtime.executor import fingerprint_plan
 from repro.runtime.process import execute_plan
 
 #: A predictor is conclusive when it separates the populations this
@@ -58,8 +60,9 @@ class CbiAdaptiveTool(BaselineToolBase):
     Accepts no ``executor`` option, and builds none (``executor`` is
     ``None``): iterations are inherently sequential — each wave's
     predicate set depends on the previous wave's diagnosis, so runs
-    cannot be speculated ahead — and run in process through
-    :meth:`_run_once`.
+    cannot be speculated ahead — and run in process.  One campaign
+    records each distinct plan once (:meth:`_record`) and derives every
+    wave's runs of it from that recording.
     """
 
     tool_name = "CBI-adaptive"
@@ -72,6 +75,12 @@ class CbiAdaptiveTool(BaselineToolBase):
         self._sites_by_function = self._index_sites()
         self._call_graph = self._build_call_graph()
         self._active_sites = set()
+        self._branch_events = branch_events({
+            instr.address: self.program.debug_info.branches[instr.address]
+            for instr in self.program.instructions
+            if instr.opcode in (Opcode.JZ, Opcode.JNZ)
+            and instr.address in self.program.debug_info.branches
+        })
 
     # ------------------------------------------------------------------
     # Static structure
@@ -136,32 +145,22 @@ class CbiAdaptiveTool(BaselineToolBase):
     # Instrumentation
     # ------------------------------------------------------------------
 
-    def attach(self, machine, run_seed):
+    def record_events(self, machine, events):
+        # Every tagged branch, whichever sites are active: a recording
+        # serves every wave.
+        record_branches(machine, self._branch_events, events)
+
+    def derive(self, recording, run_seed):
+        """The run's record with the current active sites instrumented
+        fully; no sampling, so *run_seed* plays no part."""
         active = self._active_sites
-        tags = {
-            instr.address: self.program.debug_info.branches[instr.address]
-            for instr in self.program.instructions
-            if instr.opcode in (Opcode.JZ, Opcode.JNZ)
-            and instr.address in self.program.debug_info.branches
-        }
         true_predicates = set()
         observed_sites = set()
-
-        def observer(thread, instr, taken, target):
-            tag = tags.get(instr.address)
-            if tag is None or tag.branch_id not in active:
-                return
-            outcome = tag.outcome if taken else (not tag.outcome)
-            true_predicates.add(tag.branch_id
-                                + ("=T" if outcome else "=F"))
-            observed_sites.add(tag.branch_id)
-
-        machine.branch_observers.append(observer)
-
-        def finish(failed):
-            return run_record(failed, true_predicates, observed_sites)
-
-        return finish
+        for predicate, site in recording.events:
+            if site in active:
+                true_predicates.add(predicate)
+                observed_sites.add(site)
+        return run_record(recording, true_predicates, observed_sites)
 
     def predicate_info(self):
         info = {}
@@ -210,6 +209,18 @@ class CbiAdaptiveTool(BaselineToolBase):
         iterations = 0
         converged = False
         wave_functions = []
+        # plan fingerprint -> Recording, for this campaign only
+        recordings = {}
+
+        def run(plan, k):
+            key = fingerprint_plan(plan)
+            recording = recordings.get(key) if key is not None else None
+            if recording is None:
+                recording = self._record(plan)
+                if key is not None:
+                    recordings[key] = recording
+            return self.derive(recording, k)
+
         for function in waves:
             new_sites = self._sites_by_function.get(function, set())
             self._active_sites |= new_sites
@@ -224,7 +235,7 @@ class CbiAdaptiveTool(BaselineToolBase):
                     for plan_of in (self.workload.failing_run_plan,
                                     self.workload.passing_run_plan):
                         observations.append(
-                            self._run_once(plan_of(k), k)["observation"])
+                            run(plan_of(k), k)["observation"])
                 ranked = liblit_rank(observations,
                                      self.predicate_info())
             if self._is_conclusive(ranked, observations):

@@ -32,32 +32,40 @@ class CciTool(BaselineToolBase):
         super().__init__(workload, **options)
         self.sampling_rate = self.options["sampling_rate"]
 
-    def attach(self, machine, run_seed):
-        sampler = GeometricSampler(rate=self.sampling_rate,
-                                   seed=(self.seed, run_seed).__hash__())
-        true_predicates = set()
-        observed_sites = set()
+    def record_events(self, machine, events):
         last_accessor = {}
-        debug = self.program.debug_info
-        predicates = {}
-        events = 0
 
         def observer(thread, pc, access, state, address):
-            nonlocal events
             # CCI instruments potentially shared memory only (stack
             # locations are thread-private).
             if address >= STACK_REGION_BASE:
                 return
-            events += 1
+            # The shadow state is kept on every access, sampled or not,
+            # so whether the access is remote does not depend on the
+            # sampling: it is recorded here.
             previous = last_accessor.get(address)
             last_accessor[address] = thread.tid
-            if not sampler.should_sample():
-                return
+            events.append((pc, access,
+                           previous is not None and previous != thread.tid))
+
+        machine.coherence_observers.append(observer)
+
+    def derive(self, recording, run_seed):
+        sampler = GeometricSampler(rate=self.sampling_rate,
+                                   seed=(self.seed, run_seed).__hash__())
+        true_predicates = set()
+        observed_sites = set()
+        debug = self.program.debug_info
+        predicates = {}
+        events = recording.events
+        samples = 0
+        for index in sampler.positions(len(events)):
+            samples += 1
+            pc, access, remote = events[index]
             location = debug.location_at(pc)
             if location is None:
-                return
+                continue
             site = "%s:%s" % (location, access.value)
-            remote = previous is not None and previous != thread.tid
             predicate_id = "%s:%s" % (site, "remote" if remote else "local")
             true_predicates.add(predicate_id)
             observed_sites.add(site)
@@ -66,15 +74,9 @@ class CciTool(BaselineToolBase):
                     "%s:%s" % (site, flavor),
                     (site, location.function, location.line, flavor),
                 )
-
-        machine.coherence_observers.append(observer)
-
-        def finish(failed):
-            return run_record(failed, true_predicates, observed_sites,
-                              events=events, samples=sampler.samples,
-                              predicates=predicates)
-
-        return finish
+        return run_record(recording, true_predicates, observed_sites,
+                          events=len(events), samples=samples,
+                          predicates=predicates)
 
     def estimated_overhead(self):
         """Modeled run-time overhead fraction of CCI's instrumentation."""

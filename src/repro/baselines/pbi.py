@@ -34,19 +34,33 @@ class PbiTool(BaselineToolBase):
         super().__init__(workload, **options)
         self.sample_period = self.options["sample_period"]
 
-    def attach(self, machine, run_seed):
+    def record_events(self, machine, events):
+        # Period 1: every counted event reaches the hook, in the order
+        # the cores count them.
+        for index, core in enumerate(machine.cores):
+            core.counters.set_sample_hook(
+                1, lambda pc, access, state, core=index:
+                events.append((core, pc, access, state)))
+
+    def derive(self, recording, run_seed):
         true_predicates = set()
         observed_sites = set()
         debug = self.program.debug_info
         predicates = {}
         samples = 0
-
-        def hook(pc, access, state):
-            nonlocal samples
+        period = self.sample_period
+        # Stagger the first overflow per core so samples do not align.
+        countdown = [1 + (run_seed + index * 7) % period
+                     for index in range(self.machine_config.num_cores)]
+        for core, pc, access, state in recording.events:
+            countdown[core] -= 1
+            if countdown[core] > 0:
+                continue
+            countdown[core] = period
             samples += 1
             location = debug.location_at(pc)
             if location is None:
-                return
+                continue
             site = "%s:%s" % (location, access.value)
             predicate_id = "%s:%s@%s" % (site, access.value, state.letter)
             true_predicates.add(predicate_id)
@@ -56,21 +70,9 @@ class PbiTool(BaselineToolBase):
                 (site, location.function, location.line,
                  "%s@%s" % (access.value, state.letter)),
             )
-
-        # Stagger the first overflow per core so samples do not align.
-        for index, core in enumerate(machine.cores):
-            core.counters.set_sample_hook(self.sample_period, hook)
-            core.counters._sample_countdown = 1 + (
-                (run_seed + index * 7) % self.sample_period
-            )
-
-        def finish(failed):
-            return run_record(
-                failed, true_predicates, observed_sites,
-                events=sum(core.counters.total() for core in machine.cores),
-                samples=samples, predicates=predicates)
-
-        return finish
+        return run_record(recording, true_predicates, observed_sites,
+                          events=len(recording.events), samples=samples,
+                          predicates=predicates)
 
     def estimated_overhead(self):
         """Modeled overhead: counting is free; interrupts cost."""

@@ -21,9 +21,6 @@ class GeometricSampler:
             raise ValueError("sampling rate must be in (0, 1]")
         self.rate = rate
         self._rng = random.Random(seed)
-        self._countdown = self._draw()
-        self.observations = 0
-        self.samples = 0
 
     def _draw(self):
         if self.rate >= 1.0:
@@ -33,12 +30,16 @@ class GeometricSampler:
         return max(1, int(math.ceil(math.log(1.0 - u)
                                     / math.log(1.0 - self.rate))))
 
-    def should_sample(self):
-        """Count one observation; return True when it is sampled."""
-        self.observations += 1
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self._draw()
-            self.samples += 1
-            return True
-        return False
+    def positions(self, n):
+        """Yield, in order, the indices among *n* observations that are
+        sampled.
+
+        The countdown to the first sample is the first draw, and each
+        sample draws the countdown to the next, so the gaps between
+        sampled positions are the sampler's successive draws.  Costs
+        O(samples), whatever *n* is.
+        """
+        position = self._draw() - 1
+        while position < n:
+            yield position
+            position += self._draw()

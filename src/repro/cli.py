@@ -51,8 +51,8 @@ performance model and :mod:`repro.machine.backends` for the contract.
 
 ``diagnose``, ``triage``, and ``experiment`` accept ``--jobs N`` (fan campaign runs
 out over N worker processes), ``--cache``/``--no-cache`` (the
-invocation always replays repeated plan runs from memory; ``--cache``
-also caches baseline runs and keeps every run on disk under
+invocation always replays repeated plan runs and baseline recordings
+from memory; ``--cache`` also keeps them on disk under
 ``--cache-dir``, default ``.repro-cache/``), and print the executor's
 statistics report when either is active.
 Results are identical at any ``--jobs`` value and any cache state —
@@ -773,9 +773,9 @@ def _executor_flags():
     )
     parent.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
-        help="also cache baseline runs, and keep every run in the "
-             "on-disk run cache under --cache-dir for later invocations "
-             "(repeated plan runs replay from memory either way)",
+        help="keep plan runs and baseline recordings in the on-disk "
+             "run cache under --cache-dir for later invocations "
+             "(repeats replay from memory either way)",
     )
     parent.add_argument(
         "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",

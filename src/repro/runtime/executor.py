@@ -29,11 +29,14 @@ This module exploits both:
   the arguments, step budget, globals setup, and scheduler identity.
   Every executor owns one.  Its bounded in-memory LRU layer serves
   repeated plan runs within the executor — campaigns repeat plans, so
-  each distinct triple executes once; ``cache=True`` also keys baseline
-  runs and adds an on-disk layer under ``.repro-cache/`` that serves
-  repeats across invocations (a warm second ``python -m repro
-  experiment table6 --cache`` replays runs instead of re-executing
-  them).  Corrupt disk entries are discarded, never trusted.
+  each distinct triple executes once.  A baseline (CBI/CCI/PBI) attempt
+  is keyed by (tool, plan) without its run seed: the cache holds the
+  plan's recorded event stream, and each attempt's record is derived
+  from it.  ``cache=True`` adds an on-disk layer under
+  ``.repro-cache/`` that serves repeats across invocations (a warm
+  second ``python -m repro experiment table6 --cache`` replays runs
+  instead of re-executing them).  Corrupt disk entries are discarded,
+  never trusted.
 
 Plans whose scheduler factory cannot be fingerprinted (an arbitrary
 closure) bypass the cache, and tasks that cannot be pickled fall back
@@ -180,13 +183,12 @@ def _run_key(program_fp, plan, config):
     )).encode()).hexdigest()
 
 
-def _baseline_key(tool_fp, plan, run_seed):
+def _baseline_key(tool_fp, plan):
     plan_fp = fingerprint_plan(plan)
     if plan_fp is None:
         return None
     return hashlib.sha256("|".join((
         "baseline", str(CACHE_FORMAT_VERSION), tool_fp, plan_fp,
-        str(run_seed),
     )).encode()).hexdigest()
 
 
@@ -582,14 +584,15 @@ class CampaignExecutor:
     Every campaign run goes through one.  ``jobs`` is the worker-process
     count (1 = in-process execution).  Every executor keys plan runs and
     replays repeats from its run cache's memory layer, so each distinct
-    (program, plan, config) triple executes once per executor.
-    ``cache=True`` keys baseline runs too, and ``cache_dir`` then adds
-    the on-disk layer (``None`` keeps the cache memory-only; pass
+    (program, plan, config) triple executes once per executor.  A
+    baseline attempt is keyed by (tool, plan) alone: the executor
+    records each distinct plan once and derives every attempt's record
+    from that recording and the attempt's run seed, when the campaign
+    consumes the attempt.  With ``cache=True``, ``cache_dir`` adds the
+    on-disk layer (``None`` keeps the cache memory-only; pass
     :data:`DEFAULT_CACHE_DIR` — the CLI default — for cross-invocation
     reuse).  So ``CampaignExecutor()`` runs each attempt in process,
     when it is pulled, unless an earlier attempt already ran its plan.
-    Baseline runs stay unkeyed by default: their key carries the
-    attempt's run seed, so no two attempts of a campaign share one.
 
     The executor is a context manager; :meth:`shutdown` releases the
     worker pool.  One executor can be shared across every tool and
@@ -605,8 +608,8 @@ class CampaignExecutor:
     def __init__(self, jobs=1, cache=False, cache_dir=None,
                  resilience_policy=None):
         self.jobs = max(1, int(jobs))
-        #: ``cache=True``: baseline runs are keyed too, and the run
-        #: cache has its disk layer when ``cache_dir`` is given.
+        #: ``cache=True``: the run cache has its disk layer when
+        #: ``cache_dir`` is given, and the CLI prints the statistics.
         self.cache_all = bool(cache)
         directory = None
         if cache and cache_dir is not None:
@@ -776,10 +779,11 @@ class CampaignExecutor:
         """Yield ``(run_seed, record)`` for a baseline tool.
 
         *plan_seeds* is an iterable of ``(plan, run_seed)`` pairs, in
-        campaign order.  Each record is what the tool's ``_run_once``
-        returns — on a worker's reconstruction of *tool*, or in process
-        on *tool* itself, which a run never writes to — for the caller
-        to fold into the tool.
+        campaign order.  Each distinct plan is recorded once by the
+        tool's ``_record`` — on a worker's reconstruction of *tool*, or
+        in process on *tool* itself, which a recording never writes to
+        — and each record is ``tool.derive(recording, run_seed)``, for
+        the caller to fold into the tool.
         """
         tasks = (self._baseline_task(tool, plan, run_seed)
                  for plan, run_seed in plan_seeds)
@@ -806,14 +810,16 @@ class CampaignExecutor:
                           config.backend)
 
     def _baseline_task(self, tool, plan, run_seed):
-        key = None
-        if self.cache_all:
-            key = _baseline_key(fingerprint_tool(tool), plan, run_seed)
-        # The unbound method pickles by reference, so a pool batch's
-        # header ships the tool (as its clone) once.
+        # The recording is keyed without the run seed, so every attempt
+        # of one plan shares it; each attempt's record is derived from
+        # it when the campaign consumes the attempt.  The unbound method
+        # pickles by reference, so a pool batch's header ships the tool
+        # (as its clone) once.
         return self._task(
-            "baseline", key, type(tool)._run_once, tool, fingerprint_tool,
-            (plan, run_seed), lambda record, **_run: (run_seed, record),
+            "baseline", _baseline_key(fingerprint_tool(tool), plan),
+            type(tool)._record, tool, fingerprint_tool, (plan,),
+            lambda recording, **_run: (run_seed,
+                                       tool.derive(recording, run_seed)),
             tool.machine_config.backend)
 
     def _task(self, kind, key, fn, subject, fingerprint, args, result,

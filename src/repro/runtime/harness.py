@@ -373,11 +373,11 @@ def stream_baseline_runs(tool, plan_fn, phase, *, stopped, start):
     """Yield ``(k, failed, record)`` for a baseline campaign.
 
     :func:`durable_stream` over a CBI-family *tool*: attempt k runs
-    ``plan_fn(k)`` with run seed k on ``tool.executor``, and its record
-    (see ``BaselineToolBase._run_once``) is left for the caller to fold
-    into *tool*.  The journal is keyed by phase, tool fingerprint, seed
-    and *start*, because a passing phase starts where its failing phase
-    stopped.
+    ``plan_fn(k)`` with run seed k on ``tool.executor``, which derives
+    its record from the plan's recording (see ``BaselineToolBase``),
+    and the record is left for the caller to fold into *tool*.  The
+    journal is keyed by phase, tool fingerprint, seed and *start*,
+    because a passing phase starts where its failing phase stopped.
     """
     name = tool.tool_name.lower()
 

@@ -19,21 +19,27 @@ def test_sampler_rate_validation():
 
 def test_sampler_rate_one_samples_everything():
     sampler = GeometricSampler(rate=1.0)
-    assert all(sampler.should_sample() for _ in range(50))
+    assert list(sampler.positions(50)) == list(range(50))
 
 
 def test_sampler_approximates_rate():
     sampler = GeometricSampler(rate=0.01, seed=42)
-    samples = sum(sampler.should_sample() for _ in range(200_000))
+    samples = len(list(sampler.positions(200_000)))
     assert 1500 < samples < 2500      # 2000 expected
 
 
 def test_sampler_is_deterministic_per_seed():
     def draw(seed):
         sampler = GeometricSampler(rate=0.05, seed=seed)
-        return [sampler.should_sample() for _ in range(500)]
+        return list(sampler.positions(500))
     assert draw(7) == draw(7)
     assert draw(7) != draw(8)
+
+
+def test_sampler_positions_are_increasing_and_in_range():
+    positions = list(GeometricSampler(rate=0.3, seed=5).positions(100))
+    assert positions == sorted(set(positions))
+    assert 0 <= positions[0] and positions[-1] < 100
 
 
 def _observations(f_true, s_true, f_obs, s_obs):

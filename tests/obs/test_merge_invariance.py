@@ -109,3 +109,42 @@ def test_experiment_metrics_merge_matches_serial(table, tmp_path):
         sketches = projections["1"]["sketches"]
         assert sketches["machine.run_retired"]["count"] > 0
         assert sketches["machine.run_seconds"] > 0
+
+
+@pytest.mark.parametrize("bug, tool, runs", [
+    ("sort", "cbi", "60"), ("mysql1", "cci", "40"), ("apache4", "pbi", "40"),
+])
+def test_baseline_campaign_metrics_merge_matches_serial(
+        bug, tool, runs, tmp_path, monkeypatch):
+    """A baseline campaign records each distinct plan once, wherever it
+    runs: its deterministic series, ``machine.runs`` included, are the
+    same at --jobs 1 and 2, and ``machine.runs`` is the number of
+    distinct plans the campaign consumed."""
+    from repro.bugs.registry import get_bug
+    from repro.runtime.executor import fingerprint_plan
+
+    # At --jobs 1 a campaign builds each attempt's plan when it consumes
+    # the attempt, so the plans built are the plans consumed.
+    consumed = set()
+    workload_class = type(get_bug(bug))
+    for name in ("failing_run_plan", "passing_run_plan"):
+        def building(self, k, plan_of=getattr(workload_class, name)):
+            plan = plan_of(self, k)
+            consumed.add(fingerprint_plan(plan))
+            return plan
+        monkeypatch.setattr(workload_class, name, building)
+
+    projections = {}
+    for jobs in ("1", "2"):
+        path = tmp_path / ("%s-j%s.json" % (tool, jobs))
+        code, _ = run_cli(
+            "diagnose", bug, "--tool", tool, "--runs", runs,
+            "--jobs", jobs, "--no-ledger", "--metrics-out", str(path),
+        )
+        assert code == 0
+        projections[jobs] = deterministic_projection(path)
+        if jobs == "1":
+            distinct = len(consumed)
+    assert projections["1"] == projections["2"]
+    assert 0 < distinct < 2 * int(runs)
+    assert projections["1"]["windowed"]["machine.runs"]["total"] == distinct
