@@ -753,10 +753,10 @@ def _cmd_obs_conformance(args, out):
 # Shared flag groups, as argparse *parent parsers*
 # ----------------------------------------------------------------------
 # Each factory builds one reusable ``add_help=False`` parser holding one
-# flag group; subcommands inherit groups via ``parents=[...]`` instead
-# of calling per-parser helpers, so a new command (``triage``) picks up
-# the exact executor/backend/ledger/chaos surface of ``diagnose`` by
-# construction.
+# flag group; subcommands inherit groups via ``parents=flags(...)``
+# instead of calling per-parser helpers, so a new command (``triage``)
+# picks up the exact executor/backend/ledger/chaos surface of
+# ``diagnose`` by construction.
 
 def _flag_parent():
     return argparse.ArgumentParser(add_help=False)
@@ -873,38 +873,32 @@ def _ledger_flags():
     return parent
 
 
-def build_parser():
-    from repro.core.api import available_tools
-    from repro.obs.watch import DEFAULT_INTERVAL
+# ----------------------------------------------------------------------
+# One table of top-level commands
+# ----------------------------------------------------------------------
+# Each ``_add_<command>(commands, flags)`` adds one top-level command's
+# subparser to *commands*; ``flags(*factories)`` returns the shared
+# flag-group parents, each built once per parser.
 
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Short-term-memory failure diagnosis (ASPLOS 2014 "
-                    "reproduction)",
-    )
-    parser.add_argument("--version", action="version",
-                        version="repro " + _version())
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    backend = _backend_flags()
-    executor = _executor_flags()
-    obs = _obs_flags()
-    ledger = _ledger_flags()
-    fault = _fault_flags()
-    durability = _durability_flags()
-
+def _add_bugs(commands, flags):
     commands.add_parser("bugs", help="list benchmark failures")
 
-    run_parser = commands.add_parser("run", help="execute one run",
-                                     parents=[backend, obs])
+
+def _add_run(commands, flags):
+    run_parser = commands.add_parser(
+        "run", help="execute one run",
+        parents=flags(_backend_flags, _obs_flags),
+    )
     run_parser.add_argument("bug", type=_bug_name,
                             help="corpus bug name or synth-… name")
     run_parser.add_argument("--passing", action="store_true",
                             help="use the passing plan")
 
+
+def _add_log(commands, flags):
     log_parser = commands.add_parser(
         "log", help="LBRLOG/LCRLOG report at the failure",
-        parents=[backend, obs],
+        parents=flags(_backend_flags, _obs_flags),
     )
     log_parser.add_argument("bug", type=_bug_name,
                             help="corpus bug name or synth-… name")
@@ -914,9 +908,14 @@ def build_parser():
         help="log tool ('auto' picks by bug category; default)",
     )
 
+
+def _add_diagnose(commands, flags):
+    from repro.core.api import available_tools
+
     diag_parser = commands.add_parser(
         "diagnose", help="statistical failure diagnosis",
-        parents=[backend, executor, obs, ledger, fault, durability],
+        parents=flags(_backend_flags, _executor_flags, _obs_flags,
+                      _ledger_flags, _fault_flags, _durability_flags),
     )
     diag_parser.add_argument("bug", type=_bug_name,
                              help="corpus bug name or synth-… name")
@@ -938,16 +937,22 @@ def build_parser():
              "`repro obs explain`)",
     )
 
+
+def _add_experiments(commands, flags):
     commands.add_parser("experiments", help="list experiment names")
-    exp_parser = commands.add_parser(
-        "experiment", help="regenerate one table/figure ('all' for "
-                           "every one)",
-        parents=[backend, executor, obs, ledger, fault, durability],
-    )
-    exp_parser.add_argument("name")
+
+
+def _add_experiment(commands, flags):
     from repro.bugs import synth as _synth
     from repro.experiments.curves import DEFAULT_BASELINE_RUNS
 
+    exp_parser = commands.add_parser(
+        "experiment", help="regenerate one table/figure ('all' for "
+                           "every one)",
+        parents=flags(_backend_flags, _executor_flags, _obs_flags,
+                      _ledger_flags, _fault_flags, _durability_flags),
+    )
+    exp_parser.add_argument("name")
     curves_flags = exp_parser.add_argument_group(
         "curves", "knob sweep over synthesized bugs (`experiment "
                   "curves` only; `experiment all` runs a fixed smoke "
@@ -976,6 +981,8 @@ def build_parser():
              % DEFAULT_BASELINE_RUNS,
     )
 
+
+def _add_triage(commands, flags):
     from repro.fleet.signature import (
         DEFAULT_DEPTH,
         DEFAULT_GRANULARITY,
@@ -985,7 +992,8 @@ def build_parser():
     triage_parser = commands.add_parser(
         "triage", help="cluster a simulated fleet's failure reports by "
                        "fault signature and diagnose each cluster once",
-        parents=[backend, executor, obs, ledger, fault],
+        parents=flags(_backend_flags, _executor_flags, _obs_flags,
+                      _ledger_flags, _fault_flags),
     )
     triage_parser.add_argument(
         "--reports", type=int, default=100, metavar="N",
@@ -1034,6 +1042,8 @@ def build_parser():
              "with `repro obs watch` (enables observability)",
     )
 
+
+def _add_synth(commands, flags):
     synth_parser = commands.add_parser(
         "synth", help="procedural bug synthesizer: list, inspect, or "
                       "emit seeded synthetic workloads",
@@ -1077,6 +1087,8 @@ def build_parser():
                  "corpus-shaped blend (default: %(default)s)",
         )
 
+
+def _add_resume(commands, flags):
     resume_parser = commands.add_parser(
         "resume", help="resume an interrupted --checkpoint invocation"
     )
@@ -1098,6 +1110,8 @@ def build_parser():
              ".repro-checkpoints/)",
     )
 
+
+def _add_ledger(commands, flags):
     ledger_parser = commands.add_parser(
         "ledger", help="inspect the persistent run ledger"
     )
@@ -1108,6 +1122,10 @@ def build_parser():
     )
     ledger_path_parser.add_argument("--ledger-dir", default=None,
                                     metavar="DIR")
+
+
+def _add_obs(commands, flags):
+    from repro.obs.watch import DEFAULT_INTERVAL
 
     obs_parser = commands.add_parser(
         "obs", help="inspect observability output"
@@ -1194,36 +1212,77 @@ def build_parser():
     conformance_parser = obs_commands.add_parser(
         "conformance", help="re-run experiment drivers and check their "
                             "output against the pinned paper tables",
-        parents=[backend, executor, ledger, fault],
+        parents=flags(_backend_flags, _executor_flags, _ledger_flags,
+                      _fault_flags),
     )
     conformance_parser.add_argument(
         "names", nargs="*", default=["table5"], metavar="table",
         help="drivers to check: table5, table6, table7 "
              "(default: table5)",
     )
+
+
+#: Each top-level command, in help order -> (the function adding its
+#: subparser, the function running it).
+_COMMANDS = {
+    "bugs": (_add_bugs, _cmd_bugs),
+    "run": (_add_run, _cmd_run),
+    "log": (_add_log, _cmd_log),
+    "diagnose": (_add_diagnose, _cmd_diagnose),
+    "experiments": (_add_experiments, _cmd_experiments),
+    "experiment": (_add_experiment, _cmd_experiment),
+    "triage": (_add_triage, _cmd_triage),
+    "synth": (_add_synth, _cmd_synth),
+    "resume": (_add_resume, _cmd_resume),
+    "ledger": (_add_ledger, _cmd_ledger),
+    "obs": (_add_obs, _cmd_obs),
+}
+
+
+def build_parser(command=None):
+    """The ``repro`` argument parser, with every top-level command or
+    only *command*.
+
+    A one-command parser parses that command's lines as the full one
+    does, and its errors print the same usage line; ``main`` builds only
+    the command it runs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Short-term-memory failure diagnosis (ASPLOS 2014 "
+                    "reproduction)",
+    )
+    parser.add_argument("--version", action="version",
+                        version="repro " + _version())
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
+    )
+    built = {}
+
+    def flags(*factories):
+        for factory in factories:
+            if factory not in built:
+                built[factory] = factory()
+        return [built[factory] for factory in factories]
+
+    for name, (add, _run) in _COMMANDS.items():
+        if command in (None, name):
+            add(commands, flags)
     return parser
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
     raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    args = build_parser().parse_args(raw_argv)
+    # Build only the named command; help, version and errors without a
+    # command need the full tree.
+    command = raw_argv[0] if raw_argv and raw_argv[0] in _COMMANDS \
+        else None
+    args = build_parser(command).parse_args(raw_argv)
     # The raw command line, kept for the checkpoint-session manifest
     # (stored normalized: chaos/checkpoint flags stripped).
     args._argv = raw_argv
-    handlers = {
-        "bugs": _cmd_bugs,
-        "run": _cmd_run,
-        "log": _cmd_log,
-        "diagnose": _cmd_diagnose,
-        "triage": _cmd_triage,
-        "synth": _cmd_synth,
-        "experiments": _cmd_experiments,
-        "experiment": _cmd_experiment,
-        "resume": _cmd_resume,
-        "ledger": _cmd_ledger,
-        "obs": _cmd_obs,
-    }
     from repro.runtime.checkpoint import (
         RESUMABLE_EXIT_CODE,
         CampaignInterrupted,
@@ -1233,7 +1292,7 @@ def main(argv=None, out=None):
     from repro.runtime.resilience import FaultSpecError
 
     try:
-        return handlers[args.command](args, out)
+        return _COMMANDS[args.command][1](args, out)
     except FaultSpecError as exc:
         out.write("bad --inject-faults spec: %s\n" % exc)
         return 2

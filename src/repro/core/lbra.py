@@ -181,8 +181,9 @@ class DiagnosisToolBase:
         """The workload's parsed source, parsed on first use.
 
         Fleet triage assigns the module its report stream parsed
-        instead: :func:`~repro.lang.transform.enhance_logging` copies
-        the module it rewrites, so one parse serves every program.
+        instead: :func:`~repro.lang.transform.enhance_logging` shares
+        the nodes it does not rewrite and never writes to the module,
+        so one parse serves every program.
         """
         return self.workload.build_module()
 

@@ -49,8 +49,9 @@ class LogToolBase:
         #: from memory; results are identical — see
         #: repro.runtime.executor)
         self.executor = executor or CampaignExecutor()
-        #: the workload's parsed source, which ``enhance_logging`` leaves
-        #: untouched; fleet triage hands it on to each cluster's tool
+        #: the workload's parsed source; ``enhance_logging`` shares its
+        #: nodes and never writes to them, so fleet triage hands it on
+        #: to each cluster's tool
         self.module = workload.build_module()
         enhanced = enhance_logging(
             self.module,

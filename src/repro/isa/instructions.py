@@ -173,23 +173,31 @@ class Instruction:
         return self.opcode in MEMORY_OPCODES
 
     def describe(self):
-        """Return a compact human-readable rendering (for traces/tests)."""
-        parts = [self.opcode.value]
+        """Return a compact human-readable rendering (for traces/tests).
+
+        :func:`~repro.runtime.executor.fingerprint_program` hashes this
+        text for every instruction of a program, so it reads each enum
+        member's ``_value_`` rather than going through the ``value``
+        descriptor, and tests each operand field in turn.
+        """
+        text = self.opcode._value_
         if self.operator is not None:
-            parts.append(self.operator.value)
-        for name in ("rd", "rs", "rs2"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append("r%d" % value)
+            text += " " + self.operator._value_
+        if self.rd is not None:
+            text += " r%d" % self.rd
+        if self.rs is not None:
+            text += " r%d" % self.rs
+        if self.rs2 is not None:
+            text += " r%d" % self.rs2
         if self.imm is not None:
-            parts.append("#%d" % self.imm)
+            text += " #%d" % self.imm
         if self.target is not None:
-            parts.append("->%s" % (self.target,))
+            text += " ->%s" % (self.target,)
         if self.offset:
-            parts.append("+%d" % self.offset)
+            text += " +%d" % self.offset
         if self.hwop is not None:
-            parts.append(self.hwop.value)
-        return " ".join(parts)
+            text += " " + self.hwop._value_
+        return text
 
 
 def make_label_map(instructions, labels):

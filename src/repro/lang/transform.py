@@ -30,8 +30,8 @@ before release; ``reactive`` instruments only the site where a failure
 was already observed (shipped as a patch after the first failure).
 """
 
-import copy
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 
 from repro.hwpmu.lbr import LBR_SELECT_PAPER_MASK
 from repro.lang import ast_nodes as ast
@@ -91,23 +91,37 @@ class LogEnhancer:
     # ------------------------------------------------------------------
 
     def transform(self, module):
-        """Return an enhanced deep copy of *module*."""
-        module = copy.deepcopy(module)
+        """Return an enhanced copy of *module*, leaving *module* untouched.
+
+        Only what the rewrite changes is new: the module with its
+        function and global lists and metadata, each non-library
+        function, ``main`` with its prologue, and each if/while/for on
+        the way to a rewritten statement.  Every other node is shared
+        with *module*, which one parse may serve to many transforms.
+        """
         self._sites = []
         self._temp_counter = 0
-        for function in module.functions:
-            if function.is_library:
-                continue
-            function.body = ast.Block(
-                statements=self._rewrite_block(function, function.body),
-                line=function.body.line,
-            )
-        if module.has_function("main"):
-            main = module.function("main")
-            main.body.statements = (
-                self._monitoring_prologue(main.line)
-                + main.body.statements
-            )
+        functions = [
+            function if function.is_library
+            else replace(function, body=self._rewrite_block(function,
+                                                            function.body))
+            for function in module.functions
+        ]
+        for index, function in enumerate(functions):
+            if function.name == "main":
+                functions[index] = replace(function, body=ast.Block(
+                    statements=(self._monitoring_prologue(function.line)
+                                + function.body.statements),
+                    line=function.body.line,
+                ))
+                break
+        metadata = dict(module.metadata)
+        if "signal_handlers" in metadata:
+            metadata["signal_handlers"] = dict(metadata["signal_handlers"])
+        module = ast.Module(globals=list(module.globals),
+                            functions=functions,
+                            source_name=module.source_name,
+                            metadata=metadata)
         if self.register_segv_handler:
             self._add_segv_handler(module)
         module.metadata["logging_sites"] = list(self._sites)
@@ -179,19 +193,23 @@ class LogEnhancer:
     # ------------------------------------------------------------------
 
     def _rewrite_block(self, function, block):
+        """*block* itself if no statement in it is rewritten, else a new
+        Block."""
         rewritten = []
         for statement in block.statements:
             rewritten.extend(self._rewrite_statement(function, statement))
-        return rewritten
+        if len(rewritten) == len(block.statements) and all(
+                map(operator.is_, rewritten, block.statements)):
+            return block
+        return ast.Block(statements=rewritten, line=block.line)
 
     def _rewrite_statement(self, function, statement):
         if isinstance(statement, ast.If):
             return self._rewrite_if(function, statement)
         if isinstance(statement, (ast.While, ast.For)):
-            statement.body = ast.Block(
-                statements=self._rewrite_block(function, statement.body),
-                line=statement.body.line,
-            )
+            body = self._rewrite_block(function, statement.body)
+            if body is not statement.body:
+                statement = replace(statement, body=body)
             return [statement]
         result = []
         log_call = self._log_call_in(statement)
@@ -220,22 +238,18 @@ class LogEnhancer:
         """Rewrite an if statement, applying the Figure 8 transformation
         when one of its arms directly contains a failure-logging call."""
         wants_success = self._wants_log_success_site(function, statement)
-        statement.then = ast.Block(
-            statements=self._rewrite_block(function, statement.then),
-            line=statement.then.line,
-        )
-        if isinstance(statement.orelse, ast.Block):
-            statement.orelse = ast.Block(
-                statements=self._rewrite_block(function, statement.orelse),
-                line=statement.orelse.line,
-            )
-        elif isinstance(statement.orelse, ast.If):
-            rewritten = self._rewrite_if(function, statement.orelse)
+        then = self._rewrite_block(function, statement.then)
+        orelse = statement.orelse
+        if isinstance(orelse, ast.Block):
+            orelse = self._rewrite_block(function, orelse)
+        elif isinstance(orelse, ast.If):
+            rewritten = self._rewrite_if(function, orelse)
             if len(rewritten) == 1:
-                statement.orelse = rewritten[0]
+                orelse = rewritten[0]
             else:
-                statement.orelse = ast.Block(statements=rewritten,
-                                             line=statement.orelse.line)
+                orelse = ast.Block(statements=rewritten, line=orelse.line)
+        if then is not statement.then or orelse is not statement.orelse:
+            statement = replace(statement, then=then, orelse=orelse)
         if not wants_success:
             return [statement]
         # Figure 8: hoist the condition, profile, branch on the temp.
@@ -247,19 +261,17 @@ class LogEnhancer:
             kind="success", function=function.name, line=line,
             paired_failure_site=failure_site_id,
         )
-        statement.cond = ast.Name(name=temp, line=line)
         return [
             ast.LocalDecl(name=temp, line=line),
             ast.Assign(target=ast.Name(name=temp, line=line),
-                       value=statement.__dict__.pop("_hoisted_cond"),
-                       line=line),
+                       value=statement.cond, line=line),
             ast.ProfilePoint(site_id=site.site_id, site_kind="success",
                              rings=self.rings, line=line),
-            statement,
+            replace(statement, cond=ast.Name(name=temp, line=line)),
         ]
 
     def _wants_log_success_site(self, function, statement):
-        """Decide (and prepare) Figure 8 hoisting for *statement*."""
+        """Decide whether Figure 8 hoisting applies to *statement*."""
         if self.success_scheme == "none":
             return False
         arms = [statement.then]
@@ -276,8 +288,6 @@ class LogEnhancer:
             if (target.kind != "log" or target.function != function.name
                     or not self._statement_matches_line(statement, target.line)):
                 return False
-        # Stash the original condition for _rewrite_if to move.
-        statement.__dict__["_hoisted_cond"] = statement.cond
         return True
 
     def _statement_matches_line(self, statement, line):

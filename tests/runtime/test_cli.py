@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import importlib.util
 import io
+import pathlib
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -246,3 +250,118 @@ def test_obs_conformance_unknown_table():
     code, text = run_cli("obs", "conformance", "table99", "--no-ledger")
     assert code == 1
     assert "unknown conformance driver" in text
+
+
+# ----------------------------------------------------------------------
+# main() builds only the named command's parser: same bytes as the tree
+# ----------------------------------------------------------------------
+
+def _load_check_docs():
+    path = pathlib.Path(__file__).resolve().parents[2] / "tools" \
+        / "check_docs.py"
+    spec = importlib.util.spec_from_file_location("check_docs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check_docs = _load_check_docs()
+COMMANDS = sorted(check_docs.cli_commands())
+
+
+def parse_outcome(parser, argv):
+    """The Namespace *parser* makes of *argv*, or what it printed and
+    the exit code it raised instead."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+def parsers_by_path(parser, path=()):
+    """``{path: parser}`` for *parser* and every nested subcommand."""
+    found = {path: parser}
+    for name, sub in check_docs.subcommands(parser).items():
+        found.update(parsers_by_path(sub, path + (name,)))
+    return found
+
+
+def documented_command_lines():
+    """The argv of each ``repro`` command line in the checked docs."""
+    lines = set()
+    for path in check_docs.doc_files():
+        text = path.read_text()
+        for match in check_docs.COMMAND_RE.finditer(text):
+            span = text[match.start():]
+            if span.startswith("`"):
+                span = span[1:span.index("`", 1)]
+            else:
+                span = re.split(r"[`#\n]", span.replace("\\\n", " "),
+                                maxsplit=1)[0]
+            words = span.split()
+            lines.add(tuple(words[words.index("repro") + 1:]))
+    return sorted(lines)
+
+
+def test_check_docs_walks_the_full_tree():
+    assert COMMANDS == sorted(
+        ["bugs", "run", "log", "diagnose", "experiments", "experiment",
+         "triage", "synth", "resume", "ledger", "obs"])
+    commands = check_docs.cli_commands()
+    assert commands["obs"] >= {"report", "watch", "conformance"}
+    assert commands["synth"] == {"list", "show", "emit"}
+    assert commands["ledger"] == {"path"}
+    assert {"--json-out", "--snapshot-out", "--interval",
+            "--baseline-runs"} <= check_docs.cli_flags()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_has_the_same_help(command):
+    alone = parsers_by_path(check_docs.subcommands(
+        build_parser(command))[command])
+    full = parsers_by_path(check_docs.subcommands(
+        build_parser())[command])
+    assert list(alone) == list(full)
+    for path, parser in full.items():
+        assert alone[path].format_help() == parser.format_help(), path
+
+
+def test_one_command_parser_parses_every_documented_line_alike():
+    lines = [argv for argv in documented_command_lines()
+             if argv and argv[0] in COMMANDS]
+    assert len(lines) >= 30
+    for argv in lines:
+        assert parse_outcome(build_parser(argv[0]), list(argv)) \
+            == parse_outcome(build_parser(), list(argv)), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose"],
+    ["diagnose", "sort", "--tool", "nosuch"],
+    ["diagnose", "sort", "--nosuch"],
+    ["obs", "watch"],
+    ["synth", "emit", "--n", "two"],
+])
+def test_one_command_parser_fails_alike(argv):
+    alone = parse_outcome(build_parser(argv[0]), argv)
+    assert alone == parse_outcome(build_parser(), argv)
+    code, _stdout, stderr = alone
+    assert code == 2 and "error:" in stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["nosuch"], 2), (["--help"], 0), (["-h", "diagnose"], 0),
+])
+def test_main_without_a_command_prints_every_command(argv, code, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == code
+    captured = capsys.readouterr()
+    printed = captured.out + captured.err
+    assert "{%s}" % ",".join(check_docs.subcommands(build_parser())) \
+        in printed
+    for command in COMMANDS:
+        assert command in printed
