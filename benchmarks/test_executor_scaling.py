@@ -1,12 +1,11 @@
-"""Benchmarks the campaign executor: sequential vs pool vs warm cache.
+"""Benchmarks the campaign executor: a cold campaign vs a warm cache.
 
 The unit of work is a CBI diagnosis of the ``sort`` bug — one campaign
-of many independent runs, the shape the executor is built for.  Three
-timings, all producing bit-identical rankings:
+of many independent runs, the shape the executor is built for.  Two
+timings, both producing bit-identical rankings:
 
-* ``sequential``   — no executor at all (the baseline everything else
-  must match);
-* ``pool``         — four worker processes, no cache;
+* ``sequential``   — the tool's own default executor (the baseline the
+  replay must match);
 * ``warm_cache``   — a second executor replaying every run from the
   on-disk cache left by a first (untimed) pass.
 
@@ -54,27 +53,14 @@ def test_executor_sequential_baseline(benchmark):
     assert _signature(diagnosis) == sequential_signature()
 
 
-def test_executor_pool_jobs4(benchmark):
-    with CampaignExecutor(jobs=4, cache=False) as executor:
-        diagnosis = run_once(benchmark,
-                             lambda: _diagnose(executor=executor))
-        stats = executor.stats
-    assert _signature(diagnosis) == sequential_signature()
-    assert stats.pool_runs > 0
-    assert stats.workers_used >= 2
-
-
 def test_executor_warm_cache_replay(benchmark, tmp_path, save_result):
     cache_dir = tmp_path / "cache"
-    with CampaignExecutor(jobs=4, cache=True,
-                          cache_dir=cache_dir) as executor:
-        _diagnose(executor=executor)          # warm the cache, untimed
-    with CampaignExecutor(jobs=4, cache=True,
-                          cache_dir=cache_dir) as executor:
-        diagnosis = run_once(benchmark,
-                             lambda: _diagnose(executor=executor))
-        stats = executor.stats
-        save_result(executor_stats_result(executor))
+    # Warm the cache, untimed.
+    _diagnose(executor=CampaignExecutor(cache=True, cache_dir=cache_dir))
+    executor = CampaignExecutor(cache=True, cache_dir=cache_dir)
+    diagnosis = run_once(benchmark, lambda: _diagnose(executor=executor))
+    stats = executor.stats
+    save_result(executor_stats_result(executor))
     assert _signature(diagnosis) == sequential_signature()
     assert stats.cache_hits == stats.attempts
-    assert stats.pool_runs == 0 and stats.inline_runs == 0
+    assert stats.inline_runs == 0

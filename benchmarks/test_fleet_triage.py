@@ -3,7 +3,7 @@
 One timed pass over the full production pipeline — generate a mixed
 stream of failure reports from all 31 corpus bugs, cluster by fault
 signature, and dispatch one diagnosis campaign per cluster through the
-tool registry on a shared pooled executor.  The assertions pin the
+tool registry on a shared, disk-cached executor.  The assertions pin the
 fleet-scale quality contract:
 
 * exactly one cluster per distinct application in the stream (no
@@ -43,30 +43,28 @@ def fleet_reports():
 def test_fleet_triage_500_reports(benchmark, tmp_path, save_result):
     reports = FleetStream(seed=0).generate(fleet_reports())
 
-    with CampaignExecutor(jobs=4, cache=True,
-                          cache_dir=tmp_path / "cache") as executor:
-        result = run_once(
-            benchmark,
-            lambda: triage_reports(reports, runs=10, executor=executor,
-                                   seed=0),
-        )
-        save_result(result.table())
+    executor = CampaignExecutor(cache=True, cache_dir=tmp_path / "cache")
+    result = run_once(
+        benchmark,
+        lambda: triage_reports(reports, runs=10, executor=executor,
+                               seed=0),
+    )
+    save_result(result.table())
 
-        # One cluster per application, no cross-bug merges.
-        assert result.n_clusters == len({r.app for r in reports})
-        for cluster in result.clusters:
-            assert len({r.app for r in cluster.reports}) == 1
+    # One cluster per application, no cross-bug merges.
+    assert result.n_clusters == len({r.app for r in reports})
+    for cluster in result.clusters:
+        assert len({r.app for r in cluster.reports}) == 1
 
-        # Quality floor: every bug the Table 6/7 single-bug campaigns
-        # place at rank 1 must also reach rank 1 under fleet triage.
-        for cluster in result.clusters:
-            if cluster.app not in NOT_RANK1_SINGLE_BUG:
-                assert cluster.true_rank == 1, cluster.app
+    # Quality floor: every bug the Table 6/7 single-bug campaigns
+    # place at rank 1 must also reach rank 1 under fleet triage.
+    for cluster in result.clusters:
+        if cluster.app not in NOT_RANK1_SINGLE_BUG:
+            assert cluster.true_rank == 1, cluster.app
 
-        # A second pass re-diagnoses entirely from the run cache.
-        before = executor.stats.cache_hits
-        again = triage_reports(reports, runs=10, executor=executor,
-                               seed=0)
-        assert executor.stats.cache_hits > before
+    # A second pass re-diagnoses entirely from the run cache.
+    before = executor.stats.cache_hits
+    again = triage_reports(reports, runs=10, executor=executor, seed=0)
+    assert executor.stats.cache_hits > before
     assert [c.true_rank for c in again.clusters] \
         == [c.true_rank for c in result.clusters]

@@ -61,12 +61,12 @@ def test_disabled_obs_overhead_is_noise(benchmark):
     )
     # And the disabled path really collected nothing.
     assert get_obs() is NULL_OBS
-    assert NULL_OBS.tracer.to_records() == []
+    assert list(NULL_OBS.tracer.records) == []
 
 
 def test_enabled_obs_actually_collects(benchmark):
     obs = run_once(benchmark, _enabled_run)
-    records = obs.tracer.to_records()
+    records = list(obs.tracer.records)
     # table5 is a static analysis — one experiment-level span, no
     # machine runs; the per-run counters are covered by tests/obs/.
     assert any(r["name"] == "experiment.table5" for r in records)

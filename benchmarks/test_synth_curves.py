@@ -6,10 +6,11 @@ Two timed passes:
   objects with resolved anchors; pins that scaling the corpus from 31
   to hundreds of programs stays interactive (generation is string
   assembly plus one ``line_of`` scan, no compilation);
-* a small ``experiment curves`` sweep on a pooled executor — the
+* a small ``experiment curves`` sweep on a disk-cached executor — the
   accuracy-curve acceptance path end to end (generate, diagnose with
   the paper tool and the sampling baseline, aggregate, render), with
-  its determinism contract asserted against a serial re-render.
+  its determinism contract asserted against a re-render on a default
+  executor.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks both for the CI floor.
 """
@@ -48,15 +49,14 @@ def test_curves_sweep(benchmark, tmp_path, save_result):
     kwargs = dict(knob="propagation", points=2, per_point=per_point,
                   baseline_runs=baseline_runs, seed=0)
 
-    with CampaignExecutor(jobs=4, cache=True,
-                          cache_dir=tmp_path / "cache") as executor:
-        result = run_once(
-            benchmark, lambda: curves.run(executor=executor, **kwargs))
+    executor = CampaignExecutor(cache=True, cache_dir=tmp_path / "cache")
+    result = run_once(
+        benchmark, lambda: curves.run(executor=executor, **kwargs))
     save_result(result)
 
     assert len(result.rows) == 2
     assert all(row[1] == per_point for row in result.rows)
     # The easiest point is a guaranteed paper-tool diagnosis...
     assert result.rows[0][2] == "100%"
-    # ...and the pooled table matches a serial re-render byte for byte.
+    # ...and the cached table matches a default re-render byte for byte.
     assert result.format() == curves.run(**kwargs).format()

@@ -95,10 +95,6 @@ def run_record(recording, true_predicates, observed_sites, events=0,
     }
 
 
-def _rebuild_tool(tool_class, workload, kwargs):
-    return tool_class(workload, **kwargs)
-
-
 class BaselineToolBase:
     """Runs campaigns over an uninstrumented (plain) program build.
 
@@ -168,18 +164,13 @@ class BaselineToolBase:
         """``(class, workload, kwargs)`` rebuilding an equivalent tool:
         every option but the executor.
 
-        Used by the campaign executor to reconstruct this tool inside
-        worker processes, so clones sample and observe identically.
+        :func:`~repro.runtime.executor.fingerprint_tool` keys run-cache
+        recordings and checkpoint journals on it, so two tools that
+        sample and observe identically share them.
         """
         return type(self), self.workload, {
             name: value for name, value in self.options.items()
             if name != "executor"}
-
-    def __reduce__(self):
-        # A tool pickles as its clone: the receiver — a pool worker —
-        # rebuilds an equivalent fresh tool (counters and predicate
-        # registry empty, a default executor) instead of copying it.
-        return _rebuild_tool, self._clone_spec()
 
     # -- campaign ---------------------------------------------------------
 
@@ -187,8 +178,8 @@ class BaselineToolBase:
         """Execute *plan* once with :meth:`record_events` installed and
         return its :data:`Recording`.
 
-        Writes nothing to the tool, so the executor calls it on this
-        tool or on a worker's clone alike.
+        Writes nothing to the tool, so a recording can serve every tool
+        with the same fingerprint.
         """
         events = []
         status = execute_plan(
@@ -207,9 +198,9 @@ class BaselineToolBase:
         """Fold one consumed run's *record* into this tool: add its
         counters and merge its predicates in consumption order.
 
-        Fresh, pooled, cached and journal-replayed records all land
-        here, so the registry's contents and order match a sequential
-        campaign's.
+        Fresh, cached and journal-replayed records all land here, in
+        plan order, so the registry's contents and order do not depend
+        on where a record came from.
         """
         self.events_observed += record["events"]
         self.samples_taken += record["samples"]
@@ -223,10 +214,10 @@ class BaselineToolBase:
 
         Each phase is one journaled, budgeted campaign stream
         (:func:`repro.runtime.harness.stream_baseline_runs`) on this
-        tool's executor: attempts may fan out across its worker pool
-        (and replay from its run cache) but are consumed strictly in
-        attempt order, so counts, observations, and the predicate
-        registry are the same at any worker count.  The campaign runs in
+        tool's executor: attempts may replay from its run cache but are
+        consumed strictly in attempt order, so counts, observations, and
+        the predicate registry are the same at any cache state.  The
+        campaign runs in
         the envelope every tool shares
         (:func:`repro.core.api.recorded_diagnosis`), which records it in
         the current run ledger.

@@ -59,8 +59,7 @@ class CbiAdaptiveTool(BaselineToolBase):
 
     Accepts no ``executor`` option, and builds none (``executor`` is
     ``None``): iterations are inherently sequential — each wave's
-    predicate set depends on the previous wave's diagnosis, so runs
-    cannot be speculated ahead — and run in process.  One campaign
+    predicate set depends on the previous wave's diagnosis.  One campaign
     records each distinct plan once (:meth:`_record`) and derives every
     wave's runs of it from that recording.
     """

@@ -97,7 +97,7 @@ def liblit_rank(observations, predicate_info):
     supported it (failing runs observing it true) and opposed it
     (passing runs observing it true).  Run ids are the campaign attempt
     positions — observations arrive in campaign order, which is
-    deterministic at any worker count — prefixed ``F``/``S`` by outcome.
+    deterministic at any cache state — prefixed ``F``/``S`` by outcome.
     Per-site observed counts feed no provenance and stay plain counts.
     """
     spectrum = HitSpectrum(key=str)       # a predicate id is its own key

@@ -424,28 +424,7 @@ def _concurrency_sources(spec):
 # Benchmark classes
 # ----------------------------------------------------------------------
 
-def _rebuild_benchmark(name, state):
-    """Pickle helper: regenerate a synthetic workload from its name.
-
-    Generated classes live in no importable module, so instances
-    pickle as (spec name, instance state) and rebuild on the other
-    side — the worker pool's task payloads depend on this.  *state*
-    carries instance overrides such as a patched workload's source.
-    """
-    bug = make_benchmark(SynthSpec.from_name(name))
-    bug.__dict__.update(state)
-    return bug
-
-
-class _SyntheticBugMixin:
-    """Shared plumbing of generated benchmarks (pickling)."""
-
-    def __reduce__(self):
-        return (_rebuild_benchmark,
-                (type(self).spec.name, dict(self.__dict__)))
-
-
-class _SyntheticSequentialBug(_SyntheticBugMixin, BugBenchmark):
+class _SyntheticSequentialBug(BugBenchmark):
     """Base for generated sequential bugs (LBR ring, error() failure)."""
 
     program = "synth"
@@ -456,7 +435,7 @@ class _SyntheticSequentialBug(_SyntheticBugMixin, BugBenchmark):
     log_functions = ("error",)
 
 
-class _SyntheticConcurrencyBug(_SyntheticBugMixin, BugBenchmark):
+class _SyntheticConcurrencyBug(BugBenchmark):
     """Base for generated concurrency bugs (LCR ring, crash failure)."""
 
     program = "synth"

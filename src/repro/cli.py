@@ -17,7 +17,7 @@ Commands:
 * ``triage --reports N --seed S`` — fleet-scale triage: draw N failure
   reports from a simulated fleet of the 31 bugs, cluster them by fault
   signature, and dispatch one diagnosis campaign per cluster (see
-  ``docs/fleet.md``); deterministic by seed and jobs-invariant;
+  ``docs/fleet.md``); deterministic by seed;
   ``--synth N`` swaps the corpus population for N synthesized bugs;
 * ``experiment <name>``          — regenerate one paper table/figure;
   ``experiment curves --knob K --points P --seed S`` sweeps one
@@ -49,14 +49,12 @@ VM execution backend for every machine the invocation builds
 threaded one is simply faster; see ``docs/performance.md`` for the
 performance model and :mod:`repro.machine.backends` for the contract.
 
-``diagnose``, ``triage``, and ``experiment`` accept ``--jobs N`` (fan campaign runs
-out over N worker processes), ``--cache``/``--no-cache`` (the
-invocation always replays repeated plan runs and baseline recordings
-from memory; ``--cache`` also keeps them on disk under
-``--cache-dir``, default ``.repro-cache/``), and print the executor's
-statistics report when either is active.
-Results are identical at any ``--jobs`` value and any cache state —
-parallelism and caching change wall-clock time only.
+``diagnose``, ``triage``, and ``experiment`` accept
+``--cache``/``--no-cache`` (the invocation always replays repeated
+plan runs and baseline recordings from memory; ``--cache`` also keeps
+them on disk under ``--cache-dir``, default ``.repro-cache/``, and
+prints the executor's statistics report).  Results are identical at
+any cache state — caching changes wall-clock time only.
 
 ``run``, ``log``, ``diagnose``, ``triage``, and ``experiment`` accept
 ``--trace FILE.jsonl`` and ``--metrics-out FILE.json``: observability
@@ -78,25 +76,25 @@ ledger (:mod:`repro.obs.ledger`) under ``--ledger-dir`` (default
 ``diagnose``, ``experiment``, and ``obs conformance`` accept
 ``--inject-faults SPEC`` (plus ``--fault-seed N``): a deterministic
 chaos schedule — ``site[:times[:skip]]``, comma-separated — injected
-at the named sites of the executor/cache/ledger stack (see
-:mod:`repro.runtime.resilience` and ``docs/resilience.md``).  Arrival
-counts are shared across the whole process tree of the invocation, so
-``worker-crash:1`` means exactly one crash.  Output must be identical
-to the fault-free run; that is the resilience contract the chaos tests
-pin.
+at the named sites of the cache/ledger/checkpoint stack (see
+:mod:`repro.runtime.resilience` and ``docs/resilience.md``), so
+``ledger-write-torn:1`` tears exactly one ledger append.  Output must
+be identical to the fault-free run; that is the resilience contract
+the chaos tests pin.
 
 ``diagnose`` and ``experiment`` also accept the durability flags
 (:mod:`repro.runtime.checkpoint`): ``--checkpoint`` journals campaign
 progress under ``--checkpoint-dir`` (default ``.repro-checkpoints/``,
 overridable via ``$REPRO_CHECKPOINT_DIR``) so a killed invocation
-resumes — via ``repro resume``, ``--resume``, or simply re-running the
-same command — with byte-identical final output; ``--deadline SECONDS``
-and ``--run-budget N`` bound the invocation, degrading gracefully to a
-``partial`` report with a confidence summary instead of raising.
+resumes — via ``repro resume``, or simply re-running the same command
+with ``--checkpoint`` — with byte-identical final output;
+``--deadline SECONDS`` and ``--run-budget N`` bound the invocation,
+degrading gracefully to a ``partial`` report with a confidence summary
+instead of raising.
 In every campaign command — ``diagnose``, ``experiment``, ``triage``
-and ``obs conformance`` — SIGINT/SIGTERM shut worker pools down,
-release locks, remove the chaos state, flush the journals, and exit
-with code 130, or 75 (resumable) when a checkpoint session is active.
+and ``obs conformance`` — SIGINT/SIGTERM release locks, flush the
+journals, and exit with code 130, or 75 (resumable) when a checkpoint
+session is active.
 """
 
 import argparse
@@ -113,6 +111,20 @@ def _version():
     except Exception:
         import repro
         return repro.__version__
+
+
+class _VersionAction(argparse.Action):
+    """``--version``, looking the version up only when the flag fires."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings=option_strings, dest=dest,
+                         default=default, nargs=0, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write("repro %s\n" % _version())
+        parser.exit()
 
 
 def _bug_name(value):
@@ -210,46 +222,28 @@ def _experiment_registry():
 
 
 def _write_stats(executor, out):
-    """Append the statistics block if ``--jobs`` > 1 or ``--cache``."""
+    """Append the statistics block under ``--cache``."""
     from repro.experiments.report import executor_stats_result
 
-    if executor.jobs > 1 or executor.cache_all:
+    if executor.cache_all:
         out.write("\n" + executor_stats_result(executor).format() + "\n")
 
 
 @contextlib.contextmanager
 def _fault_session(args, out):
-    """Activate the ``--inject-faults`` chaos schedule, if any.
-
-    The plan gets a fresh shared state directory so arrival counts are
-    global across the invocation's process tree — ``worker-crash:1``
-    fires exactly once no matter how many workers the pool spawns.
-    Removing the directory on exit retires the plan (arrivals at a
-    retired plan never fire), so commands must shut their worker pool
-    down *inside* this session: the directory has to outlive every
-    process that inherited the plan.
-    """
+    """Activate the ``--inject-faults`` chaos schedule, if any."""
     spec = getattr(args, "inject_faults", None)
     if not spec:
         yield
         return
-    import shutil
-    import tempfile
-
     from repro.runtime import resilience
 
-    state_dir = tempfile.mkdtemp(prefix="repro-faults-")
-    try:
-        # A spec that does not parse must not leave its state behind.
-        plan = resilience.FaultPlan.parse(
-            spec, seed=getattr(args, "fault_seed", 0), state_dir=state_dir,
-        )
-        out.write("fault injection active: %s (seed %d)\n"
-                  % (plan.describe_spec(), plan.seed))
-        with resilience.use_plan(plan):
-            yield
-    finally:
-        shutil.rmtree(state_dir, ignore_errors=True)
+    plan = resilience.FaultPlan.parse(
+        spec, seed=getattr(args, "fault_seed", 0))
+    out.write("fault injection active: %s (seed %d)\n"
+              % (plan.describe_spec(), plan.seed))
+    with resilience.use_plan(plan):
+        yield
 
 
 @contextlib.contextmanager
@@ -257,12 +251,12 @@ def _durability_session(args, out):
     """Checkpoint session, supervisor, budget, and graceful signals.
 
     Opened by every campaign command; only ``diagnose``/``experiment``
-    take its flags.  Without ``--checkpoint`` (or ``--resume``) only the
-    signal conversion and any ``--deadline``/``--run-budget`` budget
-    install — SIGTERM then still unwinds through every ``finally``
-    (pools shut down, locks release) before the process exits.  With
-    checkpointing on, campaign streams journal their progress under the
-    session directory; the session is removed when the invocation
+    take its flags.  Without ``--checkpoint`` only the signal
+    conversion and any ``--deadline``/``--run-budget`` budget install —
+    SIGTERM then still unwinds through every ``finally`` (locks
+    release) before the process exits.  With checkpointing on,
+    campaign streams journal their progress under the session
+    directory; the session is removed when the invocation
     completes with budget to spare, and kept (with a resume hint on
     interrupt) otherwise, so ``repro resume`` — or simply re-running
     the same command with ``--checkpoint`` — continues where it
@@ -276,9 +270,7 @@ def _durability_session(args, out):
     if run_budget is not None or deadline is not None:
         budget = checkpoint.CampaignBudget(run_budget=run_budget,
                                            deadline=deadline)
-    enabled = getattr(args, "checkpoint", False) \
-        or getattr(args, "resume", False)
-    if not enabled:
+    if not getattr(args, "checkpoint", False):
         with checkpoint.use_budget(budget), checkpoint.graceful_signals():
             yield
         return
@@ -310,10 +302,9 @@ def _durability_session(args, out):
 def _backend_session(args):
     """Install the ``--backend`` choice as the process-wide default.
 
-    Every ``MachineConfig()`` built while the session is active — in
-    this process and in worker processes forked from it — resolves to
-    the chosen execution backend.  Without the flag the default
-    (threaded) stays in force.
+    Every ``MachineConfig()`` built while the session is active
+    resolves to the chosen execution backend.  Without the flag the
+    default (threaded) stays in force.
     """
     name = getattr(args, "backend", None)
     if not name:
@@ -363,24 +354,17 @@ def _obs_session(args, out):
 def _campaign_session(args, out):
     """The session stack of a campaign command; yields its executor.
 
-    Opens the backend session, builds the executor ``--jobs``/``--cache``
-    ask for — after the backend, so forked workers inherit the chosen
-    process default — then the fault, ledger, obs and durability
-    sessions.  The pool shuts down inside the fault session: the chaos
-    state directory has to outlive every worker, or a straggling
-    speculative batch would restart the schedule.
+    Opens the backend session, builds the executor ``--cache`` asks
+    for, then the fault, ledger, obs and durability sessions.
     """
     from repro.runtime.executor import CampaignExecutor
 
     with _backend_session(args):
-        executor = CampaignExecutor(jobs=args.jobs, cache=args.cache,
+        executor = CampaignExecutor(cache=args.cache,
                                     cache_dir=args.cache_dir)
         with _fault_session(args, out), _ledger_session(args), \
                 _obs_session(args, out), _durability_session(args, out):
-            try:
-                yield executor
-            finally:
-                executor.shutdown()
+            yield executor
 
 
 def _cmd_bugs(_args, out):
@@ -767,11 +751,6 @@ def _executor_flags():
 
     parent = _flag_parent()
     parent.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for campaign runs (results are "
-             "identical at any value; default: 1)",
-    )
-    parent.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=False,
         help="keep plan runs and baseline recordings in the on-disk "
              "run cache under --cache-dir for later invocations "
@@ -802,8 +781,8 @@ def _fault_flags():
     parent.add_argument(
         "--inject-faults", metavar="SPEC", default=None,
         help="deterministic chaos schedule: comma-separated "
-             "site[:times[:skip]] specs (e.g. worker-crash:1); see "
-             "docs/resilience.md for the site registry",
+             "site[:times[:skip]] specs (e.g. ledger-write-torn:1); "
+             "see docs/resilience.md for the site registry",
     )
     parent.add_argument(
         "--fault-seed", type=int, default=0, metavar="N",
@@ -839,11 +818,6 @@ def _durability_flags():
         "--checkpoint-dir", default=None, metavar="DIR",
         help="checkpoint root (default: $REPRO_CHECKPOINT_DIR or "
              ".repro-checkpoints/)",
-    )
-    parent.add_argument(
-        "--resume", action="store_true",
-        help="resume this command's previous checkpoint session "
-             "(implies --checkpoint)",
     )
     parent.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
@@ -1252,8 +1226,7 @@ def build_parser(command=None):
         description="Short-term-memory failure diagnosis (ASPLOS 2014 "
                     "reproduction)",
     )
-    parser.add_argument("--version", action="version",
-                        version="repro " + _version())
+    parser.add_argument("--version", action=_VersionAction)
     commands = parser.add_subparsers(
         dest="command", required=True,
         metavar=None if command is None else "{%s}" % ",".join(_COMMANDS),
@@ -1302,9 +1275,9 @@ def main(argv=None, out=None):
     except BrokenPipeError:          # piped into head etc.
         return 0
     except (KeyboardInterrupt, CampaignInterrupted) as exc:
-        # Ctrl-C / SIGTERM unwound through every `finally` above: pools
-        # are shut down, locks released, chaos state removed, and —
-        # with --checkpoint — the journals hold every consumed run.
+        # Ctrl-C / SIGTERM unwound through every `finally` above: locks
+        # are released and — with --checkpoint — the journals hold
+        # every consumed run.
         session_id = pop_interrupted_session()
         reason = "SIGTERM" if isinstance(exc, CampaignInterrupted) \
             else "interrupt"

@@ -135,12 +135,12 @@ class DiagnosisToolBase:
     silently ignored.
 
     ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
-    campaign runs go through — on its worker pool and/or from its run
-    cache; by default, a fresh ``CampaignExecutor()`` runs them in
-    process, executing each distinct plan once and replaying its
-    repeats from memory.  Results are bit-identical either way — runs
-    are consumed strictly in plan order, so the stopping logic below
-    replays the same decisions regardless of worker count.  ``seed``
+    campaign runs go through — a shared one can replay runs from its
+    run cache; by default, a fresh ``CampaignExecutor()`` executes each
+    distinct plan once and replays its repeats from memory.  Results
+    are bit-identical either way — runs are consumed strictly in plan
+    order, so the stopping logic below replays the same decisions
+    regardless of cache state.  ``seed``
     offsets the campaign's plan streams, giving statistically
     independent repetitions of one diagnosis.
     """

@@ -10,7 +10,8 @@ through the same pluggable registry (CBI / CCI).
 
 Determinism: the populations are pure functions of ``(knob, points,
 per_point, seed)``, every diagnosis is a deterministic campaign, and
-the table is therefore byte-identical at any ``--jobs`` value.  Each
+the table is therefore byte-identical on either VM backend and at any
+cache state.  Each
 (bug, tool) cell lands in the run ledger as its own content-keyed
 entry (``run_diagnosis`` records it), and the finished table is
 recorded by ``@traced`` like every other driver.

@@ -3,7 +3,7 @@
 ``repro obs conformance`` re-runs an experiment driver and checks its
 output against the values recorded here — the reproduction's pinned
 Table 5/6/7 cells, which by the executor determinism contract are
-bit-identical on every machine and at every ``--jobs`` value.  Only the
+bit-identical on every machine, VM backend and cache state.  Only the
 *deterministic* columns are pinned: Table 6's CBI column depends on the
 campaign size and its overhead columns on run timing, so the checks
 cover the LBRLOG/LBRA/LCRA cells the paper's capability claims rest on.

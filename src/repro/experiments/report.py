@@ -1,14 +1,13 @@
 """Result containers and plain-text table rendering.
 
 Besides the per-experiment tables, this module renders the campaign
-executor's activity report (:func:`executor_stats_result`): workers
-used, cache hits/misses, attempts produced, and wall-clock versus the
-sequential estimate.  The stats are *observability only* — by the
+executor's activity report (:func:`executor_stats_result`): attempts
+produced, runs executed, cache hits/misses, and the seconds spent and
+saved.  The stats are *observability only* — by the
 executor's determinism contract (same plan stream ⇒ same outcomes
-regardless of worker count or cache state, see
-:mod:`repro.runtime.executor`), every number in the experiment tables
-themselves is identical whether a run executed on a pool worker, in
-process, or was replayed from the content-addressed run cache.
+regardless of cache state, see :mod:`repro.runtime.executor`), every
+number in the experiment tables themselves is identical whether a run
+executed or was replayed from the content-addressed run cache.
 """
 
 import functools
@@ -106,7 +105,7 @@ def executor_stats_result(executor):
         rows=[list(row) for row in executor.stats_rows()],
         title="Campaign executor statistics",
         notes=[
-            "results are identical at any worker count; parallelism "
-            "and caching change wall-clock only",
+            "results are identical at any cache state; caching changes "
+            "wall-clock only",
         ],
     )

@@ -22,10 +22,10 @@ applications and bugs.  This package is the production front half:
   :class:`~repro.runtime.executor.CampaignExecutor` and recorded in the
   run ledger.
 
-Everything is deterministic given the stream seed and jobs-invariant:
-``repro triage --reports 500 --jobs 4`` renders byte-for-byte the same
-table — and appends ledger entries with the same content-keyed ids —
-as ``--jobs 1``.  See ``docs/fleet.md``.
+Everything is deterministic given the stream seed: ``repro triage
+--reports 500`` renders byte-for-byte the same table — and appends
+ledger entries with the same content-keyed ids — on either VM backend
+and at any cache state.  See ``docs/fleet.md``.
 """
 
 from repro.fleet.signature import FaultSignature, extract_signature

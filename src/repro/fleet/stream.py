@@ -14,9 +14,9 @@ Determinism contract (the fleet analogue of the campaign contract in
 always executes ``failing_run_plan(k)``; attempts that do not manifest
 the failure (concurrency bugs!) emit nothing and are simply skipped, as
 in production.  Run outcomes depend only on the (program, plan, config)
-triple, so the stream is bit-identical whether runs execute inline, on
-a :class:`~repro.runtime.executor.CampaignExecutor` pool, or replay
-from the shared run cache.
+triple, so the stream is bit-identical whether runs execute or replay
+from the shared :class:`~repro.runtime.executor.CampaignExecutor`'s
+run cache.
 
 A :class:`FailureReport` carries the ground-truth application name —
 in this simulation the corpus bug name — which downstream triage uses
@@ -96,7 +96,7 @@ class FleetStream:
 
     *population* is a sequence of corpus bug names (default: all 31,
     sorted); *seed* drives the application mix; *executor* optionally
-    runs report executions on a worker pool / the shared run cache.
+    runs report executions through the shared run cache.
     Per-application log tooling follows the deployment rule the CLI
     uses: sequential applications instrument the LBR ring (LBRLOG),
     concurrency applications the LCR ring (LCRLOG).
@@ -144,7 +144,7 @@ class FleetStream:
         Telemetry: each yielded report advances the logical clock by
         one tick (report ingest is a deterministic progress point — the
         stream is a pure function of ``(population, seed)``, so the
-        clock is jobs-invariant) and lands in the ``fleet.reports``
+        clock is too) and lands in the ``fleet.reports``
         counter.  Every emission attempt — manifesting or not —
         feeds the ``stage.attempt.seconds`` timing sketch; the
         ``stage.ingest.seconds`` sketch gets the true per-report

@@ -23,8 +23,8 @@ Section 7 of the paper (collect failure reports → sample → diagnose):
 Determinism: cluster membership is a pure function of the reports;
 clusters are diagnosed in (size-descending, digest) order with
 campaign seed 0; every ledger field is deterministic.  The whole
-pipeline is therefore jobs-invariant — ``--jobs 4`` produces the same
-table and the same ledger entry ids as ``--jobs 1``.
+pipeline therefore produces the same table and the same ledger entry
+ids on either VM backend and at any cache state.
 """
 
 import time
@@ -112,7 +112,7 @@ def _replay_convergence(cluster, workload):
     Telemetry: each replayed run is a deterministic progress point —
     one logical-clock tick, one ``fleet.runs`` count, and one
     ``fleet.rank_of_true_cause.<digest>`` gauge sample — so the
-    per-signature convergence trajectory is a jobs-invariant series.
+    per-signature convergence trajectory is a deterministic series.
     """
     metrics = get_obs().metrics
     raw = cluster.diagnosis.raw

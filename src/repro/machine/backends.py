@@ -132,8 +132,8 @@ __all__ = [
 BACKEND_NAMES = ("reference", "threaded")
 
 #: The process-wide default; ``MachineConfig(backend=None)`` resolves to
-#: this at construction time (so pickled configs always carry a concrete
-#: name).
+#: this at construction time (so a config's repr, part of every run-cache
+#: key, always carries a concrete name).
 DEFAULT_BACKEND = "threaded"
 
 _default_backend = DEFAULT_BACKEND
@@ -982,18 +982,6 @@ def _compile_observed(instr, addresses, strings):
     return None
 
 
-class _TableCache(dict):
-    """A program's closure tables, keyed by ``observed``.
-
-    A per-process cache that pickles as empty: closures cannot be
-    pickled, and a program that has already run in process must still
-    ship to pool workers, which compile their own tables.
-    """
-
-    def __reduce__(self):
-        return _TableCache, ()
-
-
 class _ClosureTable(dict):
     """One closure table of a program: pc -> closure, filled on dispatch.
 
@@ -1042,7 +1030,7 @@ def compiled_table(program, observed=False):
     """
     tables = program.__dict__.get("_threaded_code")
     if tables is None:
-        tables = program.__dict__["_threaded_code"] = _TableCache()
+        tables = program.__dict__["_threaded_code"] = {}
     table = tables.get(observed)
     if table is None:
         table = tables[observed] = _ClosureTable(program, observed)

@@ -26,19 +26,17 @@ Design rules:
   counts the metrics layer reports (instructions retired, MESI bus
   traffic, ring writes, …) are maintained by the simulated hardware
   itself regardless, and harvested once at the end of each run.
-* **Worker buffers merge.**  Pool workers run under their own
-  collecting obs; their span/metric buffers return with each run result
-  and the parent merges exactly the buffers of the runs a campaign
-  consumed, at the tick it consumed them (see
-  :mod:`repro.runtime.executor`), so traces and metric series are
-  identical at any ``--jobs`` value and equal cache state.
-* **One payload format, one at-rest format.**
-  :meth:`Observability.to_payload` / :meth:`Observability.merge_payload`
-  is the single serialization used for worker round-trips; JSONL traces
-  and the metrics snapshot (:func:`repro.obs.timeseries.publish_snapshot`)
-  are the at-rest formats (``repro obs report`` renders the former,
-  ``repro obs watch`` the latter, ``repro obs flame`` collapses a
-  trace into a folded-stack flame view).
+* **Runs record where they are consumed.**  Every campaign run
+  executes in process, in plan order, under the current obs (see
+  :mod:`repro.runtime.executor`); a run replayed from the run cache
+  gets a synthesized ``interp.run`` span instead.  So the trace's shape
+  and every deterministic metric series are the same on either VM
+  backend, and at equal cache state.
+* **Two at-rest formats.**  JSONL traces and the metrics snapshot
+  (:func:`repro.obs.timeseries.publish_snapshot`): ``repro obs
+  report`` renders the former, ``repro obs watch`` the latter, and
+  ``repro obs flame`` collapses a trace into a folded-stack flame
+  view.
 
 Three sibling submodules extend the in-process buffers to at-rest
 history and evidence: :mod:`repro.obs.ledger` (the persistent,
@@ -125,26 +123,6 @@ class Observability:
         counter("hwop.broadcast").inc(machine.hwop_broadcast_count)
         metrics.sketch("machine.run_seconds", timing=True).observe(seconds)
         metrics.sketch("machine.run_retired").observe(machine.retired)
-
-    # -- worker buffer exchange -----------------------------------------
-
-    def to_payload(self):
-        """Serialize both buffers for shipping across processes."""
-        return {"metrics": self.metrics.to_dict(),
-                "spans": self.tracer.to_records()}
-
-    def merge_payload(self, payload, span_root=None):
-        """Merge a worker's :meth:`to_payload` buffers into this obs.
-
-        Spans are re-rooted under *span_root* (default: the currently
-        open span); the metric buffer lands at this obs's current tick
-        (counters and sketches accumulate, gauge points overwrite per
-        tick — order-independent by construction).
-        """
-        if not payload:
-            return
-        self.metrics.merge(payload.get("metrics"), self.metrics.now)
-        self.tracer.absorb(payload.get("spans", ()), under=span_root)
 
     # -- export ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ sha256 of the entry's deterministic fields — kind, tool, workload,
 seed, params, quality, run counts, and the provenance digest — and
 never of its timing fields (wall time, executor activity, timestamp).
 Two executions of one diagnosis therefore produce entries with the
-*same id* no matter the ``--jobs`` value or cache state, which is how
+*same id* no matter the VM backend or cache state, which is how
 ``tests/obs/test_ledger.py`` pins ledger determinism.
 
 Recording follows the observability pattern: a module-level *current

@@ -12,8 +12,8 @@ attached to every ranked event:
 * :func:`provenance_digest` — a stable content hash over a report's
   ranked rows *including* their provenance, used by the run ledger to
   assert that two executions of one diagnosis produced identical
-  evidence (the digest is timing-free, so it is invariant across
-  ``--jobs`` values and cache states).
+  evidence (the digest is timing-free, so it is invariant across VM
+  backends and cache states).
 * :func:`render_explain` / :func:`explain_file` — the text rendering
   behind ``repro obs explain report.json``.
 
@@ -82,7 +82,7 @@ def provenance_digest(ranked_rows):
     The rows are exactly what :class:`repro.core.api.DiagnosisReport`
     serializes — rank, event identity, scores, hit counts, and the
     provenance dict — none of which carries timing, so the digest is
-    identical across worker counts and cache states.
+    identical across VM backends and cache states.
     """
     canonical = json.dumps(ranked_rows, sort_keys=True,
                            separators=(",", ":"), default=str)

@@ -4,9 +4,9 @@
 :class:`~repro.obs.tracer.Tracer` exported and renders the span tree
 with per-phase aggregates: how many times each phase ran, its total and
 mean wall time, and its *self* time (total minus the time attributed to
-its child phases).  Because span paths encode the tree, the same
-breakdown is computed whether the trace came from a sequential run or
-from a worker pool whose span buffers were merged back.
+its child phases).  Because span paths encode the tree, two traces of
+the same campaign break down alike whether their runs executed or
+replayed from the run cache.
 """
 
 from repro.obs.tracer import read_jsonl_tolerant
@@ -175,8 +175,8 @@ def tree_shape(records):
     """The set of (path, count) pairs — a trace's structural signature.
 
     Two campaigns that made the same decisions have the same shape, no
-    matter how many workers executed their runs; tests use this to pin
-    the executor's jobs-invariance for traces.
+    matter which VM backend executed their runs or which runs replayed
+    from the run cache.
     """
     phases = aggregate(records)
     return {(path, entry["count"]) for path, entry in phases.items()}

@@ -4,14 +4,14 @@
 carries (``obs.metrics``).  It answers both "how much happened?" (every
 counter keeps a total) and "how much happened *when*?" — while staying
 inside the repo's determinism contract.  Wall clocks are useless as
-series keys here: ``--jobs 4`` interleaves work differently from
-``--jobs 1``, so any wall-time bucketing would make telemetry diverge
-across worker counts.  Instead every series is keyed by a **logical
-clock**: a counter the pipeline advances at deterministic progress
-points (one tick per ingested fleet report, one tick per consumed
-campaign run).  Because consumption order is plan order — the
-executor's jobs-invariance contract — the logical clock, and therefore
-every deterministic series, is bit-identical at any ``--jobs`` value.
+series keys here: the same work takes different wall time on either VM
+backend, from a warm cache, or on another host, so any wall-time
+bucketing would make telemetry diverge across them.  Instead every
+series is keyed by a **logical clock**: a counter the pipeline advances
+at deterministic progress points (one tick per ingested fleet report,
+one tick per consumed campaign run).  Because consumption order is plan
+order, the logical clock, and therefore every deterministic series, is
+bit-identical across backends and hosts.
 
 Three instrument families:
 
@@ -21,22 +21,20 @@ Three instrument families:
 * :class:`GaugeSeries` (``metrics.gauge``) — ``(tick, value)`` samples,
   last write per tick wins: rank-of-true-cause trajectories, cluster
   counts;
-* :class:`QuantileSketch` (``metrics.sketch``) — a log-bucketed,
-  *mergeable* quantile sketch (DDSketch-style): observations land in
-  geometric buckets, merges add bucket counts, so N workers' sketches
-  merge to exactly the serial sketch regardless of merge order.
-  Sketches tagged ``timing=True`` (every ``metrics.timer``) hold
-  wall-clock observations; they merge and render, but only their
-  counts are jobs-invariant, so they sit outside the deterministic
-  series that ``tests/obs/test_merge_invariance.py`` compares across
-  worker counts.
+* :class:`QuantileSketch` (``metrics.sketch``) — a log-bucketed
+  quantile sketch (DDSketch-style): observations land in geometric
+  buckets, so two sketches of the same observations are identical in
+  any observation order, and a sketch rebuilds exactly from its
+  summary (:meth:`QuantileSketch.from_summary`, which ``repro obs
+  watch`` reads).  Sketches tagged ``timing=True`` (every
+  ``metrics.timer``) hold wall-clock observations; they render, but
+  only their counts are deterministic, so they sit outside the
+  deterministic series that ``tests/obs/test_snapshot_counts.py``
+  checks.
 
-Pool workers never tick: a worker's buffer is merged at the tick where
-the consumer takes its run (:meth:`Metrics.merge`), so a count recorded
-on a worker lands in the same window as the same count recorded
-in-process.  When observability is off the shared :data:`NULL_METRICS`
-hands out cached no-op singletons whose methods allocate nothing —
-pinned by ``tests/obs/test_timeseries.py``.
+When observability is off the shared :data:`NULL_METRICS` hands out
+cached no-op singletons whose methods allocate nothing — pinned by
+``tests/obs/test_timeseries.py``.
 
 Snapshots: :func:`publish_snapshot` atomically writes a JSON snapshot
 file (temp file + ``os.replace``, the run cache's publication
@@ -99,15 +97,6 @@ class WindowedCounter:
                 "buckets": {str(k): v
                             for k, v in sorted(self.buckets.items())}}
 
-    def merge(self, summary, at):
-        """Add *summary*'s counts, its bucket ``b`` landing at window
-        ``at // window + b``."""
-        self.total += summary.get("total", 0)
-        offset = at // self.window
-        for key, value in summary.get("buckets", {}).items():
-            bucket = offset + int(key)
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + value
-
 
 class GaugeSeries:
     """``(tick, value)`` samples; the last write per tick wins."""
@@ -132,13 +121,6 @@ class GaugeSeries:
         return {"points": [[tick, self.points[tick]]
                            for tick in sorted(self.points)]}
 
-    def merge(self, summary, at):
-        # Last write wins per tick; incoming points overwrite only the
-        # ticks they carry (tick t lands at at + t), so merges commute
-        # across disjoint ticks.
-        for tick, value in summary.get("points", ()):
-            self.points[at + int(tick)] = value
-
 
 class QuantileSketch:
     """Mergeable log-bucketed quantile sketch (DDSketch-style).
@@ -147,8 +129,7 @@ class QuantileSketch:
     ``gamma = (1+alpha)/(1-alpha)``; zero and negative values share a
     dedicated bucket.  Bucket keys are integers, so two sketches built
     from the same multiset of observations are *identical* dicts no
-    matter the observation or merge order — the property the
-    cross-worker merge tests pin byte-for-byte.
+    matter the observation or merge order.
     """
 
     __slots__ = ("name", "alpha", "timing", "count", "total", "zero",
@@ -290,12 +271,12 @@ class Metrics:
         """A context manager timing a stage into sketch *name*.
 
         Timer sketches are tagged ``timing=True`` — they hold wall
-        clock, so they merge and render, but only their counts are
+        clock, so they render, but only their counts are
         deterministic.
         """
         return _Timer(self.sketch(name, timing=True))
 
-    # -- buffer exchange ------------------------------------------------
+    # -- serialization --------------------------------------------------
 
     def to_dict(self):
         """Snapshot as a plain (picklable, JSON-serializable) dict."""
@@ -309,29 +290,6 @@ class Metrics:
             "sketches": {n: s.summary()
                          for n, s in sorted(self._sketches.items())},
         }
-
-    def merge(self, payload, at):
-        """Fold a :meth:`to_dict` buffer into this registry at tick *at*.
-
-        The buffer's tick ``t`` lands at ``at + t`` and its counter
-        bucket ``b`` at window ``at // window + b``; the clock takes the
-        maximum of the two sides.  A pool worker never ticks, so its
-        buffer, merged at the consumer's current tick, equals the same
-        run recorded in-process.  Counters and sketches accumulate;
-        gauge points overwrite per tick.
-        """
-        if not payload:
-            return
-        self.clock.now = max(self.clock.now, at + payload.get("clock", 0))
-        for name, summary in payload.get("windowed", {}).items():
-            self.counter(name, window=summary.get("window")) \
-                .merge(summary, at)
-        for name, summary in payload.get("gauges", {}).items():
-            self.gauge(name).merge(summary, at)
-        for name, summary in payload.get("sketches", {}).items():
-            self.sketch(name, timing=summary.get("timing", False),
-                        alpha=summary.get("alpha", DEFAULT_ALPHA)) \
-                .merge(summary)
 
 
 class _NullTimer:
@@ -407,9 +365,6 @@ class NullMetrics:
     def to_dict(self):
         return {"clock": 0, "window": DEFAULT_WINDOW, "windowed": {},
                 "gauges": {}, "sketches": {}}
-
-    def merge(self, payload, at):
-        pass
 
 
 NULL_METRICS = NullMetrics()

@@ -12,12 +12,10 @@ Every finished span becomes one flat record ``{"name", "path", "start",
 "dur", "attrs"}``; ``path`` is the "/"-joined chain of enclosing span
 names, so the tree shape survives flattening and two traces can be
 compared structurally (the executor relies on this: a campaign traced
-at ``--jobs 8`` produces the same span tree as ``--jobs 1``, because
-run spans are always created — or absorbed — at consumption time, in
-plan order).
+on either VM backend, or replayed from the run cache, produces the
+same span tree, because run spans are always created — or synthesized
+for a replay — at consumption time, in plan order).
 
-Buffers serialize: :meth:`Tracer.to_records` / :meth:`Tracer.absorb`
-are how pool workers ship their span buffers back to the parent, and
 :meth:`Tracer.export_jsonl` / :func:`read_jsonl_tolerant` round-trip a
 trace through a ``.jsonl`` file for ``repro obs report``.
 
@@ -98,9 +96,9 @@ class Tracer:
         """Record an already-measured span as a child of the open span.
 
         Used for work whose wall time was measured elsewhere — a run
-        executed on a pool worker, or replayed from the run cache — so
-        the trace keeps one ``interp.run`` span per consumed run no
-        matter where the run physically executed.
+        replayed from the run cache — so the trace keeps one
+        ``interp.run`` span per consumed run whether it executed or
+        replayed.
         """
         parent = self.current_path()
         path = parent + "/" + name if parent else name
@@ -112,36 +110,6 @@ class Tracer:
             "dur": duration,
             "attrs": {k: _jsonable(v) for k, v in (attrs or {}).items()},
         })
-
-    # -- buffer exchange ------------------------------------------------
-
-    def to_records(self):
-        """The span buffer as a list of plain dicts (picklable)."""
-        return list(self.records)
-
-    def absorb(self, records, under=None):
-        """Merge a foreign span buffer (e.g. a worker's) into this one.
-
-        Every record is re-rooted beneath *under* (default: the
-        currently open span), and start times are shifted so the
-        absorbed sub-trace ends "now" — durations, names, and tree
-        shape are preserved exactly.
-        """
-        if not records:
-            return
-        prefix = under if under is not None else self.current_path()
-        now = time.perf_counter() - self.epoch
-        latest_end = max(r["start"] + r["dur"] for r in records)
-        shift = now - latest_end
-        for record in records:
-            path = record["path"]
-            self.records.append({
-                "name": record["name"],
-                "path": prefix + "/" + path if prefix else path,
-                "start": record["start"] + shift,
-                "dur": record["dur"],
-                "attrs": dict(record.get("attrs", ())),
-            })
 
     # -- persistence ----------------------------------------------------
 
@@ -215,12 +183,6 @@ class NullTracer:
         return ""
 
     def record_complete(self, name, duration, attrs=None):
-        pass
-
-    def to_records(self):
-        return []
-
-    def absorb(self, records, under=None):
         pass
 
     def export_jsonl(self, path):

@@ -6,10 +6,11 @@
   drive failing and passing runs, and how to recognize a failure;
 * :mod:`repro.runtime.harness` — run campaigns (N failing + M passing
   runs) and collect statuses/profiles;
-* :mod:`repro.runtime.executor` — fan campaign attempts out across a
-  process pool and memoize finished runs in a content-addressed cache;
+* :mod:`repro.runtime.executor` — run campaign attempts in plan order
+  and memoize finished runs in a content-addressed cache;
 * :mod:`repro.runtime.resilience` — the fault-injection harness and the
-  retry/recovery policy that keep the pipeline alive under crashes;
+  advisory file lock that keep the cache and the journals whole under
+  crashes;
 * :mod:`repro.runtime.checkpoint` — durable campaigns: crash-safe
   checkpoint journals with deterministic resume, the campaign
   supervisor/watchdog, and deadline/run-budget graceful degradation.
@@ -35,8 +36,6 @@ from repro.runtime.resilience import (
     FaultPlan,
     FaultSpecError,
     FileLock,
-    ResiliencePolicy,
-    ResilienceStats,
     fault_point,
     use_plan,
 )
@@ -71,8 +70,6 @@ __all__ = [
     "FileLock",
     "PlanOutcome",
     "RESUMABLE_EXIT_CODE",
-    "ResiliencePolicy",
-    "ResilienceStats",
     "RunCache",
     "RunPlan",
     "RunRecord",

@@ -31,8 +31,8 @@ campaigns survive all three, with three cooperating pieces:
   executor's resolve path) and escalates when one goes stale: counted
   in obs metrics and reported on stderr.  SIGTERM is converted into
   :class:`CampaignInterrupted` (:func:`graceful_signals`) so ``finally``
-  blocks run — pools shut down, locks release, the journal holds every
-  consumed run — and the CLI exits with :data:`RESUMABLE_EXIT_CODE`.
+  blocks run — locks release, the journal holds every consumed run —
+  and the CLI exits with :data:`RESUMABLE_EXIT_CODE`.
 * **Budgets** (:class:`CampaignBudget`).  ``--deadline SECONDS`` and
   ``--run-budget N`` bound an invocation; on exhaustion campaigns stop
   cleanly and report ``partial=True`` with a confidence summary instead
@@ -90,9 +90,8 @@ class CampaignInterrupted(BaseException):
     """Raised in the main thread when SIGTERM asks the campaign to stop.
 
     Deliberately an exception (not a polled flag): it unwinds through
-    the same ``finally`` paths as Ctrl-C, so worker pools shut down,
-    chaos state directories are removed, and locks release before the
-    process exits resumable.  A ``BaseException``, like
+    the same ``finally`` paths as Ctrl-C, so journals flush and locks
+    release before the process exits resumable.  A ``BaseException``, like
     ``KeyboardInterrupt``, so the ``except Exception`` handlers that
     absorb a corrupt cache entry or journal line let it through instead
     of mistaking the signal for damage.
@@ -120,7 +119,6 @@ _VOLATILE_FLAGS = {
     "--checkpoint-dir": True,
     "--checkpoint": False,
     "--no-checkpoint": False,
-    "--resume": False,
 }
 
 
@@ -585,10 +583,9 @@ class CampaignSupervisor:
     resolve path — one dict write, safe from any thread).  The monitor
     wakes every ``poll_interval`` seconds; a heartbeat older than
     ``stall_timeout`` escalates: the stall is counted in ``stalls`` and
-    obs metrics and reported on stderr.  The executor's own failure
-    ladder (per-batch timeout → pool recycle → inline fallback) remains
-    the recovery mechanism — the supervisor is the campaign-level
-    observer that notices when even that ladder has gone quiet.  The
+    obs metrics and reported on stderr.  The supervisor observes and
+    reports; it does not recover — a stalled campaign is left to the
+    operator, whose SIGTERM unwinds it resumable.  The
     ``supervisor-stall`` fault site forces one escalation
     deterministically for tests.
     """

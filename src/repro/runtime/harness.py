@@ -17,14 +17,13 @@ A campaign's plan stream is a pure function of the workload: the k-th
 failing attempt always executes ``workload.failing_run_plan(k)``, and any
 randomness lives inside the plan (schedulers seeded by k).  Each run's
 outcome depends only on its (program, plan, config) triple.  Campaign
-results are therefore **bit-identical no matter how runs are executed**:
-one at a time in this process, fanned out across a worker pool, or
-replayed from the run cache.  Every campaign runs through a
-:class:`~repro.runtime.executor.CampaignExecutor`, whose ``jobs`` and
-``cache`` settings change wall-clock time, never results — parallel
-workers only *speculate ahead* in the deterministic plan stream, and
-results are consumed strictly in plan order so the stopping decisions
-replay the same logic exactly.
+results are therefore **bit-identical no matter how runs are
+produced**: executed on either VM backend, replayed from the run cache,
+or replayed from a checkpoint journal on resume.  Every campaign runs
+through a :class:`~repro.runtime.executor.CampaignExecutor`, whose
+``cache`` setting changes wall-clock time, never results; results are
+consumed strictly in plan order, so the stopping decisions replay the
+same logic exactly.
 
 Shortfall handling
 ------------------
@@ -117,17 +116,10 @@ class CampaignResult:
 
 
 class _CampaignShortfall:
-    """Mixin carrying the structured shortfall description.
-
-    ``detail`` optionally appends execution-layer context to the
-    message — e.g. "the executor recorded N task errors" — so a
-    shortfall caused by infrastructure failures, not workload behaviour,
-    says so.
-    """
+    """Mixin carrying the structured shortfall description."""
 
     def __init__(self, workload_name, want_failures, got_failures,
-                 want_successes, got_successes, attempts, limit,
-                 detail=None):
+                 want_successes, got_successes, attempts, limit):
         self.info = ShortfallInfo(
             workload_name, want_failures, got_failures,
             want_successes, got_successes, attempts, limit,
@@ -139,11 +131,7 @@ class _CampaignShortfall:
         self.got_successes = got_successes
         self.attempts = attempts
         self.limit = limit
-        self.detail = detail
-        message = self.info.describe()
-        if detail:
-            message += "; " + detail
-        super().__init__(message)
+        super().__init__(self.info.describe())
 
 
 class CampaignShortfallError(_CampaignShortfall, RuntimeError):
@@ -169,10 +157,11 @@ def run_campaign(program, workload, *, want_failures, want_successes,
     success run, exactly as in production).
 
     ``executor`` is the :class:`~repro.runtime.executor.CampaignExecutor`
-    that runs the attempts — on a worker pool and/or from its run cache;
-    by default, a fresh ``CampaignExecutor()`` runs them in process,
-    each distinct plan once, replaying repeats from memory.
-    Results are the same either way (see the module docstring).
+    that runs the attempts — a shared one can replay runs another
+    campaign executed, from memory or from its disk cache; by default, a
+    fresh ``CampaignExecutor()`` runs each distinct plan once, replaying
+    repeats from memory.  Results are the same either way (see the
+    module docstring).
 
     ``on_shortfall`` — ``"warn"`` (default), ``"raise"``, or ``"ignore"``
     — controls what happens when the attempt cap is reached before the
@@ -231,15 +220,11 @@ def run_campaign(program, workload, *, want_failures, want_successes,
             # A genuine shortfall; a budget/deadline stop is expected
             # degradation and reports through ``partial`` instead.
             obs.counter("campaign.shortfalls").inc()
-            detail = _executor_detail(executor)
             if on_shortfall == "raise":
-                raise CampaignShortfallError(*_astuple(shortfall),
-                                             detail=detail)
+                raise CampaignShortfallError(*_astuple(shortfall))
             if on_shortfall == "warn":
-                warnings.warn(
-                    CampaignShortfallWarning(*_astuple(shortfall),
-                                             detail=detail),
-                    stacklevel=2)
+                warnings.warn(CampaignShortfallWarning(*_astuple(shortfall)),
+                              stacklevel=2)
         else:
             obs.counter("campaign.budget_stops").inc()
 
@@ -262,21 +247,6 @@ def _astuple(info):
     return (info.workload_name, info.want_failures, info.got_failures,
             info.want_successes, info.got_successes, info.attempts,
             info.limit)
-
-
-def _executor_detail(executor):
-    """Execution-layer context for a shortfall message, or ``None``.
-
-    When the executor recorded task errors, a shortfall is likely
-    infrastructure, not workload behaviour — say so and show the last
-    preserved error so nobody has to rerun with a debugger attached.
-    """
-    resilience = executor.stats.resilience
-    if not resilience.task_errors:
-        return None
-    last = resilience.task_errors[-1]
-    return ("%d executor task error(s) recorded; last (%s): %s"
-            % (len(resilience.task_errors), last["stage"], last["error"]))
 
 
 def durable_stream(stream, fingerprint, fresh, *, stopped, start=0):
@@ -347,8 +317,8 @@ def stream_runs(program, workload, plan_fn, config, stream, executor, *,
 
     :func:`durable_stream` over plan runs on *executor*, for
     :func:`run_campaign` and the LBRA/LCRA tools; a repeated plan
-    replays from the executor's run cache, and a pool speculates
-    ahead, but records still come in plan order.  The journal
+    replays from the executor's run cache, and records come in plan
+    order.  The journal
     fingerprint covers (owner, phase, program fingerprint,
     ``repr(config)``, workload token, ``*key``).
     """

@@ -21,8 +21,7 @@ class PlanOutcome:
     Besides the :class:`ExitStatus`, the hardware-monitoring counters of
     the machine are snapshotted so consumers that model overheads (the
     Table 6/7 columns) can share runs with consumers that only classify
-    outcomes.  This is the unit of work the campaign executor ships to
-    worker processes and the value the run cache stores.
+    outcomes.  This is the value the run cache stores.
     """
 
     status: object                 # ExitStatus
@@ -38,8 +37,9 @@ def execute_plan(program, plan, config=None, attach=None):
     fresh scheduler from the plan's factory, so runs are independent of
     each other and of the process they execute in: the same
     (program, plan, config) triple always produces the same outcome.
-    That independence is what makes run campaigns parallelizable and
-    cacheable (see :mod:`repro.runtime.executor`).
+    That independence is what makes run campaigns cacheable and
+    resumable (see :mod:`repro.runtime.executor` and
+    :mod:`repro.runtime.checkpoint`).
 
     ``attach`` optionally receives the machine after load and globals
     setup, just before it runs — where baselines install their

@@ -2,7 +2,7 @@
 
 Pins the tentpole determinism contract: the rendered table is a pure
 function of ``(knob, points, per_point, seed)`` — byte-identical across
-worker counts and execution backends — and every (bug, tool) cell
+execution backends and cache states — and every (bug, tool) cell
 leaves one content-keyed ledger entry.
 """
 
@@ -42,14 +42,18 @@ def test_rendered_table_is_deterministic():
 
 
 @pytest.mark.parametrize("backend", ["reference", "threaded"])
-def test_byte_identical_across_jobs_and_backends(backend, tmp_path):
+def test_byte_identical_across_backends_and_cache_states(backend, tmp_path):
+    with use_backend("reference"):
+        reference = _render()
     with use_backend(backend):
-        serial = _render()
-        with CampaignExecutor(
-                jobs=4, cache=True,
-                cache_dir=str(tmp_path / "cache")) as executor:
-            pooled = _render(executor=executor)
-    assert serial == pooled
+        executor = CampaignExecutor(cache=True,
+                                    cache_dir=str(tmp_path / "cache"))
+        cold = _render(executor=executor)
+        warm = _render(executor=CampaignExecutor(
+            cache=True, cache_dir=str(tmp_path / "cache")))
+    assert cold == reference
+    assert warm == reference
+    assert executor.stats.cache_misses > 0
 
 
 def test_one_content_keyed_ledger_entry_per_cell(tmp_path):

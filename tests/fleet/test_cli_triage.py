@@ -1,4 +1,4 @@
-"""``repro triage``: the CLI surface and its jobs-invariance contract."""
+"""``repro triage``: the CLI surface and its determinism contract."""
 
 import io
 import json
@@ -38,18 +38,26 @@ def test_triage_renders_the_cluster_table(tmp_path):
     assert "ranked #1 for 2/2 labeled clusters" in text
 
 
-def test_triage_is_jobs_invariant(tmp_path):
-    """--jobs 1 and --jobs 4 must render byte-identical tables and
-    append ledger entries with identical content-keyed ids."""
+def test_triage_is_cache_invariant(tmp_path):
+    """The default run, a cold --cache run and a warm one render
+    byte-identical tables and append ledger entries with identical
+    content-keyed ids."""
     argv = ["triage", "--reports", "8", "--seed", "3", "--runs", "3",
             "--bugs", "sort", "apache1"]
-    code1, text1 = run_cli(*argv, "--jobs", "1",
-                           "--ledger-dir", str(tmp_path / "l1"))
-    code4, text4 = run_cli(*argv, "--jobs", "4",
-                           "--ledger-dir", str(tmp_path / "l4"))
-    assert code1 == code4 == 0
-    assert _table_part(text1) == _table_part(text4)
-    assert _ledger_ids(tmp_path / "l1") == _ledger_ids(tmp_path / "l4")
+    cache = ["--cache", "--cache-dir", str(tmp_path / "cache")]
+    runs = {}
+    for label, flags in (("default", []), ("cold", cache),
+                         ("warm", cache)):
+        code, text = run_cli(*argv, *flags, "--ledger-dir",
+                             str(tmp_path / label))
+        assert code == 0
+        runs[label] = (text, _ledger_ids(tmp_path / label))
+    default_text, default_ids = runs["default"]
+    assert "Campaign executor statistics" not in default_text
+    for label in ("cold", "warm"):
+        text, ids = runs[label]
+        assert _table_part(text) == default_text.rstrip()
+        assert ids == default_ids
 
 
 def test_triage_seed_changes_the_mix(tmp_path):

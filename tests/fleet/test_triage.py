@@ -114,20 +114,18 @@ def test_shared_executor_reuses_runs_across_clusters(tmp_path):
     from repro.runtime.executor import CampaignExecutor
 
     reports_a = FleetStream(population=["sort"], seed=0).generate(2)
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=str(tmp_path / "cache")) as executor:
-        result = triage_reports(reports_a, runs=3, executor=executor,
-                                seed=0)
-        assert result.rank1()
-        first_attempts = executor.stats.attempts
-        # A second triage pass over the same fleet hits the shared
-        # run cache instead of re-executing.
-        result2 = triage_reports(reports_a, runs=3, executor=executor,
-                                 seed=0)
-        assert executor.stats.cache_hits > 0
-        assert [c.true_rank for c in result2.clusters] \
-            == [c.true_rank for c in result.clusters]
-        assert first_attempts > 0
+    executor = CampaignExecutor(cache=True,
+                                cache_dir=str(tmp_path / "cache"))
+    result = triage_reports(reports_a, runs=3, executor=executor, seed=0)
+    assert result.rank1()
+    first_attempts = executor.stats.attempts
+    # A second triage pass over the same fleet hits the shared run
+    # cache instead of re-executing.
+    result2 = triage_reports(reports_a, runs=3, executor=executor, seed=0)
+    assert executor.stats.cache_hits > 0
+    assert [c.true_rank for c in result2.clusters] \
+        == [c.true_rank for c in result.clusters]
+    assert first_attempts > 0
 
 
 def test_ledger_entries_are_content_keyed_and_deterministic(tmp_path):

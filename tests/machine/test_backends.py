@@ -382,15 +382,11 @@ def test_fault_injection_is_backend_invariant(tmp_path):
     bug = get_bug("paste")
 
     def describe(backend, fault_spec):
-        state_dir = tmp_path / ("state-%s-%s" % (backend,
-                                                 bool(fault_spec)))
-        state_dir.mkdir()
         ledger = Ledger(tmp_path / ("ledger-%s-%s" % (backend,
                                                       bool(fault_spec))))
         with use_backend(backend), use_ledger(ledger):
             if fault_spec:
-                plan = resilience.FaultPlan.parse(
-                    fault_spec, seed=0, state_dir=str(state_dir))
+                plan = resilience.FaultPlan.parse(fault_spec, seed=0)
                 with resilience.use_plan(plan):
                     report = get_tool("lbra")(bug).run_diagnosis(2, 2)
             else:

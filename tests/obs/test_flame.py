@@ -23,7 +23,7 @@ def _sample_records():
             pass
         with obs.span("other"):
             pass
-    return obs.tracer.to_records()
+    return list(obs.tracer.records)
 
 
 def test_collapse_spans_folds_paths():

@@ -48,21 +48,6 @@ def test_windowed_counter_buckets_by_clock_window():
     assert summary["buckets"] == {"0": 4, "1": 4, "2": 2}
 
 
-def test_windowed_counter_merge_adds_buckets():
-    clock = LogicalClock()
-    a = WindowedCounter("x", clock, window=4)
-    a.inc(2)
-    b = WindowedCounter("x", LogicalClock(6), window=4)
-    b.inc(5)
-    a.merge(b.summary(), 0)
-    assert a.total == 7
-    assert a.summary()["buckets"] == {"0": 2, "1": 5}
-    # Landing at tick 9 shifts every bucket by 9 // 4 windows.
-    a.merge(b.summary(), 9)
-    assert a.total == 12
-    assert a.summary()["buckets"] == {"0": 2, "1": 5, "3": 5}
-
-
 # -- gauge series -------------------------------------------------------
 
 def test_gauge_series_last_write_per_tick_wins():
@@ -74,16 +59,6 @@ def test_gauge_series_last_write_per_tick_wins():
     gauge.set(1)
     assert gauge.last == 1
     assert gauge.summary()["points"] == [[0, 3], [1, 1]]
-
-
-def test_gauge_series_merge_overwrites_per_tick():
-    clock = LogicalClock()
-    a = GaugeSeries("rank", clock)
-    a.set(9)
-    a.merge({"points": [[0, 4], [7, 1]]}, 0)
-    assert a.summary()["points"] == [[0, 4], [7, 1]]
-    a.merge({"points": [[0, 2]]}, 7)         # tick 0 lands at tick 7
-    assert a.summary()["points"] == [[0, 4], [7, 2]]
 
 
 # -- quantile sketch ----------------------------------------------------
@@ -149,60 +124,6 @@ def test_registry_instruments_are_cached_by_name():
     assert metrics.counter("a") is not metrics.counter("b")
 
 
-def test_registry_roundtrip_through_to_dict_merge():
-    metrics = Metrics()
-    for index in range(20):
-        metrics.tick()
-        metrics.counter("runs").inc()
-        metrics.gauge("rank").set(20 - index)
-        metrics.sketch("score").observe(0.1 * (index + 1))
-    metrics.counter("runs").inc(4)
-    assert metrics.counter("runs").total == 24
-    assert metrics.gauge("rank").last == 1
-    clone = Metrics()
-    clone.merge(metrics.to_dict(), 0)
-    assert clone.to_dict() == metrics.to_dict()
-    assert clone.now == metrics.now
-    # A second merge accumulates counters and sketches; gauge points
-    # overwrite per tick.
-    clone.merge(metrics.to_dict(), 0)
-    assert clone.counter("runs").total == 48
-    assert clone.sketch("score").count == 40
-    assert clone.to_dict()["gauges"] == metrics.to_dict()["gauges"]
-
-
-def test_registry_merge_takes_max_clock():
-    metrics = Metrics()
-    metrics.tick(5)
-    metrics.merge({"clock": 3}, 0)
-    assert metrics.now == 5
-    metrics.merge({"clock": 11}, 0)
-    assert metrics.now == 11
-    metrics.merge({"clock": 2}, 11)          # lands at 11, ends at 13
-    assert metrics.now == 13
-
-
-def test_worker_buffer_merged_at_a_tick_equals_the_in_process_run():
-    """A pool worker never ticks: its counter and gauge buffer, merged at
-    the consumer's tick N, equals the same run recorded in-process at
-    tick N — here over 40 ticks spanning three 16-tick windows."""
-    in_process = Observability()
-    consumer = Observability()
-    for index in range(40):
-        in_process.metrics.tick()
-        consumer.metrics.tick()
-        in_process.counter("fleet.runs").inc()
-        in_process.gauge("fleet.rank").set(40 - index)
-        worker = Observability()
-        worker.counter("fleet.runs").inc()
-        worker.gauge("fleet.rank").set(40 - index)
-        consumer.merge_payload(json.loads(json.dumps(worker.to_payload())))
-    merged = consumer.metrics.to_dict()
-    assert merged["windowed"]["fleet.runs"]["buckets"] \
-        == {"0": 15, "1": 16, "2": 9}
-    assert merged == in_process.metrics.to_dict()
-
-
 def test_timer_observes_into_a_timing_sketch():
     metrics = Metrics()
     with metrics.timer("stage.x.seconds"):
@@ -210,32 +131,6 @@ def test_timer_observes_into_a_timing_sketch():
     sketch = metrics.sketch("stage.x.seconds")
     assert sketch.timing is True
     assert sketch.count == 1
-
-
-def test_jobs_invariance_by_construction():
-    """The same consumption order yields identical serialized series
-    no matter how worker buffers were split."""
-    def consume(metrics):
-        for index in range(30):
-            metrics.tick()
-            metrics.counter("runs", window=8).inc()
-            metrics.sketch("score").observe(float(index % 7))
-    serial = Metrics()
-    consume(serial)
-    # "Workers": two buffers merged into a consumer that ticked the
-    # same 30 progress points.
-    consumer = Metrics()
-    worker = Metrics()
-    for index in range(30):
-        consumer.tick()
-        target = consumer if index % 3 else worker
-        # worker buffers observe against the consumer's clock position
-        worker.clock.now = consumer.clock.now
-        target.counter("runs", window=8).inc()
-        target.sketch("score").observe(float(index % 7))
-    consumer.merge(worker.to_dict(), 0)
-    assert json.dumps(consumer.to_dict(), sort_keys=True) \
-        == json.dumps(serial.to_dict(), sort_keys=True)
 
 
 # -- the null registry --------------------------------------------------
@@ -257,7 +152,6 @@ def test_null_timeseries_instruments_do_nothing(tmp_path):
     assert instrument.quantile(0.5) is None
     with NULL_METRICS.timer("t"):
         pass
-    NULL_METRICS.merge({"windowed": {"x": {"total": 3}}}, 0)
     assert NULL_METRICS.to_dict() == Metrics().to_dict()
     # Inert, but loud when asked to export.
     with pytest.raises(RuntimeError):
@@ -309,13 +203,9 @@ def test_obs_bundle_wires_the_timeseries():
     with obs.timer("stage.y.seconds"):
         pass
     obs.counter("machine.runs").inc()
-    payload = obs.to_payload()
-    assert payload["metrics"]["sketches"]["stage.y.seconds"]["count"] \
-        == 1
-    other = Observability()
-    other.merge_payload(payload)
-    assert other.metrics.sketch("stage.y.seconds").count == 1
-    assert other.counter("machine.runs").total == 1
+    series = obs.metrics.to_dict()
+    assert series["sketches"]["stage.y.seconds"]["count"] == 1
+    assert series["windowed"]["machine.runs"]["total"] == 1
 
 
 # -- snapshots ----------------------------------------------------------

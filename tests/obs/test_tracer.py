@@ -51,31 +51,6 @@ def test_record_complete_lands_under_open_span():
     assert record["start"] >= 0.0
 
 
-def test_absorb_reroots_and_preserves_shape():
-    worker = Tracer()
-    with worker.span("interp.run"):
-        with worker.span("step"):
-            pass
-    parent = Tracer()
-    with parent.span("campaign"):
-        parent.absorb(worker.to_records())
-    paths = sorted(r["path"] for r in parent.records)
-    assert paths == ["campaign", "campaign/interp.run",
-                     "campaign/interp.run/step"]
-    by_name = {r["name"]: r for r in parent.records}
-    original = {r["name"]: r for r in worker.records}
-    for name in ("interp.run", "step"):
-        assert by_name[name]["dur"] == original[name]["dur"]
-
-
-def test_absorb_explicit_root_and_empty_buffer():
-    tracer = Tracer()
-    tracer.absorb([], under="anything")          # no-op
-    tracer.absorb([{"name": "x", "path": "x", "start": 0.0,
-                    "dur": 0.1, "attrs": {}}], under="root")
-    assert tracer.records[0]["path"] == "root/x"
-
-
 def test_jsonl_round_trip(tmp_path):
     tracer = Tracer()
     with tracer.span("a", k=1):
@@ -89,8 +64,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_null_tracer_is_inert_but_loud_on_export(tmp_path):
     with NULL_TRACER.span("ignored", n=1) as span:
         assert span.set(more=2) is span
-    assert NULL_TRACER.to_records() == []
     NULL_TRACER.record_complete("x", 1.0)
-    NULL_TRACER.absorb([{"name": "x"}])
+    assert list(NULL_TRACER.records) == []
     with pytest.raises(RuntimeError):
         NULL_TRACER.export_jsonl(str(tmp_path / "nope.jsonl"))

@@ -56,12 +56,12 @@ def test_render_dashboard_sections():
     with metrics.timer("stage.cluster.seconds"):
         pass
     frame = render_dashboard(build_snapshot(
-        metrics, fleet={"reports": 5}, executor={"jobs": 2},
+        metrics, fleet={"reports": 5}, executor={"attempts": 20},
         complete=False))
     assert "running" in frame
     assert "abcd1234" in frame
     assert "stage.cluster.seconds" in frame
-    assert "executor" in frame and "jobs=2" in frame
+    assert "executor" in frame and "attempts=20" in frame
 
 
 def test_render_dashboard_names_counters_in_full():

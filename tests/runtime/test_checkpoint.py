@@ -48,7 +48,6 @@ from tests.runtime.test_process_and_harness import SOURCE, Thresholdy
 @pytest.fixture(autouse=True)
 def _no_ambient_plan(monkeypatch):
     monkeypatch.delenv(resilience.FAULTS_ENV, raising=False)
-    monkeypatch.delenv(resilience.FAULTS_STATE_ENV, raising=False)
     resilience.reset_plan_cache()
     yield
     resilience.reset_plan_cache()
@@ -60,13 +59,13 @@ def _no_ambient_plan(monkeypatch):
 
 def test_normalize_argv_strips_volatile_flags():
     argv = ["diagnose", "sort", "--runs", "5",
-            "--inject-faults", "worker-crash:1", "--fault-seed", "3",
-            "--checkpoint", "--checkpoint-dir", "/tmp/x", "--resume"]
+            "--inject-faults", "ledger-write-torn:1", "--fault-seed", "3",
+            "--checkpoint", "--checkpoint-dir", "/tmp/x", "--no-checkpoint"]
     assert normalize_argv(argv) == ["diagnose", "sort", "--runs", "5"]
 
 
 def test_normalize_argv_handles_inline_form():
-    argv = ["diagnose", "sort", "--inject-faults=worker-crash:1",
+    argv = ["diagnose", "sort", "--inject-faults=ledger-write-torn:1",
             "--checkpoint-dir=/tmp/x", "--runs", "5"]
     assert normalize_argv(argv) == ["diagnose", "sort", "--runs", "5"]
 
@@ -76,7 +75,8 @@ def test_session_id_invariant_under_chaos_and_checkpoint_flags():
     noisy = base + ["--checkpoint", "--checkpoint-dir", "ck",
                     "--inject-faults", "ledger-write-torn!kill:1"]
     assert session_id_for(base) == session_id_for(noisy)
-    assert session_id_for(base) != session_id_for(base + ["--jobs", "4"])
+    assert session_id_for(base) != session_id_for(
+        base + ["--backend", "reference"])
 
 
 def test_stream_fingerprint_depends_on_every_part():

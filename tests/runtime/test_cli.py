@@ -57,15 +57,24 @@ def test_diagnose():
     assert "LBRA diagnosis" in text
 
 
-def test_diagnose_prints_statistics_only_with_a_pool_or_cache():
+def test_diagnose_prints_statistics_only_with_cache(tmp_path):
     code, default = run_cli("diagnose", "sort", "--no-ledger")
     assert code == 0
     assert "Campaign executor statistics" not in default
-    code, pooled = run_cli("diagnose", "sort", "--no-ledger",
-                           "--jobs", "2")
+    code, cached = run_cli("diagnose", "sort", "--no-ledger", "--cache",
+                           "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
-    above, _block = pooled.split("\nCampaign executor statistics\n")
+    above, _block = cached.split("\nCampaign executor statistics\n")
     assert above == default
+
+
+def test_removed_flags_are_rejected(capsys):
+    for flag in ("--jobs", "--resume"):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("diagnose", "sort", flag, "2")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: %s" % flag \
+            in capsys.readouterr().err
 
 
 def test_experiments_listing():

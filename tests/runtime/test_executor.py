@@ -1,12 +1,14 @@
-"""Tests for the parallel campaign executor and its run cache."""
+"""Tests for the campaign executor and its run cache."""
 
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.bugs.registry import get_bug
 from repro.core.lbra import LbraTool
-from repro.core.lcra import LcraTool
 from repro.machine.cpu import MachineConfig
 from repro.runtime.executor import (
     CampaignExecutor,
@@ -39,57 +41,8 @@ def _diagnosis_signature(diagnosis):
 
 
 # ----------------------------------------------------------------------
-# Parallel == sequential
+# Shared executors
 # ----------------------------------------------------------------------
-
-def test_parallel_campaign_matches_sequential():
-    workload = Thresholdy()
-    program = compile_source(SOURCE)
-    sequential = run_campaign(program, workload, want_failures=3,
-                              want_successes=4)
-    with CampaignExecutor(jobs=2, cache=True) as executor:
-        parallel = run_campaign(program, workload, want_failures=3,
-                                want_successes=4, executor=executor)
-    assert _campaign_signature(parallel) == \
-        _campaign_signature(sequential)
-    assert parallel.attempts == sequential.attempts
-
-
-def test_parallel_diagnosis_matches_sequential_for_sequential_bug():
-    sequential = LbraTool(get_bug("sort")).run_diagnosis(6, 6)
-    with CampaignExecutor(jobs=2, cache=True) as executor:
-        parallel = LbraTool(get_bug("sort"),
-                            executor=executor).run_diagnosis(6, 6)
-    assert _diagnosis_signature(parallel) == \
-        _diagnosis_signature(sequential)
-
-
-def test_parallel_diagnosis_matches_sequential_for_concurrency_bug():
-    sequential = LcraTool(get_bug("apache4")).run_diagnosis(6, 6)
-    with CampaignExecutor(jobs=2, cache=True) as executor:
-        parallel = LcraTool(get_bug("apache4"),
-                            executor=executor).run_diagnosis(6, 6)
-    assert _diagnosis_signature(parallel) == \
-        _diagnosis_signature(sequential)
-
-
-def test_parallel_baseline_matches_sequential():
-    from repro.baselines.cbi import CbiTool
-
-    sequential_tool = CbiTool(get_bug("sort"))
-    sequential = sequential_tool.run_diagnosis(n_failures=25, n_successes=25)
-    with CampaignExecutor(jobs=2, cache=True) as executor:
-        parallel_tool = CbiTool(get_bug("sort"), executor=executor)
-        parallel = parallel_tool.run_diagnosis(n_failures=25, n_successes=25)
-    assert [repr(p) for p in parallel.ranked] == \
-        [repr(p) for p in sequential.ranked]
-    assert (parallel.n_failures, parallel.n_successes) == \
-        (sequential.n_failures, sequential.n_successes)
-    assert parallel_tool.events_observed == \
-        sequential_tool.events_observed
-    assert parallel_tool.samples_taken == sequential_tool.samples_taken
-    assert parallel_tool.retired_total == sequential_tool.retired_total
-
 
 def test_cached_baseline_runs_replay_into_a_fresh_tool():
     # A later, longer campaign on a shared run cache replays the runs an
@@ -100,51 +53,16 @@ def test_cached_baseline_runs_replay_into_a_fresh_tool():
 
     cold = PbiTool(get_bug("mysql1"))
     expected = cold.run_diagnosis(n_failures=20, n_successes=20)
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        PbiTool(get_bug("mysql1"),
-                executor=executor).run_diagnosis(12, 12)
-        warm = PbiTool(get_bug("mysql1"), executor=executor)
-        replayed = warm.run_diagnosis(n_failures=20, n_successes=20)
-        assert executor.stats.cache_hits > 0
+    executor = CampaignExecutor(cache=True)
+    PbiTool(get_bug("mysql1"), executor=executor).run_diagnosis(12, 12)
+    warm = PbiTool(get_bug("mysql1"), executor=executor)
+    replayed = warm.run_diagnosis(n_failures=20, n_successes=20)
+    assert executor.stats.cache_hits > 0
     assert [repr(p) for p in replayed.ranked] == \
         [repr(p) for p in expected.ranked]
     assert list(warm.predicate_info()) == list(cold.predicate_info())
     assert (warm.events_observed, warm.samples_taken, warm.retired_total) \
         == (cold.events_observed, cold.samples_taken, cold.retired_total)
-
-
-def test_pool_workers_actually_used():
-    workload = Thresholdy()
-    program = compile_source(SOURCE)
-    with CampaignExecutor(jobs=2, cache=False) as executor:
-        run_campaign(program, workload, want_failures=3,
-                     want_successes=8, executor=executor)
-        stats = executor.stats
-    assert stats.pool_runs > 0
-    assert stats.workers_used >= 1
-    assert all(isinstance(pid, int) for pid in stats.worker_pids)
-
-
-def test_program_that_ran_in_process_still_ships_to_the_pool():
-    """The closure tables a run caches on its program stay out of the
-    program's pickled state."""
-    from repro.compiler.frontend import compile_module
-    from repro.runtime.process import execute_plan
-
-    bug = get_bug("sort")
-    program = compile_module(bug.build_module())
-    config = MachineConfig(num_cores=bug.num_cores, backend="threaded")
-    # Eight distinct plans (step budgets differ, outcomes do not), so no
-    # run replays an earlier one and each still ships to a worker.
-    plans = [RunPlan(args=bug.failing_args,
-                     max_steps=bug.run_max_steps + k) for k in range(8)]
-    expected = execute_plan(program, plans[0], config).status
-    with CampaignExecutor(jobs=2, cache=False) as executor:
-        results = [result for _plan, result
-                   in executor.iter_runs(program, plans, config)]
-        assert executor.stats.unpicklable_tasks == 0
-    assert all(isinstance(result.worker_pid, int) for result in results)
-    assert [result.status for result in results] == [expected] * 8
 
 
 # ----------------------------------------------------------------------
@@ -161,15 +79,13 @@ class DistinctPlans(Thresholdy):
 def test_cache_hit_miss_accounting():
     workload = DistinctPlans()
     program = compile_source(SOURCE)
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        first = run_campaign(program, workload, want_failures=2,
-                             want_successes=3, executor=executor)
-        after_first = (executor.stats.cache_hits,
-                       executor.stats.cache_misses)
-        second = run_campaign(program, workload, want_failures=2,
-                              want_successes=3, executor=executor)
-        after_second = (executor.stats.cache_hits,
-                        executor.stats.cache_misses)
+    executor = CampaignExecutor(cache=True)
+    first = run_campaign(program, workload, want_failures=2,
+                         want_successes=3, executor=executor)
+    after_first = (executor.stats.cache_hits, executor.stats.cache_misses)
+    second = run_campaign(program, workload, want_failures=2,
+                          want_successes=3, executor=executor)
+    after_second = (executor.stats.cache_hits, executor.stats.cache_misses)
     assert _campaign_signature(first) == _campaign_signature(second)
     # Cold pass: every consumed attempt missed; no hits.
     assert after_first == (0, first.attempts)
@@ -183,12 +99,89 @@ def test_repeated_plans_hit_within_one_campaign():
     # single cold campaign replays the repeats from the cache.
     workload = Thresholdy()
     program = compile_source(SOURCE)
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        result = run_campaign(program, workload, want_failures=3,
-                              want_successes=0, executor=executor)
-        assert result.attempts == 3
-        assert executor.stats.cache_misses == 1
-        assert executor.stats.cache_hits == 2
+    executor = CampaignExecutor(cache=True)
+    result = run_campaign(program, workload, want_failures=3,
+                          want_successes=0, executor=executor)
+    assert result.attempts == 3
+    assert executor.stats.cache_misses == 1
+    assert executor.stats.cache_hits == 2
+
+
+def test_each_attempt_resolves_when_pulled(monkeypatch):
+    """An attempt is built, looked up and executed only when the
+    consumer pulls it: a consumer that stops early executes nothing
+    past its stop, and each keyed attempt reads the cache once."""
+    program = compile_source(SOURCE)
+    built = []
+
+    def plans():
+        for k in range(100):
+            built.append(k)
+            yield RunPlan(args=(k % 6,))
+
+    gets = []
+    original_get = RunCache.get
+
+    def counting_get(cache, key):
+        gets.append(key)
+        return original_get(cache, key)
+
+    monkeypatch.setattr(RunCache, "get", counting_get)
+    executor = CampaignExecutor()
+    runs = executor.iter_runs(program, plans())
+    taken = [next(runs) for _ in range(8)]
+    runs.close()
+    assert built == list(range(8))
+    assert len(gets) == 8
+    assert executor.stats.attempts == 8
+    assert executor.stats.inline_runs == executor.stats.cache_misses == 6
+    assert [result.cached for _plan, result in taken] \
+        == [False] * 6 + [True] * 2
+
+
+def test_uncacheable_plans_execute_every_attempt():
+    """A plan whose scheduler cannot be fingerprinted is never looked
+    up or stored: every attempt executes, and its outcome is the one a
+    default executor produces."""
+    class LambdaPlans(Thresholdy):
+        def failing_run_plan(self, k):
+            return RunPlan(args=(9,), scheduler_factory=lambda: None)
+
+        def passing_run_plan(self, k):
+            return RunPlan(args=(k % 4,), scheduler_factory=lambda: None)
+
+    program = compile_source(SOURCE)
+    expected = run_campaign(program, LambdaPlans(), want_failures=2,
+                            want_successes=2)
+    executor = CampaignExecutor(cache=True)
+    for _ in range(2):
+        result = run_campaign(program, LambdaPlans(), want_failures=2,
+                              want_successes=2, executor=executor)
+        assert _campaign_signature(result) == \
+            _campaign_signature(expected)
+    assert executor.stats.inline_runs == 2 * result.attempts
+    assert executor.stats.cache_hits == executor.stats.cache_misses == 0
+    assert executor.cache.stores == 0
+
+
+def test_a_command_imports_no_process_pool():
+    """Every attempt runs in process: a whole ``repro diagnose`` imports
+    neither ``multiprocessing`` nor ``concurrent.futures``."""
+    script = (
+        "import io, sys\n"
+        "from repro.cli import main\n"
+        "assert main(['diagnose', 'sort', '--no-ledger'],"
+        " out=io.StringIO()) == 0\n"
+        "print(sorted(name for name in ('multiprocessing',"
+        " 'concurrent.futures') if name in sys.modules))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _log_tool(name):
@@ -233,18 +226,15 @@ def test_disk_cache_survives_across_executors(tmp_path):
     workload = DistinctPlans()
     program = compile_source(SOURCE)
     cache_dir = tmp_path / "cache"
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=cache_dir) as executor:
-        cold = run_campaign(program, workload, want_failures=2,
-                            want_successes=2, executor=executor)
-        assert executor.stats.cache_stores == cold.attempts
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=cache_dir) as executor:
-        warm = run_campaign(program, workload, want_failures=2,
-                            want_successes=2, executor=executor)
-        assert executor.stats.cache_hits_disk == warm.attempts
-        assert executor.stats.inline_runs == 0
-        assert executor.stats.pool_runs == 0
+    executor = CampaignExecutor(cache=True, cache_dir=cache_dir)
+    cold = run_campaign(program, workload, want_failures=2,
+                        want_successes=2, executor=executor)
+    assert executor.stats.cache_stores == cold.attempts
+    executor = CampaignExecutor(cache=True, cache_dir=cache_dir)
+    warm = run_campaign(program, workload, want_failures=2,
+                        want_successes=2, executor=executor)
+    assert executor.stats.cache_hits_disk == warm.attempts
+    assert executor.stats.inline_runs == 0
     assert _campaign_signature(cold) == _campaign_signature(warm)
 
 
@@ -252,21 +242,20 @@ def test_poisoned_cache_entry_discarded_not_crashing(tmp_path):
     workload = DistinctPlans()
     program = compile_source(SOURCE)
     cache_dir = tmp_path / "cache"
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=cache_dir) as executor:
-        cold = run_campaign(program, workload, want_failures=2,
-                            want_successes=2, executor=executor)
+    cold = run_campaign(program, workload, want_failures=2,
+                        want_successes=2,
+                        executor=CampaignExecutor(cache=True,
+                                                  cache_dir=cache_dir))
     # Poison every on-disk entry with content that is not valid pickle.
     poisoned = list(cache_dir.rglob("*.pkl"))
     assert poisoned
     for path in poisoned:
         path.write_bytes(b"not a pickle at all")
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=cache_dir) as executor:
-        warm = run_campaign(program, workload, want_failures=2,
-                            want_successes=2, executor=executor)
-        assert executor.stats.cache_corrupt_dropped >= warm.attempts
-        assert executor.stats.cache_hits == 0
+    executor = CampaignExecutor(cache=True, cache_dir=cache_dir)
+    warm = run_campaign(program, workload, want_failures=2,
+                        want_successes=2, executor=executor)
+    assert executor.stats.cache_corrupt_dropped >= warm.attempts
+    assert executor.stats.cache_hits == 0
     assert _campaign_signature(cold) == _campaign_signature(warm)
     # Poisoned files were deleted, then re-stored with fresh results.
     for path in poisoned:
@@ -323,30 +312,6 @@ def test_plan_with_cache_token_scheduler_is_cacheable():
     assert fingerprint_plan(tokened) != fingerprint_plan(RunPlan(args=(1,)))
 
 
-def test_unpicklable_plan_falls_back_to_inline_execution():
-    workload = Thresholdy()
-    program = compile_source(SOURCE)
-
-    class LambdaPlans(Thresholdy):
-        def failing_run_plan(self, k):
-            return RunPlan(args=(9,), scheduler_factory=lambda: None)
-
-        def passing_run_plan(self, k):
-            return RunPlan(args=(k % 4,), scheduler_factory=lambda: None)
-
-    sequential = run_campaign(program, LambdaPlans(), want_failures=2,
-                              want_successes=2)
-    with CampaignExecutor(jobs=2, cache=True) as executor:
-        parallel = run_campaign(program, LambdaPlans(), want_failures=2,
-                                want_successes=2, executor=executor)
-        assert executor.stats.unpicklable_tasks > 0
-        assert executor.stats.pool_runs == 0
-        assert executor.stats.inline_runs == parallel.attempts
-    assert _campaign_signature(parallel) == \
-        _campaign_signature(sequential)
-    del workload
-
-
 def test_run_one_matches_direct_execution():
     from repro.runtime.process import execute_plan
 
@@ -354,9 +319,9 @@ def test_run_one_matches_direct_execution():
     plan = RunPlan(args=(9,))
     config = MachineConfig()
     direct = execute_plan(program, plan, config)
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        result = executor.run_one(program, plan, config)
-        replay = executor.run_one(program, plan, config)
+    executor = CampaignExecutor(cache=True)
+    result = executor.run_one(program, plan, config)
+    replay = executor.run_one(program, plan, config)
     assert result.status.exit_code == direct.status.exit_code
     assert result.hwop_counts == direct.hwop_counts
     assert not result.cached
@@ -374,9 +339,7 @@ def test_campaigns_without_an_executor_run_on_a_default_one():
     from repro.core.lbrlog import LbrLogTool
 
     def in_process(stats, attempts, distinct):
-        assert stats.jobs == 1
         assert stats.attempts == attempts
-        assert stats.pool_runs == 0
         assert stats.inline_runs == stats.cache_misses == distinct
         assert stats.cache_hits == attempts - distinct
 
@@ -418,52 +381,14 @@ def test_campaigns_without_an_executor_run_on_a_default_one():
 def test_stats_rows_render_through_report():
     from repro.experiments.report import executor_stats_result
 
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        executor.run_one(compile_source(SOURCE), RunPlan(args=(1,)),
-                         MachineConfig())
-        result = executor_stats_result(executor)
+    executor = CampaignExecutor(cache=True)
+    executor.run_one(compile_source(SOURCE), RunPlan(args=(1,)),
+                     MachineConfig())
+    result = executor_stats_result(executor)
     assert result is not None
     text = result.format()
     assert "cache misses" in text
     assert "wall clock" in text
-
-
-@pytest.mark.parametrize("tool_class, bug, options", [
-    pytest.param("CbiTool", "sort", {}, id="CbiTool-sort"),
-    pytest.param("CciTool", "mysql1", {}, id="CciTool-mysql1"),
-    pytest.param("PbiTool", "apache4", {}, id="PbiTool-apache4"),
-    pytest.param("CbiTool", "sort", {"sampling_rate": 0.5},
-                 id="CbiTool-sort-rate"),
-    pytest.param("CciTool", "mysql1", {"sampling_rate": 0.5, "seed": 3},
-                 id="CciTool-mysql1-rate-seed"),
-    pytest.param("PbiTool", "apache4", {"sample_period": 40},
-                 id="PbiTool-apache4-period"),
-])
-def test_pickled_baseline_tool_is_a_fresh_clone(tool_class, bug, options):
-    """Pool workers receive a tool as its clone: every option but the
-    executor, the same fingerprint, and none of the sender's counters,
-    predicates or executor."""
-    from repro import baselines
-    from repro.runtime.executor import fingerprint_tool
-
-    with CampaignExecutor(jobs=1, cache=True) as executor:
-        tool = getattr(baselines, tool_class)(get_bug(bug),
-                                              executor=executor,
-                                              **options)
-        tool.run_diagnosis(n_failures=5, n_successes=5)
-    assert tool.events_observed and tool.retired_total
-    clone = pickle.loads(pickle.dumps(tool))
-    assert type(clone) is type(tool)
-    assert clone.options == dict(tool.options, executor=None)
-    assert fingerprint_tool(clone) == fingerprint_tool(tool)
-    assert (clone.events_observed, clone.samples_taken,
-            clone.retired_total) == (0, 0, 0)
-    assert getattr(clone, "_predicates", {}) == {}
-    assert clone.executor is not executor
-    assert not clone.executor.cache_all
-    assert clone.executor.cache.directory is None
-    assert clone.executor.cache.stores == 0
-    assert clone.executor.stats.attempts == 0
 
 
 def test_every_artifact_carries_the_executor_venue_record(tmp_path):
@@ -474,14 +399,13 @@ def test_every_artifact_carries_the_executor_venue_record(tmp_path):
 
     ledger = Ledger(str(tmp_path / "ledger"))
     snapshot = tmp_path / "snapshot.json"
-    with use_ledger(ledger), \
-            CampaignExecutor(jobs=1, cache=True) as executor:
+    executor = CampaignExecutor(cache=True)
+    with use_ledger(ledger):
         report = get_tool("lbra")(get_bug("sort"),
                                   executor=executor).run_diagnosis(3, 3)
         record = executor.stats.to_dict()
-        assert set(record) == {"jobs", "attempts", "pool_runs",
-                               "inline_runs", "cache_hits",
-                               "cache_misses", "workers_used"}
+        assert set(record) == {"attempts", "inline_runs", "cache_hits",
+                               "cache_misses"}
         assert ledger.entries(kind="diagnosis")[-1]["executor"] == record
         assert report.campaign["executor"] == record
 

@@ -1,15 +1,15 @@
-"""Chaos tests: the pipeline under injected crashes, hangs, and torn I/O.
+"""Chaos tests: the pipeline under injected I/O faults and torn writes.
 
 The resilience contract under test: every fault class changes wall-
-clock time and :class:`ResilienceStats`, **never results** — a campaign
-run under injected worker crashes, hangs, torn ledger writes, or
-corrupt cache pickles is bit-identical to the fault-free run.
+clock time and the counters that record it, **never results** — a
+campaign run under injected torn ledger writes, cache read and write
+errors, or corrupt cache pickles is bit-identical to the fault-free
+run.
 """
 
 import json
 import os
 import pickle
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -23,35 +23,24 @@ from repro.runtime import resilience
 from repro.runtime.executor import CampaignExecutor, RunCache
 from repro.runtime.harness import run_campaign
 from repro.runtime.resilience import (
-    FaultError,
     FaultPlan,
     FaultSpecError,
     FileLock,
-    ResiliencePolicy,
     use_plan,
 )
-from repro.runtime.workload import RunPlan
 
 from tests.runtime.test_cli import run_cli
 from tests.runtime.test_executor import DistinctPlans, _campaign_signature
-from tests.runtime.test_process_and_harness import SOURCE, Thresholdy
+from tests.runtime.test_process_and_harness import SOURCE
 
 
 @pytest.fixture(autouse=True)
 def _no_ambient_plan(monkeypatch):
     """Tests control the active plan explicitly; never inherit one."""
     monkeypatch.delenv(resilience.FAULTS_ENV, raising=False)
-    monkeypatch.delenv(resilience.FAULTS_STATE_ENV, raising=False)
     resilience.reset_plan_cache()
     yield
     resilience.reset_plan_cache()
-
-
-def _fast_policy(**overrides):
-    defaults = dict(task_timeout=20.0, max_retries=2, backoff_base=0.01,
-                    max_pool_restarts=3)
-    defaults.update(overrides)
-    return ResiliencePolicy(**defaults)
 
 
 # ----------------------------------------------------------------------
@@ -59,9 +48,10 @@ def _fast_policy(**overrides):
 # ----------------------------------------------------------------------
 
 def test_fault_plan_parse_and_roundtrip():
-    plan = FaultPlan.parse("worker-crash, ledger-write-torn:2:1", seed=7)
-    assert plan.sites["worker-crash"].times == 1
-    assert plan.sites["worker-crash"].skip == 0
+    plan = FaultPlan.parse("cache-read-error, ledger-write-torn:2:1",
+                           seed=7)
+    assert plan.sites["cache-read-error"].times == 1
+    assert plan.sites["cache-read-error"].skip == 0
     assert plan.sites["ledger-write-torn"].times == 2
     assert plan.sites["ledger-write-torn"].skip == 1
     replayed = FaultPlan.parse(plan.describe_spec(), seed=7)
@@ -72,19 +62,19 @@ def test_fault_plan_rejects_garbage():
     with pytest.raises(FaultSpecError):
         FaultPlan.parse("no-such-site:1")
     with pytest.raises(FaultSpecError):
-        FaultPlan.parse("worker-crash:x")
+        FaultPlan.parse("cache-read-error:x")
     with pytest.raises(FaultSpecError):
         FaultPlan.parse("")
     with pytest.raises(FaultSpecError):
-        FaultPlan.parse("worker-crash:1:2:3")
+        FaultPlan.parse("cache-read-error:1:2:3")
 
 
 def test_fault_plan_kill_modifier_parse_and_roundtrip():
-    plan = FaultPlan.parse("ledger-write-torn!kill:1:2, worker-crash")
+    plan = FaultPlan.parse("ledger-write-torn!kill:1:2, cache-read-error")
     assert plan.sites["ledger-write-torn"].kill
     assert plan.sites["ledger-write-torn"].times == 1
     assert plan.sites["ledger-write-torn"].skip == 2
-    assert not plan.sites["worker-crash"].kill
+    assert not plan.sites["cache-read-error"].kill
     spec = plan.describe_spec()
     assert "ledger-write-torn!kill:1:2" in spec
     assert FaultPlan.parse(spec).describe_spec() == spec
@@ -92,26 +82,9 @@ def test_fault_plan_kill_modifier_parse_and_roundtrip():
 
 def test_fault_plan_rejects_bad_modifier():
     with pytest.raises(FaultSpecError):
-        FaultPlan.parse("worker-crash!explode:1")
+        FaultPlan.parse("cache-read-error!explode:1")
     with pytest.raises(FaultSpecError):
         FaultPlan.parse("!kill:1")
-
-
-def test_resilience_policy_validation():
-    with pytest.raises(ValueError):
-        ResiliencePolicy(task_timeout=0)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(task_timeout=-5.0)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(max_retries=-1)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(max_pool_restarts=-1)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(backoff_base=-0.1)
-    with pytest.raises(ValueError):
-        ResiliencePolicy(backoff_factor=0.5)
-    # None disables the timeout; the rest of the defaults are valid.
-    ResiliencePolicy(task_timeout=None)
 
 
 def test_seeded_skip_is_deterministic_and_seed_sensitive():
@@ -129,51 +102,22 @@ def test_should_fire_window_semantics():
     assert fired == [False, True, True, False, False]
 
 
-def test_shared_state_dir_counts_across_instances(tmp_path):
-    # Two plan instances simulating two processes of one invocation:
-    # the single scheduled firing is consumed exactly once globally.
-    a = FaultPlan.parse("cache-read-error:1", state_dir=tmp_path)
-    b = FaultPlan.parse("cache-read-error:1", state_dir=tmp_path)
-    assert a.should_fire("cache-read-error") is True
-    assert b.should_fire("cache-read-error") is False
-    assert a.should_fire("cache-read-error") is False
-
-
-def test_removed_state_dir_retires_plan(tmp_path):
-    # The CLI removes the state directory when its chaos session ends.
-    # A straggler process still holding the plan (a pool worker draining
-    # a speculative batch) must then see a retired schedule: no firing,
-    # and no recreating the directory to count from zero — that is the
-    # bug where `worker-crash:1` fired a second time at shutdown.
-    state = tmp_path / "faults"
-    state.mkdir()
-    plan = FaultPlan.parse("cache-read-error:2", state_dir=state)
-    assert plan.should_fire("cache-read-error") is True
-    shutil.rmtree(state)
-    assert plan.should_fire("cache-read-error") is False
-    assert plan.should_fire("cache-read-error") is False
-    assert not state.exists()
-
-
-def test_env_roundtrip_through_use_plan(monkeypatch):
+def test_use_plan_installs_and_restores_the_active_plan():
     plan = FaultPlan.parse("ledger-write-error:3", seed=5)
     with use_plan(plan):
-        assert os.environ[resilience.FAULTS_ENV] == plan.describe_spec()
-        rebuilt = FaultPlan.from_env()
-        assert rebuilt.sites == plan.sites
-        assert rebuilt.seed == 5
         assert resilience.active_plan() is plan
-    assert resilience.FAULTS_ENV not in os.environ
+        assert resilience.FAULTS_ENV not in os.environ
     assert resilience.active_plan() is None
 
 
-def test_worker_only_sites_inert_in_parent():
-    # worker-crash in the parent would kill the test process; the guard
-    # must keep it inert *without consuming the arrival*.
-    plan = FaultPlan.parse("worker-crash:1")
-    with use_plan(plan):
-        assert resilience.fault_point("worker-crash") is False
-    assert plan._local_counts.get("worker-crash", 0) == 0
+def test_env_plan_activates_lazily(monkeypatch):
+    monkeypatch.setenv(resilience.FAULTS_ENV, "cache-read-error:1:?")
+    monkeypatch.setenv(resilience.FAULTS_SEED_ENV, "5")
+    resilience.reset_plan_cache()
+    plan = resilience.active_plan()
+    assert plan.seed == 5
+    assert plan.sites == FaultPlan.parse("cache-read-error:1:?",
+                                         seed=5).sites
 
 
 def test_file_lock_is_reentrant(tmp_path):
@@ -247,15 +191,14 @@ def test_campaign_identical_under_torn_cache_writes(tmp_path):
     clean = run_campaign(program, workload, want_failures=2,
                          want_successes=3)
     with use_plan(FaultPlan.parse("cache-write-torn:3")):
-        with CampaignExecutor(jobs=1, cache=True,
-                              cache_dir=tmp_path / "cache") as executor:
-            torn = run_campaign(program, workload, want_failures=2,
-                                want_successes=3, executor=executor)
-    with CampaignExecutor(jobs=1, cache=True,
-                          cache_dir=tmp_path / "cache") as executor:
-        replay = run_campaign(program, workload, want_failures=2,
-                              want_successes=3, executor=executor)
-        assert executor.stats.cache_corrupt_dropped >= 1
+        torn = run_campaign(
+            program, workload, want_failures=2, want_successes=3,
+            executor=CampaignExecutor(cache=True,
+                                      cache_dir=tmp_path / "cache"))
+    executor = CampaignExecutor(cache=True, cache_dir=tmp_path / "cache")
+    replay = run_campaign(program, workload, want_failures=2,
+                          want_successes=3, executor=executor)
+    assert executor.stats.cache_corrupt_dropped >= 1
     assert _campaign_signature(torn) == _campaign_signature(clean)
     assert _campaign_signature(replay) == _campaign_signature(clean)
 
@@ -342,119 +285,6 @@ def test_concurrent_appends_lose_nothing(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Executor chaos: crashes, hangs, degradation — identical results
-# ----------------------------------------------------------------------
-
-def _chaos_campaign(executor):
-    return run_campaign(compile_source(SOURCE), Thresholdy(),
-                        want_failures=3, want_successes=8,
-                        executor=executor)
-
-
-def test_single_worker_crash_is_retried(tmp_path):
-    clean = _chaos_campaign(None)
-    plan = FaultPlan.parse("worker-crash:1", state_dir=tmp_path)
-    with use_plan(plan):
-        with CampaignExecutor(
-                jobs=2, cache=False,
-                resilience_policy=_fast_policy()) as executor:
-            chaos = _chaos_campaign(executor)
-            stats = executor.stats.resilience
-    assert _campaign_signature(chaos) == _campaign_signature(clean)
-    assert stats.broken_pools >= 1
-    assert stats.pool_restarts >= 1
-    assert not stats.degraded_serial
-
-
-def test_hung_worker_times_out_and_recovers(tmp_path):
-    clean = _chaos_campaign(None)
-    plan = FaultPlan.parse("worker-hang:1", state_dir=tmp_path,
-                           hang_seconds=60)
-    with use_plan(plan):
-        with CampaignExecutor(
-                jobs=2, cache=False,
-                resilience_policy=_fast_policy(
-                    task_timeout=0.5)) as executor:
-            chaos = _chaos_campaign(executor)
-            stats = executor.stats.resilience
-    assert _campaign_signature(chaos) == _campaign_signature(clean)
-    assert stats.timeouts >= 1
-
-
-def test_persistent_crashes_degrade_to_serial():
-    clean = _chaos_campaign(None)
-    # No state dir: counts are per-process, so every fresh worker
-    # crashes at batch entry and the pool can never be kept alive.
-    with use_plan(FaultPlan.parse("worker-crash:1000")):
-        with CampaignExecutor(
-                jobs=2, cache=False,
-                resilience_policy=_fast_policy(
-                    max_retries=1, max_pool_restarts=1)) as executor:
-            chaos = _chaos_campaign(executor)
-            stats = executor.stats
-    assert _campaign_signature(chaos) == _campaign_signature(clean)
-    assert stats.resilience.degraded_serial
-    assert stats.resilience.inline_fallbacks >= 1
-    assert stats.inline_runs > 0
-    rows = dict(stats.snapshot_rows())
-    assert rows["degraded to serial execution"] == "yes"
-
-
-def test_injected_task_error_is_retried(tmp_path):
-    clean = _chaos_campaign(None)
-    plan = FaultPlan.parse("task-error:1", state_dir=tmp_path)
-    with use_plan(plan):
-        with CampaignExecutor(
-                jobs=2, cache=False,
-                resilience_policy=_fast_policy()) as executor:
-            chaos = _chaos_campaign(executor)
-            stats = executor.stats.resilience
-    assert _campaign_signature(chaos) == _campaign_signature(clean)
-    assert stats.task_errors
-    assert "FaultError" in stats.task_errors[-1]["error"]
-    assert stats.task_errors[-1]["traceback"]
-
-
-def test_unpicklable_plan_preserves_error_and_traceback():
-    class LambdaPlans(Thresholdy):
-        def failing_run_plan(self, k):
-            return RunPlan(args=(9,), scheduler_factory=lambda: None)
-
-        def passing_run_plan(self, k):
-            return RunPlan(args=(k % 4,), scheduler_factory=lambda: None)
-
-    program = compile_source(SOURCE)
-    with CampaignExecutor(jobs=2, cache=False) as executor:
-        results = [result for _plan, result in executor.iter_runs(
-            program, [LambdaPlans().failing_run_plan(0)])]
-        stats = executor.stats.resilience
-    assert results[0].error is not None
-    assert "pickl" in results[0].error.lower()
-    assert results[0].traceback      # the full traceback, not just repr
-    assert stats.task_errors[0]["stage"] == "pickle:run"
-
-
-def test_shortfall_warning_carries_executor_detail():
-    from repro.runtime.harness import (
-        CampaignShortfallWarning,
-        run_campaign as rc,
-    )
-
-    class NeverFails(Thresholdy):
-        def failing_run_plan(self, k):
-            return RunPlan(args=(1,), scheduler_factory=lambda: None)
-
-    program = compile_source(SOURCE)
-    with CampaignExecutor(jobs=2, cache=False) as executor:
-        with pytest.warns(CampaignShortfallWarning) as caught:
-            rc(program, NeverFails(), want_failures=1, want_successes=0,
-               max_attempts=2, executor=executor)
-    message = str(caught[0].message)
-    assert "executor task error(s) recorded" in message
-    assert caught[0].message.detail
-
-
-# ----------------------------------------------------------------------
 # End-to-end through the CLI
 # ----------------------------------------------------------------------
 
@@ -472,7 +302,7 @@ def test_cli_rejects_bad_fault_spec(command, tmp_path, monkeypatch):
                          "--ledger-dir", str(tmp_path / "ledger"))
     assert code == 2
     assert text.startswith("bad --inject-faults spec: ")
-    # The rejected spec left no fault state directory behind.
+    # The rejected spec left no file behind.
     assert list(temp.iterdir()) == []
 
 
@@ -481,8 +311,8 @@ def test_cli_table5_identical_under_faults(tmp_path):
                           "--ledger-dir", str(tmp_path / "clean"))
     assert code == 0
     code, chaos = run_cli(
-        "experiment", "table5", "--jobs", "2",
-        "--inject-faults", "worker-crash:1,ledger-write-torn:1",
+        "experiment", "table5",
+        "--inject-faults", "ledger-write-torn:1",
         "--ledger-dir", str(tmp_path / "chaos"),
     )
     assert code == 0
@@ -490,17 +320,3 @@ def test_cli_table5_identical_under_faults(tmp_path):
     # The rendered table — everything the paper conformance checks —
     # must be byte-identical to the fault-free run.
     assert clean.strip() in chaos
-
-
-def test_cli_diagnose_identical_under_worker_crash(tmp_path):
-    code, clean = run_cli("diagnose", "sort", "--runs", "5",
-                          "--no-ledger")
-    assert code == 0
-    code, chaos = run_cli("diagnose", "sort", "--runs", "5",
-                          "--no-ledger", "--jobs", "2",
-                          "--inject-faults", "worker-crash:1")
-    assert code == 0
-    clean_lines = [l for l in clean.splitlines() if "diagnosis" in l
-                   or l.strip().startswith(tuple("0123456789"))]
-    for line in clean_lines:
-        assert line in chaos

@@ -4,9 +4,9 @@ The durable-campaign contract under test, end to end through the real
 CLI in subprocesses: a run SIGKILLed (``!kill`` fault modifier) at any
 registered fault site, then resumed with ``repro resume``, produces
 **byte-identical** stdout and identical ledger entry ids to a run that
-was never interrupted — at any ``--jobs`` value and on either VM
-backend.  SIGTERM exits with the distinct resumable code and prints the
-resume hint.
+was never interrupted — on either VM backend, for LBRA and CBI
+campaigns, and on synthesized bugs.  SIGTERM exits with the distinct
+resumable code and prints the resume hint.
 """
 
 import glob
@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.bugs import synth
 from repro.obs.ledger import Ledger
 from repro.runtime import resilience
 from repro.runtime.checkpoint import RESUMABLE_EXIT_CODE
@@ -30,46 +31,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(
 SRC = os.path.join(REPO, "src")
 
 
-class _Result:
-    def __init__(self, returncode, stdout, stderr):
-        self.returncode = returncode
-        self.stdout = stdout
-        self.stderr = stderr
-
-
 def _repro(args, cwd, timeout=120):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    # A `!kill` exit skips the cleanup that removes the fault state
-    # directory; keep it inside the test's own directory.
-    env["TMPDIR"] = cwd
     env.pop(resilience.FAULTS_ENV, None)
-    env.pop(resilience.FAULTS_STATE_ENV, None)
-    # Output goes to files, not pipes: a chaos run dies via os._exit
-    # while its pool workers still hold the inherited stdout/stderr
-    # descriptors, and reading a pipe would block until they notice.
-    out_path = os.path.join(cwd, ".test-stdout")
-    err_path = os.path.join(cwd, ".test-stderr")
-    with open(out_path, "w") as out, open(err_path, "w") as err:
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro"] + list(args),
-            cwd=cwd, env=env, stdout=out, stderr=err, timeout=timeout,
-        )
-    with open(out_path) as handle:
-        stdout = handle.read()
-    with open(err_path) as handle:
-        stderr = handle.read()
-    return _Result(proc.returncode, stdout, stderr)
-
-
-def _stable_stdout(text):
-    """Stdout minus wall-clock noise: the executor statistics block."""
-    lines = []
-    for line in text.splitlines(keepends=True):
-        if "Campaign executor statistics" in line:
-            break
-        lines.append(line)
-    return "".join(lines)
+    return subprocess.run(
+        [sys.executable, "-m", "repro"] + list(args),
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def _entry_ids(ledger_dir):
@@ -132,73 +101,49 @@ def test_kill_at_every_site_then_resume_is_byte_identical(tmp_path, site):
 
 
 # ----------------------------------------------------------------------
-# Jobs and backend matrix
+# Backends, tools and synthesized bugs
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("backend", ["reference", "threaded"])
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_kill_resume_across_jobs_and_backends(tmp_path, jobs, backend):
+def test_kill_resume_across_backends(tmp_path, backend):
     # Killed at the 13th journal append: the failing phase's 10 records
     # are on disk as two group commits, so the resume replays them.
-    argv = ["diagnose", "sort", "--runs", "10",
-            "--jobs", jobs, "--backend", backend]
+    argv = ["diagnose", "sort", "--runs", "10", "--backend", backend]
     clean, resumed, clean_ledger, chaos_ledger = _kill_resume_roundtrip(
         tmp_path, argv, "checkpoint-write-torn!kill:1:12", journaled=True)
-    # --jobs stdout includes wall-clock executor statistics; everything
-    # above that block is the diagnosis itself and must match exactly.
-    assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
+    assert resumed.stdout == clean.stdout
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
 
 
-@pytest.mark.parametrize("jobs", ["1", "4"])
-def test_baseline_kill_resume_replays_the_journal(tmp_path, jobs):
+def test_baseline_kill_resume_replays_the_journal(tmp_path):
     # A CBI campaign journals like LBRA's.  The kill lands at the 21st
     # append, past two group commits of CheckpointJournal.FLUSH_EVERY
     # (8) records each.
-    argv = ["diagnose", "sort", "--tool", "cbi", "--runs", "40",
-            "--jobs", jobs]
+    argv = ["diagnose", "sort", "--tool", "cbi", "--runs", "40"]
     clean, resumed, clean_ledger, chaos_ledger = _kill_resume_roundtrip(
         tmp_path, argv, "checkpoint-write-torn!kill:1:20", journaled=True)
-    assert _stable_stdout(resumed.stdout) == _stable_stdout(clean.stdout)
+    assert resumed.stdout == clean.stdout
     assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
 
 
-def _processes_mentioning(text):
-    """PIDs of live processes whose command line contains *text*."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(os.path.join("/proc", entry, "cmdline"), "rb") as f:
-                cmdline = f.read()
-        except OSError:
-            continue
-        if text.encode() in cmdline:
-            pids.append(int(entry))
-    return pids
+def _first_synth_names():
+    """The first sequential and the first concurrency name of the seeded
+    population; CI runs all eight."""
+    names = synth.population_names(8, seed=0)
+    return [next(name for name in names if name.startswith(prefix))
+            for prefix in ("synth-seq-", "synth-conc-")]
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
-def test_killed_command_leaves_no_pool_workers(tmp_path):
-    """Pool workers of a hard-killed command exit instead of idling."""
-    ckpt = str(tmp_path / "ck")
-    chaos = _repro(
-        ["diagnose", "sort", "--runs", "3", "--jobs", "2", "--no-ledger",
-         "--checkpoint", "--checkpoint-dir", ckpt,
-         "--inject-faults", "checkpoint-write-torn!kill:1:2"],
-        cwd=str(tmp_path))
-    assert chaos.returncode == CRASH_EXIT_CODE, chaos.stderr
-    deadline = time.monotonic() + 5.0
-    while _processes_mentioning(ckpt) and time.monotonic() < deadline:
-        time.sleep(0.1)
-    leftover = _processes_mentioning(ckpt)
-    for pid in leftover:          # never leave them behind, even on failure
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    assert leftover == []
+@pytest.mark.parametrize("name", _first_synth_names())
+def test_synth_kill_resume_is_byte_identical(tmp_path, name):
+    """Resumed ≡ uninterrupted on a generated bug: LBRA on a sequential
+    one, LCRA on a concurrency one, killed at the 13th journal
+    append."""
+    argv = ["diagnose", name, "--runs", "10"]
+    clean, resumed, clean_ledger, chaos_ledger = _kill_resume_roundtrip(
+        tmp_path, argv, "checkpoint-write-torn!kill:1:12", journaled=True)
+    assert resumed.stdout == clean.stdout
+    assert _entry_ids(chaos_ledger) == _entry_ids(clean_ledger)
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +195,7 @@ def test_sigterm_exits_resumable_with_hint(tmp_path):
 @pytest.mark.parametrize("command", ["triage", "obs-conformance"])
 def test_sigterm_unwinds_every_campaign_command(tmp_path, command):
     """Commands without checkpoint flags convert SIGTERM too: they
-    unwind, remove the chaos state directory, and exit 130."""
+    unwind and exit 130."""
     if command == "triage":
         # The first snapshot lands before the first cluster campaign.
         artifact = tmp_path / "snapshot.json"
@@ -262,9 +207,8 @@ def test_sigterm_unwinds_every_campaign_command(tmp_path, command):
         argv = ["obs", "conformance", "table6"]
     argv += ["--ledger-dir", str(tmp_path / "ledger"),
              "--inject-faults", "cache-read-error:1"]
-    env = dict(os.environ, PYTHONPATH=SRC, TMPDIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=SRC)
     env.pop(resilience.FAULTS_ENV, None)
-    env.pop(resilience.FAULTS_STATE_ENV, None)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro"] + argv, cwd=str(tmp_path),
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
@@ -280,7 +224,6 @@ def test_sigterm_unwinds_every_campaign_command(tmp_path, command):
         pytest.skip("%s finished before the signal landed" % command)
     assert proc.returncode == 130, err
     assert "repro: SIGTERM" in err
-    assert glob.glob(str(tmp_path / "repro-faults-*")) == []
 
 
 def test_resume_lists_and_rejects_unknown_sessions(tmp_path, monkeypatch):
